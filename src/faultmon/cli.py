@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calibrate, detector, pipeline, simulate, standardize
+from . import calibrate, detector, pipeline, simulate
 from .bundle import load_bundle, save_bundle
 from .errors import EmptyInputError, FaultMonError
 
@@ -37,6 +37,15 @@ def _read_matrix(path: str) -> np.ndarray:
     if data.size == 0:
         raise EmptyInputError(f"no sample rows in {name}")
     return data
+
+
+def _process_source(args):
+    """Raw-scale calibration samples simulated from ``--process``, or None."""
+    if not args.process:
+        return None
+    return simulate.in_control_source(
+        _load_process(args.process), run_offset=simulate.CALIBRATION_RUN_OFFSET
+    )
 
 
 def _load_process(path: str) -> simulate.ProcessSpec:
@@ -107,29 +116,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _calibration_inputs(args):
-    """References and a standardized source from CLI arguments."""
-    pool = _read_matrix(args.in_control)
-    stats = standardize.fit_reference(pool)
-    z_pool = standardize.apply(pool, stats)
-    if args.process:
-        process = _load_process(args.process)
-        source = calibrate.standardized_source(
-            simulate.in_control_source(
-                process, run_offset=simulate.CALIBRATION_RUN_OFFSET
-            ),
-            stats,
-        )
-        references = [z_pool[:, i] for i in range(z_pool.shape[1])]
-    else:
-        split = max(2, z_pool.shape[0] // 2)
-        references = [z_pool[:split, i] for i in range(z_pool.shape[1])]
-        source = calibrate.bootstrap_source(z_pool[split:], args.seed)
-    return stats, references, source
-
-
 def _cmd_calibrate(args) -> int:
-    stats, references, source = _calibration_inputs(args)
+    stats, references, source = pipeline.prepare_reference_and_source(
+        _read_matrix(args.in_control), _process_source(args), args.seed
+    )
     config = detector.MonitorConfig(
         allowance=args.allowance,
         top_r=args.top_r,
@@ -153,12 +143,6 @@ def _cmd_calibrate(args) -> int:
 def _cmd_train(args) -> int:
     pool = _read_matrix(args.in_control)
     runs = simulate.read_corpus(args.runs)
-    source = None
-    if args.process:
-        process = _load_process(args.process)
-        source = simulate.in_control_source(
-            process, run_offset=simulate.CALIBRATION_RUN_OFFSET
-        )
     config = pipeline.TrainConfig(
         allowance=args.allowance,
         top_r=args.top_r,
@@ -173,7 +157,9 @@ def _cmd_train(args) -> int:
         threshold_override=args.threshold,
         seed=args.seed,
     )
-    bundle = pipeline.offline_train(pool, runs, config, calibration_source=source)
+    bundle = pipeline.offline_train(
+        pool, runs, config, calibration_source=_process_source(args)
+    )
     save_bundle(bundle, args.out)
     summary = bundle.training_summary
     print(
@@ -257,12 +243,6 @@ def _cmd_sweep(args) -> int:
     pool = _read_matrix(args.in_control)
     train_runs = simulate.read_corpus(args.train_runs)
     test_runs = simulate.read_corpus(args.test_runs)
-    source = None
-    if args.process:
-        process = _load_process(args.process)
-        source = simulate.in_control_source(
-            process, run_offset=simulate.CALIBRATION_RUN_OFFSET
-        )
     grid = [int(x) for x in args.grid.split(",") if x.strip() != ""]
     config = pipeline.TrainConfig(
         allowance=args.allowance,
@@ -275,7 +255,8 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
     )
     points = pipeline.sweep_patience(
-        pool, train_runs, test_runs, grid, config, calibration_source=source
+        pool, train_runs, test_runs, grid, config,
+        calibration_source=_process_source(args),
     )
     rows = ["patience,window,test_accuracy,classified,truncated"]
     for point in points:

@@ -8,6 +8,13 @@ maps the covariances into the tangent space at their geometric mean, and
 trains a one-vs-one SVM on the flattened features. Online monitoring
 replays that recipe one sample at a time with episode resets.
 
+Training, evaluation and online monitoring share one featurizer:
+``_window_covariance`` checks that a classification window fits and
+takes its covariance, and ``_feature_vector`` maps that covariance and
+its V trace to the classifier's input. ``prepare_reference_and_source``
+is the one place where the in-control pool is split into references and
+calibration samples; the CLI calls it too.
+
 Timing conventions (all indices 0-based):
     onset     first faulty sample of a run
     t_a       first alarm at or after the onset
@@ -48,6 +55,7 @@ __all__ = [
     "MonitorEvent",
     "EvalReport",
     "SweepPoint",
+    "prepare_reference_and_source",
     "offline_train",
     "online_monitor",
     "evaluate",
@@ -76,9 +84,6 @@ class TrainConfig:
         calibration_tolerance: Relative ARL tolerance for the search.
         calibration_cap: Samples per calibration run before censoring.
         threshold_override: Skip calibration and install this threshold.
-        reference_fraction: When no calibration source is supplied, the
-            fraction of the in-control pool used for references; the rest
-            feeds the bootstrap calibration source.
         seed: Seed for fold assignment and the bootstrap source.
     """
 
@@ -96,7 +101,6 @@ class TrainConfig:
     calibration_tolerance: float = 0.02
     calibration_cap: int | None = None
     threshold_override: float | None = None
-    reference_fraction: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -108,10 +112,6 @@ class TrainConfig:
             raise DomainError(f"unknown metric {self.metric!r}")
         if self.patience < 0:
             raise DomainError(f"patience must be >= 0, got {self.patience}")
-        if not 0.0 < self.reference_fraction < 1.0:
-            raise DomainError(
-                f"reference_fraction must be in (0, 1), got {self.reference_fraction}"
-            )
 
 
 @dataclass(frozen=True)
@@ -135,6 +135,7 @@ class MonitorEvent:
 @dataclass
 class _DetectedRun:
     run: Run
+    z: np.ndarray  # the run, standardized
     v_trace: np.ndarray
     alarm_time: int | None
 
@@ -146,12 +147,11 @@ class _DetectedRun:
 
 
 def _detect_runs(runs, references, config, stats) -> list[_DetectedRun]:
-    """V trace and first post-onset alarm for each run, batched."""
-    detected: list[_DetectedRun] = []
+    """Standardized run, V trace and first post-onset alarm per run, batched."""
     by_length: dict[int, list[int]] = {}
     for idx, run in enumerate(runs):
         by_length.setdefault(run.data.shape[0], []).append(idx)
-    traces: dict[int, np.ndarray] = {}
+    blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for indices in by_length.values():
         for lo in range(0, len(indices), _DETECT_CHUNK):
             chunk = indices[lo : lo + _DETECT_CHUNK]
@@ -160,13 +160,14 @@ def _detect_runs(runs, references, config, stats) -> list[_DetectedRun]:
             )
             v_block = detector.run_many(references, config, block)
             for row, i in enumerate(chunk):
-                traces[i] = v_block[row]
+                blocks[i] = block[row], v_block[row]
+    detected: list[_DetectedRun] = []
     for idx, run in enumerate(runs):
-        v = traces[idx]
+        z, v = blocks[idx]
         start = run.onset if run.onset is not None else 0
         hits = np.flatnonzero(v[start:] >= config.threshold)
         alarm_time = int(start + hits[0]) if hits.size else None
-        detected.append(_DetectedRun(run=run, v_trace=v, alarm_time=alarm_time))
+        detected.append(_DetectedRun(run=run, z=z, v_trace=v, alarm_time=alarm_time))
     return detected
 
 
@@ -174,55 +175,34 @@ def _window_length(delays, patience: int) -> int:
     return max(2, int(round(float(np.mean(delays)) + patience)))
 
 
-def _episode_feature_vector(
-    z: np.ndarray,
-    v: np.ndarray,
-    t_c: int,
-    window: int,
-    karcher_base: np.ndarray | None,
-    feature_mode: str,
-    use_trace: bool,
-    metric: str,
-):
-    """Feature vector at classification point t_c, or (None, reason)."""
+def _window_covariance(z, t_c: int, window: int, trace_length: int, use_trace: bool):
+    """Covariance of the ``window`` rows of ``z`` ending at row t_c.
+
+    Returns ``(covariance, None)``, or ``(None, reason)`` when the window
+    does not fit in ``z`` or the V trace (``trace_length`` samples) is too
+    short to summarize.
+    """
     if t_c >= z.shape[0]:
         return None, "run_ends_before_classification"
     start = t_c - window + 1
     if start < 0:
         return None, "window_before_run_start"
-    cov = spd.covariance(z[start : t_c + 1])
+    if use_trace and trace_length < 3:
+        return None, "trace_too_short"
+    return spd.covariance(z[start : t_c + 1]), None
+
+
+def _feature_vector(
+    cov, v_trace, karcher_base, feature_mode: str, metric: str, use_trace: bool
+):
+    """Classifier input for one window covariance and its V trace."""
     if feature_mode == "tangent":
         vec = spd.tangent_vectorize(spd.spd_log(karcher_base, cov, metric))
     else:
         vec = spd.tangent_vectorize(cov)
     if use_trace:
-        vec = np.concatenate([vec, trace_features(v[: t_c + 1]).as_vector()])
-    return vec, None
-
-
-def _collect_covariances(detected, stats_applied, window: int, patience: int):
-    """Windows and V traces for usable runs; returns covs, labels, drops."""
-    covs = []
-    labels = []
-    kept = []
-    dropped: dict[str, list[str]] = {}
-    for item, z in zip(detected, stats_applied):
-        run = item.run
-        if item.alarm_time is None:
-            dropped.setdefault("no_alarm", []).append(run.run_id)
-            continue
-        t_c = item.alarm_time + patience
-        if t_c >= z.shape[0]:
-            dropped.setdefault("run_ends_before_classification", []).append(run.run_id)
-            continue
-        start = t_c - window + 1
-        if start < 0:
-            dropped.setdefault("window_before_run_start", []).append(run.run_id)
-            continue
-        covs.append(spd.covariance(z[start : t_c + 1]))
-        labels.append(run.fault_id)
-        kept.append((item, z, t_c))
-    return covs, np.asarray(labels, dtype=int), kept, dropped
+        vec = np.concatenate([vec, trace_features(v_trace).as_vector()])
+    return vec
 
 
 def _check_class_coverage(labels, all_fault_ids, dropped):
@@ -232,6 +212,171 @@ def _check_class_coverage(labels, all_fault_ids, dropped):
         if count < 2:
             raise NoAlarmInTrainingError(fid, flat_dropped)
     return counts
+
+
+def prepare_reference_and_source(
+    in_control, calibration_source: calibrate.SampleSource | None = None, seed: int = 0
+):
+    """Standardization, detector references and a calibration sample source.
+
+    Statistics are fitted on the whole raw-scale in-control pool. With a
+    raw-scale ``calibration_source`` the whole pool becomes the references
+    and the source is wrapped to emit standardized samples. Without one,
+    the first ``max(2, round(n / 2))`` pool rows become the references
+    and the rest are resampled with replacement (seeded by ``seed``).
+
+    Returns:
+        ``(stats, references, source)``: the fitted
+        :class:`~faultmon.standardize.ReferenceStats`, one standardized
+        reference array per stream, and a standardized sample source.
+
+    Raises:
+        EmptyInputError: Without a source, the pool leaves no row to resample.
+    """
+    pool = np.asarray(in_control, dtype=float)
+    split = pool.shape[0]
+    if calibration_source is None:
+        split = max(2, int(round(0.5 * pool.shape[0])))
+        if pool.shape[0] - split < 1:
+            raise EmptyInputError(
+                "in-control pool too small to hold out a calibration part; "
+                "supply a calibration source instead"
+            )
+    stats = standardize.fit_reference(pool)
+    z_pool = standardize.apply(pool, stats)
+    references = [z_pool[:split, i] for i in range(z_pool.shape[1])]
+    if calibration_source is None:
+        source = calibrate.bootstrap_source(z_pool[split:], seed)
+    else:
+        source = calibrate.standardized_source(calibration_source, stats)
+    return stats, references, source
+
+
+@dataclass(frozen=True)
+class _Setup:
+    """What training fixes before it sees a fault run."""
+
+    stats: standardize.ReferenceStats
+    references: list[np.ndarray]
+    config: detector.MonitorConfig  # with the threshold installed
+    calibration: dict
+
+
+def _setup(in_control, train_runs, config: TrainConfig, calibration_source) -> _Setup:
+    """Validate the runs, standardize, and fix the alarm threshold."""
+    if not train_runs:
+        raise EmptyInputError("no training runs")
+    for run in train_runs:
+        if run.fault_id == 0:
+            raise LabelMismatchError(
+                f"training run {run.run_id!r} carries no fault label"
+            )
+    stats, references, cal_source = prepare_reference_and_source(
+        in_control, calibration_source, config.seed
+    )
+    base_config = detector.MonitorConfig(
+        allowance=config.allowance,
+        top_r=config.top_r,
+        stream_count=stats.stream_count,
+    )
+    if config.threshold_override is not None:
+        threshold = float(config.threshold_override)
+        calibration = {"threshold": threshold, "source": "override"}
+    else:
+        spec = calibrate.CalibrationSpec(
+            target_arl0=config.target_arl0,
+            replications=config.calibration_replications,
+            max_run_length=config.calibration_cap,
+            tolerance=config.calibration_tolerance,
+        )
+        try:
+            result = calibrate.find_threshold(references, base_config, cal_source, spec)
+        except (BracketError, NoConvergenceError) as exc:
+            raise CalibrationFailedError(f"threshold calibration failed: {exc}") from exc
+        threshold = result.threshold
+        calibration = result.to_dict()
+    return _Setup(stats, references, base_config.with_threshold(threshold), calibration)
+
+
+def _fit(
+    setup: _Setup, detected: list[_DetectedRun], config: TrainConfig
+) -> ModelBundle:
+    """Window length, Karcher base and classifier from detected runs."""
+    delays = [d.delay for d in detected if d.delay is not None]
+    if not delays:
+        raise NoAlarmInTrainingError(
+            detected[0].run.fault_id, [d.run.run_id for d in detected]
+        )
+    window = _window_length(delays, config.patience)
+
+    covs, traces, labels = [], [], []
+    dropped: dict[str, list[str]] = {}
+    for item in detected:
+        reason = "no_alarm"
+        if item.alarm_time is not None:
+            t_c = item.alarm_time + config.patience
+            cov, reason = _window_covariance(
+                item.z, t_c, window, t_c + 1, config.trace_features
+            )
+        if reason is not None:
+            dropped.setdefault(reason, []).append(item.run.run_id)
+            continue
+        covs.append(cov)
+        traces.append(item.v_trace[: t_c + 1])
+        labels.append(item.run.fault_id)
+    labels = np.asarray(labels, dtype=int)
+    fault_ids = sorted({d.run.fault_id for d in detected})
+    class_counts = _check_class_coverage(labels, fault_ids, dropped)
+
+    if config.feature_mode == "tangent":
+        karcher_base = spd.karcher_mean(covs, config.metric)
+    else:
+        karcher_base = np.eye(setup.stats.stream_count)
+    feature_matrix = np.vstack([
+        _feature_vector(
+            cov, trace, karcher_base, config.feature_mode, config.metric,
+            config.trace_features,
+        )
+        for cov, trace in zip(covs, traces)
+    ])
+
+    folds = min(config.folds, min(class_counts.values()))
+    search = svm.grid_search(
+        feature_matrix,
+        labels,
+        config.c_grid,
+        config.gamma_grid,
+        folds=folds,
+        seed=config.seed,
+    )
+    classifier = svm.train_multiclass(
+        feature_matrix, labels, search.c_penalty, search.gamma
+    )
+
+    summary = {
+        "calibration": setup.calibration,
+        "window": window,
+        "mean_detection_delay": float(np.mean(delays)),
+        "dropped_runs": dropped,
+        "usable_runs_per_class": class_counts,
+        "cv_accuracy": search.cv_accuracy,
+        "c_penalty": search.c_penalty,
+        "gamma": search.gamma,
+    }
+    return ModelBundle(
+        stats=setup.stats,
+        references=[np.sort(np.asarray(r, dtype=float)) for r in setup.references],
+        config=setup.config,
+        target_arl0=config.target_arl0,
+        patience=config.patience,
+        window=window,
+        karcher_base=karcher_base,
+        classifier=classifier,
+        feature_mode=config.feature_mode,
+        trace_features=config.trace_features,
+        metric=config.metric,
+        training_summary=summary,
+    )
 
 
 def offline_train(
@@ -258,127 +403,9 @@ def offline_train(
         NoAlarmInTrainingError: Some fault class kept fewer than 2 runs.
         LabelMismatchError: A training run has no fault label.
     """
-    pool = np.asarray(in_control, dtype=float)
-    if not train_runs:
-        raise EmptyInputError("no training runs")
-    for run in train_runs:
-        if run.fault_id == 0:
-            raise LabelMismatchError(
-                f"training run {run.run_id!r} carries no fault label"
-            )
-
-    if calibration_source is not None:
-        stats = standardize.fit_reference(pool)
-        z_pool = standardize.apply(pool, stats)
-        references = [z_pool[:, i] for i in range(z_pool.shape[1])]
-        cal_source = calibrate.standardized_source(calibration_source, stats)
-    else:
-        split = max(2, int(round(config.reference_fraction * pool.shape[0])))
-        if pool.shape[0] - split < 1:
-            raise EmptyInputError(
-                "in-control pool too small to hold out a calibration part; "
-                "supply a calibration_source instead"
-            )
-        stats = standardize.fit_reference(pool)
-        z_pool = standardize.apply(pool, stats)
-        references = [z_pool[:split, i] for i in range(z_pool.shape[1])]
-        cal_source = calibrate.bootstrap_source(z_pool[split:], config.seed)
-
-    base_config = detector.MonitorConfig(
-        allowance=config.allowance,
-        top_r=config.top_r,
-        stream_count=stats.stream_count,
-    )
-    if config.threshold_override is not None:
-        threshold = float(config.threshold_override)
-        calibration_summary = {"threshold": threshold, "source": "override"}
-    else:
-        spec = calibrate.CalibrationSpec(
-            target_arl0=config.target_arl0,
-            replications=config.calibration_replications,
-            max_run_length=config.calibration_cap,
-            tolerance=config.calibration_tolerance,
-        )
-        try:
-            result = calibrate.find_threshold(references, base_config, cal_source, spec)
-        except (BracketError, NoConvergenceError) as exc:
-            raise CalibrationFailedError(f"threshold calibration failed: {exc}") from exc
-        threshold = result.threshold
-        calibration_summary = result.to_dict()
-    run_config = base_config.with_threshold(threshold)
-
-    z_runs = [standardize.apply(run.data, stats) for run in train_runs]
-    detected = _detect_runs(train_runs, references, run_config, stats)
-    delays = [d.delay for d in detected if d.delay is not None]
-    if not delays:
-        raise NoAlarmInTrainingError(
-            train_runs[0].fault_id, [r.run_id for r in train_runs]
-        )
-    window = _window_length(delays, config.patience)
-
-    covs, labels, kept, dropped = _collect_covariances(
-        detected, z_runs, window, config.patience
-    )
-    fault_ids = sorted({run.fault_id for run in train_runs})
-    class_counts = _check_class_coverage(labels, fault_ids, dropped)
-
-    if config.feature_mode == "tangent":
-        karcher_base = spd.karcher_mean(covs, config.metric)
-    else:
-        karcher_base = np.eye(stats.stream_count)
-    vectors = []
-    for cov, (item, z, t_c) in zip(covs, kept):
-        vec, reason = _episode_feature_vector(
-            z,
-            item.v_trace,
-            t_c,
-            window,
-            karcher_base,
-            config.feature_mode,
-            config.trace_features,
-            config.metric,
-        )
-        assert reason is None  # kept runs already passed the window checks
-        vectors.append(vec)
-    feature_matrix = np.vstack(vectors)
-
-    folds = min(config.folds, min(class_counts.values()))
-    search = svm.grid_search(
-        feature_matrix,
-        labels,
-        config.c_grid,
-        config.gamma_grid,
-        folds=folds,
-        seed=config.seed,
-    )
-    classifier = svm.train_multiclass(
-        feature_matrix, labels, search.c_penalty, search.gamma
-    )
-
-    summary = {
-        "calibration": calibration_summary,
-        "window": window,
-        "mean_detection_delay": float(np.mean(delays)),
-        "dropped_runs": {reason: ids for reason, ids in dropped.items()},
-        "usable_runs_per_class": class_counts,
-        "cv_accuracy": search.cv_accuracy,
-        "c_penalty": search.c_penalty,
-        "gamma": search.gamma,
-    }
-    return ModelBundle(
-        stats=stats,
-        references=[np.sort(np.asarray(r, dtype=float)) for r in references],
-        config=run_config,
-        target_arl0=config.target_arl0,
-        patience=config.patience,
-        window=window,
-        karcher_base=karcher_base,
-        classifier=classifier,
-        feature_mode=config.feature_mode,
-        trace_features=config.trace_features,
-        metric=config.metric,
-        training_summary=summary,
-    )
+    setup = _setup(in_control, train_runs, config, calibration_source)
+    detected = _detect_runs(train_runs, setup.references, setup.config, setup.stats)
+    return _fit(setup, detected, config)
 
 
 def online_monitor(bundle: ModelBundle, samples: Iterable) -> Iterator[MonitorEvent]:
@@ -434,21 +461,20 @@ def online_monitor(bundle: ModelBundle, samples: Iterable) -> Iterator[MonitorEv
 
 
 def _classify_buffer(bundle: ModelBundle, window_buffer, v_episode):
-    if len(window_buffer) < bundle.window:
-        return None, "window_too_short"
-    if bundle.trace_features and len(v_episode) < 3:
-        return None, "trace_too_short"
-    cov = spd.covariance(np.asarray(window_buffer))
-    if bundle.feature_mode == "tangent":
-        vec = spd.tangent_vectorize(
-            spd.spd_log(bundle.karcher_base, cov, bundle.metric)
-        )
-    else:
-        vec = spd.tangent_vectorize(cov)
-    if bundle.trace_features:
-        vec = np.concatenate(
-            [vec, trace_features(np.asarray(v_episode)).as_vector()]
-        )
+    z = np.asarray(window_buffer)
+    cov, reason = _window_covariance(
+        z, z.shape[0] - 1, bundle.window, len(v_episode), bundle.trace_features
+    )
+    if reason is not None:
+        # The buffer holds the stream's last samples, so only its start can
+        # fall short; events have always called that "window_too_short".
+        if reason == "window_before_run_start":
+            reason = "window_too_short"
+        return None, reason
+    vec = _feature_vector(
+        cov, v_episode, bundle.karcher_base, bundle.feature_mode, bundle.metric,
+        bundle.trace_features,
+    )
     return int(bundle.classifier.predict(vec)), None
 
 
@@ -503,11 +529,17 @@ def evaluate(bundle: ModelBundle, runs: list[Run]) -> EvalReport:
     bundle's learned window. In-control runs and pre-onset segments feed
     the false-alarm rate.
     """
-    if not runs:
+    return _score(
+        bundle, _detect_runs(runs, bundle.references, bundle.config, bundle.stats)
+    )
+
+
+def _score(bundle: ModelBundle, detected: list[_DetectedRun]) -> EvalReport:
+    """Detection and classification metrics of ``bundle`` on detected runs."""
+    if not detected:
         raise EmptyInputError("no runs to evaluate")
-    detected = _detect_runs(runs, bundle.references, bundle.config, bundle.stats)
     labels_present = sorted(
-        {run.fault_id for run in runs if run.fault_id != 0}
+        {d.run.fault_id for d in detected if d.run.fault_id != 0}
     )
     class_labels = [int(c) for c in bundle.classifier.class_labels]
     label_index = {c: i for i, c in enumerate(class_labels)}
@@ -539,21 +571,17 @@ def evaluate(bundle: ModelBundle, runs: list[Run]) -> EvalReport:
             continue
         per_class_detected[run.fault_id] += 1
         per_class_delays[run.fault_id].append(item.delay)
-        z = standardize.apply(run.data, bundle.stats)
         t_c = item.alarm_time + bundle.patience
-        vec, reason = _episode_feature_vector(
-            z,
-            v,
-            t_c,
-            bundle.window,
-            bundle.karcher_base,
-            bundle.feature_mode,
-            bundle.trace_features,
-            bundle.metric,
+        cov, reason = _window_covariance(
+            item.z, t_c, bundle.window, t_c + 1, bundle.trace_features
         )
-        if vec is None:
+        if reason is not None:
             unclassified[reason] = unclassified.get(reason, 0) + 1
             continue
+        vec = _feature_vector(
+            cov, v[: t_c + 1], bundle.karcher_base, bundle.feature_mode,
+            bundle.metric, bundle.trace_features,
+        )
         predicted = int(bundle.classifier.predict(vec))
         classified += 1
         if run.fault_id in label_index:
@@ -629,27 +657,21 @@ def sweep_patience(
         raise EmptyInputError("patience_grid is empty")
     if grid[0] < 0:
         raise DomainError("patience values must be >= 0")
+    setup = _setup(in_control, train_runs, config, calibration_source)
+    references, run_config, stats = setup.references, setup.config, setup.stats
+    detected_train = _detect_runs(train_runs, references, run_config, stats)
+    detected_test = _detect_runs(test_runs, references, run_config, stats)
     points = []
-    # The threshold does not depend on patience: calibrate once on the
-    # first fit and reuse it as an override afterwards.
-    threshold_override = config.threshold_override
     for patience in grid:
-        cfg = replace(
-            config, patience=patience, threshold_override=threshold_override
-        )
-        bundle = offline_train(
-            in_control, train_runs, cfg, calibration_source=calibration_source
-        )
-        threshold_override = bundle.config.threshold
-        report = evaluate(bundle, test_runs)
-        truncated = sum(report.unclassified.values())
+        bundle = _fit(setup, detected_train, replace(config, patience=patience))
+        report = _score(bundle, detected_test)
         points.append(
             SweepPoint(
                 patience=patience,
                 window=bundle.window,
                 test_accuracy=report.overall_accuracy,
                 classified=report.classified,
-                truncated=truncated,
+                truncated=sum(report.unclassified.values()),
             )
         )
     return points

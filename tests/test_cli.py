@@ -99,6 +99,28 @@ def test_calibrate_bootstrap(cli_workspace, tmp_path, capfd):
     assert abs(file_payload["achieved_arl"] / 25.0 - 1.0) <= 0.02
 
 
+def test_calibrate_and_train_pick_the_same_threshold(
+    cli_workspace, small_benchmark, tmp_path
+):
+    # 1499 rows: half of the pool is 749.5 rows, so a split that rounds
+    # differently from training's would pick other references.
+    pool_csv = tmp_path / "in_control_1499.csv"
+    simulate.write_run_csv(pool_csv, small_benchmark.in_control[:1499])
+    calibration = ["--arl0", "25", "--replications", "80", "--tolerance", "0.05",
+                   "--seed", "5"]
+    report_path = tmp_path / "cal.json"
+    assert cli.main(["calibrate", "--in-control", str(pool_csv), *calibration,
+                     "--out", str(report_path)]) == 0
+    bundle_path = tmp_path / "bundle.json"
+    assert cli.main(["train", "--in-control", str(pool_csv),
+                     "--runs", str(cli_workspace / "train"), *calibration,
+                     "--patience", "60", "--folds", "3",
+                     "--out", str(bundle_path)]) == 0
+    calibrated = json.loads(report_path.read_text(encoding="utf-8"))
+    trained = load_bundle(bundle_path).training_summary["calibration"]
+    assert calibrated == trained
+
+
 def test_train_writes_loadable_bundle(cli_bundle, cli_workspace):
     bundle = load_bundle(cli_bundle)
     assert bundle.config.threshold == PINNED_H

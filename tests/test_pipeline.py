@@ -162,13 +162,34 @@ def test_fdr_and_far_identities(trained_bundle, monkeypatch):
     )
     h = trained_bundle.config.threshold
     v = np.where(np.arange(length) >= onset, h + 1.0, 0.0)
-    fake = [pipeline._DetectedRun(run=run, v_trace=v, alarm_time=onset)]
+    fake = [pipeline._DetectedRun(run=run, z=run.data, v_trace=v, alarm_time=onset)]
     monkeypatch.setattr(pipeline, "_detect_runs", lambda *args, **kw: fake)
     report = pipeline.evaluate(trained_bundle, [run])
     assert report.fdr_per_fault[1] == 1.0
     assert report.far == 0.0
     assert report.fds_per_fault[1] == 0.0
     assert report.detection_rate[1] == 1.0
+
+
+def test_evaluate_reports_trace_too_short(trained_bundle, monkeypatch):
+    # An alarm at t=1 with no patience leaves a 2-sample V trace, too short
+    # for trace features: the run is counted unclassified, as online
+    # monitoring reports it, instead of failing the whole evaluation.
+    bundle = dataclasses.replace(
+        trained_bundle, trace_features=True, window=2, patience=0
+    )
+    length = 30
+    labels = np.ones(length, dtype=int)
+    labels[0] = 0
+    run = simulate.Run(
+        data=np.zeros((length, 20)), labels=labels, run_id="fabricated"
+    )
+    v = np.full(length, bundle.config.threshold + 1.0)
+    fake = [pipeline._DetectedRun(run=run, z=run.data, v_trace=v, alarm_time=1)]
+    monkeypatch.setattr(pipeline, "_detect_runs", lambda *args, **kw: fake)
+    report = pipeline.evaluate(bundle, [run])
+    assert report.unclassified == {"trace_too_short": 1}
+    assert report.classified == 0
 
 
 def test_sweep_patience_single_point(small_benchmark, small_config):
@@ -183,6 +204,36 @@ def test_sweep_patience_single_point(small_benchmark, small_config):
     assert points[0].patience == 40
     assert points[0].window >= 2
     assert 0.0 <= points[0].test_accuracy <= 1.0
+
+
+def test_sweep_patience_matches_separate_train_and_evaluate(
+    small_benchmark, small_config
+):
+    points = pipeline.sweep_patience(
+        small_benchmark.in_control,
+        small_benchmark.train_runs,
+        small_benchmark.test_runs,
+        [20, 60],
+        small_config,
+    )
+    expected = []
+    for patience in (20, 60):
+        bundle = pipeline.offline_train(
+            small_benchmark.in_control,
+            small_benchmark.train_runs,
+            dataclasses.replace(small_config, patience=patience),
+        )
+        report = pipeline.evaluate(bundle, small_benchmark.test_runs)
+        expected.append(
+            pipeline.SweepPoint(
+                patience=patience,
+                window=bundle.window,
+                test_accuracy=report.overall_accuracy,
+                classified=report.classified,
+                truncated=sum(report.unclassified.values()),
+            )
+        )
+    assert points == expected
 
 
 def test_sweep_patience_validates_grid(small_benchmark, small_config):
@@ -209,5 +260,3 @@ def test_train_config_validation():
         pipeline.TrainConfig(feature_mode="pca")
     with pytest.raises(DomainError):
         pipeline.TrainConfig(patience=-1)
-    with pytest.raises(DomainError):
-        pipeline.TrainConfig(reference_fraction=1.5)
