@@ -125,23 +125,27 @@ def _collect_traces(
     source: SampleSource,
     replications: int,
     run_length: int,
+    reset_on_alarm: bool = False,
 ) -> np.ndarray:
     """V traces for in-control replications, shape ``(R, run_length)``.
 
-    Trajectories do not depend on the threshold, so one pass supports every
-    threshold probed during the search. Replications are advanced in
-    lockstep in chunks to bound memory.
+    Without ``reset_on_alarm`` trajectories do not depend on the threshold,
+    so one pass supports every threshold probed during the search.
+    Replications are advanced in lockstep in chunks to bound memory.
     """
     stream_count = config.stream_count
     traces = np.empty((replications, run_length))
-    # ~25 MB of float64 per intermediate array at p=20.
-    chunk = max(1, int(160_000_000 / (run_length * stream_count * 8)) // 2 or 1)
+    # Each (chunk, run_length, p) float64 intermediate holds about 80 MB:
+    # 125 runs x 4000 samples x 20 streams x 8 B at the default cap.
+    chunk = max(1, int(160_000_000 / (run_length * stream_count * 8)) // 2)
     for lo in range(0, replications, chunk):
         hi = min(lo + chunk, replications)
         block = np.empty((hi - lo, run_length, stream_count))
         for rep in range(lo, hi):
             block[rep - lo] = source(rep, 0, run_length)
-        traces[lo:hi] = detector.run_many(references, config, block)
+        traces[lo:hi] = detector.run_many(
+            references, config, block, reset_on_alarm=reset_on_alarm
+        )
     return traces
 
 
@@ -275,24 +279,18 @@ def estimate_false_alarm_rate(
     at the next sample, mirroring how an operator acknowledges an alarm.
     Under this renewal convention alarms per sample converge to 1 / ARL0.
     Counting every above-threshold sample without resetting would instead
-    inflate the rate by the mean excursion length.
+    inflate the rate by the mean excursion length. The detector applies
+    the resets itself (``run_many(..., reset_on_alarm=True)``), so each
+    sample is ranked once.
 
     Returns:
         Total alarms divided by total samples inspected.
     """
+    if replications < 1 or run_length < 1:
+        raise EmptyInputError("replications and run_length must be at least 1")
     cfg = config.with_threshold(threshold)
-    alarms = 0
-    for rep in range(replications):
-        block = source(rep, 0, run_length)
-        start = 0
-        while start < run_length:
-            trace = detector.run_many(references, cfg, block[np.newaxis, start:])[0]
-            hits = np.flatnonzero(trace >= threshold)
-            if hits.size == 0:
-                break
-            alarms += 1
-            start += int(hits[0]) + 1
-    return alarms / (replications * run_length)
+    traces = _collect_traces(references, cfg, source, replications, run_length, True)
+    return int(np.count_nonzero(traces >= threshold)) / (replications * run_length)
 
 
 def bootstrap_source(pool, seed: int) -> SampleSource:

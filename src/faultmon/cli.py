@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calibrate, detector, pipeline, simulate
+from . import pipeline, simulate
 from .bundle import load_bundle, save_bundle
 from .errors import EmptyInputError, FaultMonError
 
@@ -116,23 +116,26 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_calibrate(args) -> int:
-    stats, references, source = pipeline.prepare_reference_and_source(
-        _read_matrix(args.in_control), _process_source(args), args.seed
-    )
-    config = detector.MonitorConfig(
+def _train_config(args, **knobs) -> pipeline.TrainConfig:
+    """Training knobs from the detector and calibration arguments, plus ``knobs``."""
+    return pipeline.TrainConfig(
         allowance=args.allowance,
         top_r=args.top_r,
-        stream_count=stats.stream_count,
-    )
-    spec = calibrate.CalibrationSpec(
         target_arl0=args.arl0,
-        replications=args.replications,
-        max_run_length=args.cap,
-        tolerance=args.tolerance,
+        calibration_replications=args.replications,
+        calibration_tolerance=args.tolerance,
+        calibration_cap=args.cap,
+        seed=args.seed,
+        **knobs,
     )
-    result = calibrate.find_threshold(references, config, source, spec)
-    payload = result.to_dict()
+
+
+def _cmd_calibrate(args) -> int:
+    config = _train_config(args)
+    _, references, source = pipeline.prepare_reference_and_source(
+        _read_matrix(args.in_control), _process_source(args), config.seed
+    )
+    _, payload = pipeline.choose_threshold(references, config, source)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=1)
@@ -143,19 +146,13 @@ def _cmd_calibrate(args) -> int:
 def _cmd_train(args) -> int:
     pool = _read_matrix(args.in_control)
     runs = simulate.read_corpus(args.runs)
-    config = pipeline.TrainConfig(
-        allowance=args.allowance,
-        top_r=args.top_r,
-        target_arl0=args.arl0,
+    config = _train_config(
+        args,
         patience=args.patience,
         feature_mode=args.feature_mode,
         trace_features=args.trace_features,
         folds=args.folds,
-        calibration_replications=args.replications,
-        calibration_tolerance=args.tolerance,
-        calibration_cap=args.cap,
         threshold_override=args.threshold,
-        seed=args.seed,
     )
     bundle = pipeline.offline_train(
         pool, runs, config, calibration_source=_process_source(args)

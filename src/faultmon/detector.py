@@ -14,9 +14,12 @@ where ``k`` is the allowance that drains the statistics while in control.
 The monitor-wide statistic V is the sum of the r largest two-sided stream
 statistics; an alarm is raised when V reaches the threshold.
 
-All floating-point arithmetic here uses numpy scalars/ufuncs so that the
-streaming path, the single-run batch path, and the many-runs lockstep path
-produce bit-identical results.
+One function, ``_cusum_step``, applies this update: ``Monitor.step`` calls
+it per sample and the batch loop behind ``Monitor.run`` and ``run_many``
+per time step, so all three paths give bit-identical results. With
+``reset_on_alarm``, ``run_many`` zeroes a run's W+ and W- after each
+sample whose V reaches the threshold (the renewal convention), as calling
+``Monitor.reset`` after every alarm would.
 """
 
 from __future__ import annotations
@@ -114,9 +117,11 @@ def update_local(state: LocalState, mu_hat: float, allowance: float) -> LocalSta
         raise DomainError(f"mu_hat must lie in (0, 1), got {mu_hat}")
     if not allowance > 0.0:
         raise DomainError(f"allowance must be positive, got {allowance}")
-    w_plus = max(float(state.w_plus - np.log(1.0 - mu_hat) - allowance), 0.0)
-    w_minus = max(float(state.w_minus - np.log(mu_hat) - allowance), 0.0)
-    return LocalState(w_plus=w_plus, w_minus=w_minus)
+    w_plus, w_minus, _, _ = _cusum_step(
+        np.array([state.w_plus]), np.array([state.w_minus]),
+        np.log([1.0 - mu_hat]), np.log([mu_hat]), allowance, 1,
+    )
+    return LocalState(w_plus=float(w_plus[0]), w_minus=float(w_minus[0]))
 
 
 def two_sided(state: LocalState) -> float:
@@ -224,6 +229,20 @@ def _validate_references(references, stream_count: int) -> list[np.ndarray]:
     return [build_reference(ref) for ref in references]
 
 
+def _check_samples(samples, stream_count: int, ndim: int) -> np.ndarray:
+    """``samples`` as a finite, non-empty float array of ``ndim`` axes, p last."""
+    arr = np.asarray(samples, dtype=float)
+    if arr.ndim != ndim or arr.shape[-1] != stream_count:
+        raise DimensionMismatchError(
+            f"expected {ndim}-D samples over {stream_count} streams, got {arr.shape}"
+        )
+    if 0 in arr.shape:
+        raise EmptyInputError("empty sample batch")
+    if not np.isfinite(arr).all():
+        raise NonFiniteValueError("samples contain NaN or infinity")
+    return arr
+
+
 def _cdf_estimates(references, sizes: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """Smoothed empirical CDF values for samples of shape ``(..., p)``."""
     counts = np.empty(samples.shape, dtype=float)
@@ -235,18 +254,29 @@ def _cdf_estimates(references, sizes: np.ndarray, samples: np.ndarray) -> np.nda
     return (counts + 1.0) / (sizes + 2.0)
 
 
+def _cusum_step(w_plus, w_minus, log_hi, log_lo, allowance: float, top_r: int):
+    """Advance W+/W- (shape ``(..., p)``) by one sample's ``log(1 - mu)`` and
+    ``log(mu)``; returns the new W+, W-, the two-sided statistics and V."""
+    w_plus = np.maximum(w_plus - log_hi - allowance, 0.0)
+    w_minus = np.maximum(w_minus - log_lo - allowance, 0.0)
+    two = np.maximum(w_plus, w_minus)
+    return w_plus, w_minus, two, _top_r_sum(two, top_r)
+
+
 def _run_recursion(
     mu: np.ndarray,
     allowance: float,
     top_r: int,
     w_plus: np.ndarray,
     w_minus: np.ndarray,
+    reset_at: float | None = None,
 ):
     """Drive the CUSUM recursion over the time axis.
 
     Args:
         mu: CDF estimates, shape ``(..., T, p)``.
         w_plus, w_minus: Entry state, shape ``(..., p)``; not modified.
+        reset_at: If given, zero the state of each row whose V reaches it.
 
     Returns:
         ``(v, w_plus, w_minus)`` with ``v`` of shape ``(..., T)`` and the
@@ -254,12 +284,15 @@ def _run_recursion(
     """
     log_hi = np.log(1.0 - mu)
     log_lo = np.log(mu)
-    steps = mu.shape[-2]
     v = np.empty(mu.shape[:-1], dtype=float)
-    for t in range(steps):
-        w_plus = np.maximum(w_plus - log_hi[..., t, :] - allowance, 0.0)
-        w_minus = np.maximum(w_minus - log_lo[..., t, :] - allowance, 0.0)
-        v[..., t] = _top_r_sum(np.maximum(w_plus, w_minus), top_r)
+    for t in range(mu.shape[-2]):
+        w_plus, w_minus, _, v[..., t] = _cusum_step(
+            w_plus, w_minus, log_hi[..., t, :], log_lo[..., t, :], allowance, top_r
+        )
+        if reset_at is not None:
+            # In place is safe: _cusum_step returned fresh arrays.
+            fired = v[..., t] >= reset_at
+            w_plus[fired] = w_minus[fired] = 0.0
     return v, w_plus, w_minus
 
 
@@ -291,43 +324,21 @@ class Monitor:
         """Index the next sample will get."""
         return self._time
 
-    @property
-    def local_stats(self) -> np.ndarray:
-        """Current two-sided statistic per stream."""
-        return np.maximum(self._w_plus, self._w_minus)
-
-    def set_threshold(self, threshold: float) -> None:
-        self.config = self.config.with_threshold(threshold)
-
     def reset(self) -> None:
         """Zero the CUSUM state and the sample counter."""
         self._w_plus = np.zeros(self.config.stream_count)
         self._w_minus = np.zeros(self.config.stream_count)
         self._time = 0
 
-    def _check_batch(self, samples) -> np.ndarray:
-        arr = np.asarray(samples, dtype=float)
-        if arr.shape[-1] != self.config.stream_count:
-            raise DimensionMismatchError(
-                f"expected {self.config.stream_count} streams, got shape {arr.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise NonFiniteValueError("samples contain NaN or infinity")
-        return arr
-
     def step(self, sample) -> MonitorOutput:
         """Consume one standardized sample of shape ``(p,)``."""
-        arr = self._check_batch(sample)
-        if arr.ndim != 1:
-            raise DimensionMismatchError(
-                f"step expects a single sample of shape ({self.config.stream_count},)"
-            )
+        arr = _check_samples(sample, self.config.stream_count, 1)
         mu = _cdf_estimates(self._references, self._sizes, arr)
-        k = self.config.allowance
-        self._w_plus = np.maximum(self._w_plus - np.log(1.0 - mu) - k, 0.0)
-        self._w_minus = np.maximum(self._w_minus - np.log(mu) - k, 0.0)
-        two = np.maximum(self._w_plus, self._w_minus)
-        v = float(_top_r_sum(two, self.config.top_r))
+        self._w_plus, self._w_minus, two, v = _cusum_step(
+            self._w_plus, self._w_minus, np.log(1.0 - mu), np.log(mu),
+            self.config.allowance, self.config.top_r,
+        )
+        v = float(v)
         out = MonitorOutput(
             time_index=self._time,
             global_stat=v,
@@ -339,13 +350,7 @@ class Monitor:
 
     def run(self, samples) -> MonitorTrace:
         """Consume a batch of shape ``(T, p)``; equivalent to T ``step`` calls."""
-        arr = self._check_batch(samples)
-        if arr.ndim != 2:
-            raise DimensionMismatchError(
-                f"run expects shape (T, {self.config.stream_count}), got {arr.shape}"
-            )
-        if arr.shape[0] == 0:
-            raise EmptyInputError("empty sample batch")
+        arr = _check_samples(samples, self.config.stream_count, 2)
         mu = _cdf_estimates(self._references, self._sizes, arr)
         v, self._w_plus, self._w_minus = _run_recursion(
             mu, self.config.allowance, self.config.top_r, self._w_plus, self._w_minus
@@ -354,7 +359,9 @@ class Monitor:
         return MonitorTrace(global_stats=v, alarms=v >= self.config.threshold)
 
 
-def run_many(references, config: MonitorConfig, runs) -> np.ndarray:
+def run_many(
+    references, config: MonitorConfig, runs, *, reset_on_alarm: bool = False
+) -> np.ndarray:
     """Global-statistic traces for many runs advanced in lockstep.
 
     Args:
@@ -362,6 +369,8 @@ def run_many(references, config: MonitorConfig, runs) -> np.ndarray:
         config: Detection parameters.
         runs: Array of shape ``(R, T, p)``; every run starts from zeroed
             state.
+        reset_on_alarm: Zero a run's state after each alarm at
+            ``config.threshold``, as :meth:`Monitor.reset` would.
 
     Returns:
         V traces of shape ``(R, T)``, bit-identical to running each run
@@ -369,16 +378,9 @@ def run_many(references, config: MonitorConfig, runs) -> np.ndarray:
     """
     refs = _validate_references(references, config.stream_count)
     sizes = np.array([ref.size for ref in refs], dtype=float)
-    arr = np.asarray(runs, dtype=float)
-    if arr.ndim != 3 or arr.shape[-1] != config.stream_count:
-        raise DimensionMismatchError(
-            f"run_many expects shape (R, T, {config.stream_count}), got {arr.shape}"
-        )
-    if arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise EmptyInputError("empty run batch")
-    if not np.isfinite(arr).all():
-        raise NonFiniteValueError("samples contain NaN or infinity")
+    arr = _check_samples(runs, config.stream_count, 3)
     mu = _cdf_estimates(refs, sizes, arr)
     w0 = np.zeros((arr.shape[0], config.stream_count))
-    v, _, _ = _run_recursion(mu, config.allowance, config.top_r, w0, w0)
+    reset_at = config.threshold if reset_on_alarm else None
+    v, _, _ = _run_recursion(mu, config.allowance, config.top_r, w0, w0, reset_at)
     return v

@@ -12,8 +12,9 @@ Training, evaluation and online monitoring share one featurizer:
 ``_window_covariance`` checks that a classification window fits and
 takes its covariance, and ``_feature_vector`` maps that covariance and
 its V trace to the classifier's input. ``prepare_reference_and_source``
-is the one place where the in-control pool is split into references and
-calibration samples; the CLI calls it too.
+splits the in-control pool into references and calibration samples, and
+``choose_threshold`` turns the training knobs into a detector config with
+its threshold; the CLI calls both too.
 
 Timing conventions (all indices 0-based):
     onset     first faulty sample of a run
@@ -56,6 +57,7 @@ __all__ = [
     "EvalReport",
     "SweepPoint",
     "prepare_reference_and_source",
+    "choose_threshold",
     "offline_train",
     "online_monitor",
     "evaluate",
@@ -252,6 +254,35 @@ def prepare_reference_and_source(
     return stats, references, source
 
 
+def choose_threshold(references, config: TrainConfig, source: calibrate.SampleSource):
+    """Detector config from the training knobs, with its alarm threshold.
+
+    Installs ``config.threshold_override``, or else the threshold that
+    :func:`calibrate.find_threshold` finds on ``source``. Returns the config
+    and a dict recording the choice (``CalibrationResult.to_dict()`` when
+    calibrated). Raises ``CalibrationFailedError`` if the search fails.
+    """
+    base_config = detector.MonitorConfig(
+        allowance=config.allowance, top_r=config.top_r, stream_count=len(references)
+    )
+    if config.threshold_override is not None:
+        threshold = float(config.threshold_override)
+        return base_config.with_threshold(threshold), {
+            "threshold": threshold, "source": "override"
+        }
+    spec = calibrate.CalibrationSpec(
+        target_arl0=config.target_arl0,
+        replications=config.calibration_replications,
+        max_run_length=config.calibration_cap,
+        tolerance=config.calibration_tolerance,
+    )
+    try:
+        result = calibrate.find_threshold(references, base_config, source, spec)
+    except (BracketError, NoConvergenceError) as exc:
+        raise CalibrationFailedError(f"threshold calibration failed: {exc}") from exc
+    return base_config.with_threshold(result.threshold), result.to_dict()
+
+
 @dataclass(frozen=True)
 class _Setup:
     """What training fixes before it sees a fault run."""
@@ -274,28 +305,7 @@ def _setup(in_control, train_runs, config: TrainConfig, calibration_source) -> _
     stats, references, cal_source = prepare_reference_and_source(
         in_control, calibration_source, config.seed
     )
-    base_config = detector.MonitorConfig(
-        allowance=config.allowance,
-        top_r=config.top_r,
-        stream_count=stats.stream_count,
-    )
-    if config.threshold_override is not None:
-        threshold = float(config.threshold_override)
-        calibration = {"threshold": threshold, "source": "override"}
-    else:
-        spec = calibrate.CalibrationSpec(
-            target_arl0=config.target_arl0,
-            replications=config.calibration_replications,
-            max_run_length=config.calibration_cap,
-            tolerance=config.calibration_tolerance,
-        )
-        try:
-            result = calibrate.find_threshold(references, base_config, cal_source, spec)
-        except (BracketError, NoConvergenceError) as exc:
-            raise CalibrationFailedError(f"threshold calibration failed: {exc}") from exc
-        threshold = result.threshold
-        calibration = result.to_dict()
-    return _Setup(stats, references, base_config.with_threshold(threshold), calibration)
+    return _Setup(stats, references, *choose_threshold(references, config, cal_source))
 
 
 def _fit(

@@ -102,6 +102,44 @@ def test_false_alarm_rate_renewal_exact():
     assert far == pytest.approx(1.0 / 6.0)
 
 
+def test_false_alarm_rate_rejects_empty_budget():
+    refs, config = _linear_refs_config()
+    for replications, run_length in ((0, 60), (3, 0)):
+        with pytest.raises(EmptyInputError):
+            calibrate.estimate_false_alarm_rate(
+                1.0, refs, config, _constant_source, replications, run_length
+            )
+
+
+def _restart_loop_far(threshold, references, config, source, replications, run_length):
+    """Oracle: rerun the detector on the rest of the block after each alarm."""
+    cfg = config.with_threshold(threshold)
+    alarms = 0
+    for rep in range(replications):
+        block = source(rep, 0, run_length)
+        start = 0
+        while start < run_length:
+            trace = detector.run_many(references, cfg, block[np.newaxis, start:])[0]
+            hits = np.flatnonzero(trace >= threshold)
+            if hits.size == 0:
+                break
+            alarms += 1
+            start += int(hits[0]) + 1
+    return alarms, alarms / (replications * run_length)
+
+
+def test_false_alarm_rate_equals_restart_loop():
+    rng = np.random.default_rng(12)
+    pool = rng.normal(size=(400, 5))
+    refs = [detector.build_reference(pool[:200, i]) for i in range(5)]
+    config = detector.MonitorConfig(1.3, 2, 5)
+    source = calibrate.bootstrap_source(pool[200:], seed=3)
+    alarms, expected = _restart_loop_far(8.0, refs, config, source, 4, 400)
+    assert alarms >= 4 * 5  # several alarms per replication
+    far = calibrate.estimate_false_alarm_rate(8.0, refs, config, source, 4, 400)
+    assert type(far) is float and far == expected
+
+
 def test_bootstrap_source_addressable_and_deterministic():
     rng = np.random.default_rng(8)
     pool = rng.normal(size=(50, 3))

@@ -246,6 +246,14 @@ def test_errors_map_to_exit_code_2(cli_workspace, tmp_path, capfd):
     assert "error:" in capfd.readouterr().err
 
 
+def test_calibrate_bracket_failure_maps_to_exit_code_2(cli_workspace, capfd):
+    # A cap of 20 samples cannot resolve a target ARL of 25.
+    code = cli.main(["calibrate", "--in-control", str(cli_workspace / "in_control.csv"),
+                     "--arl0", "25", "--cap", "20", "--replications", "10"])
+    assert code == 2
+    assert "error: threshold calibration failed" in capfd.readouterr().err
+
+
 def test_bad_input_csv_maps_to_exit_code_2(cli_bundle, tmp_path, capfd):
     garbage = tmp_path / "garbage.csv"
     garbage.write_text("not,a,number\nfoo,bar,baz\n", encoding="utf-8")

@@ -199,6 +199,10 @@ def test_bad_inputs_rejected():
         monitor.run(np.empty((0, 1)))
     with pytest.raises(DimensionMismatchError):
         monitor.step(np.array([1.0, 2.0]))
+    with pytest.raises(DimensionMismatchError):
+        monitor.step(np.float64(1.0))
+    with pytest.raises(EmptyInputError):
+        detector.run_many(refs, config, np.empty((2, 0, 1)))
 
 
 @given(
@@ -228,3 +232,43 @@ def test_v_nonnegative_and_finite(seed):
     trace = monitor.run(data)
     assert np.isfinite(trace.global_stats).all()
     assert (trace.global_stats >= 0).all()
+
+
+def _step_with_resets(refs, config, run):
+    """Oracle: one Monitor stepped sample by sample, reset after every alarm."""
+    monitor = detector.Monitor(refs, config)
+    out = []
+    for row in run:
+        step = monitor.step(row)
+        out.append(step.global_stat)
+        if step.alarm:
+            monitor.reset()
+    return np.array(out)
+
+
+def test_run_many_reset_on_alarm_matches_stepping_with_resets():
+    # Reference 0..19: a value of 100 ranks above all of it (mu = 21/22)
+    # and adds about 1.79 to W+ per sample; -100 adds the same to W-; 9.5
+    # sits mid-reference and leaves both sides clamped at zero.
+    p, t_len = 3, 30
+    refs = [detector.build_reference(np.arange(20.0)) for _ in range(p)]
+    config = detector.MonitorConfig(1.3, 2, p, threshold=3.0)
+    runs = np.full((4, t_len, p), 9.5)
+    runs[0, 3:7, 0] = 100.0  # one stream: alarms on every second sample
+    runs[0, 12:16, 2] = -100.0  # the W- side
+    runs[1, 20:, :2] = 100.0  # two streams: alarms on every sample to the end
+    # Row 2 stays mid-reference and never alarms.
+    runs[3] = np.random.default_rng(4).normal(size=(t_len, p)) * 8.0 + 9.5
+
+    got = detector.run_many(refs, config, runs, reset_on_alarm=True)
+    for r in range(runs.shape[0]):
+        np.testing.assert_array_equal(got[r], _step_with_resets(refs, config, runs[r]))
+
+    alarms = got >= config.threshold
+    np.testing.assert_array_equal(np.flatnonzero(alarms[0]), [4, 6, 13, 15])
+    np.testing.assert_array_equal(np.flatnonzero(alarms[1]), np.arange(20, t_len))
+    assert not alarms[2].any()
+    assert alarms[3].any()
+    # Without resets the same runs alarm on more samples.
+    plain = detector.run_many(refs, config, runs)
+    assert (plain >= config.threshold).sum() > alarms.sum()
