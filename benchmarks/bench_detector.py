@@ -1,0 +1,47 @@
+"""Detector layer micro-benchmarks (pytest-benchmark).
+
+Run with ``python -m pytest benchmarks/bench_detector.py`` from the
+repository root, with faultmon installed or ``PYTHONPATH=src``. The file
+name does not match ``test_*.py``, so the unit-test run skips it. Record
+the BLAS thread setting (``OPENBLAS_NUM_THREADS``) with any numbers.
+
+Sizes follow the benchmark corpus: p = 20 streams with s = 3000 reference
+values each, and 40 runs of 3500 samples for the lockstep block.
+"""
+
+import numpy as np
+import pytest
+
+from faultmon import detector
+
+STREAMS = 20
+REFERENCE_SIZE = 3000
+
+
+@pytest.fixture(scope="module")
+def references():
+    rng = np.random.default_rng(0)
+    return [detector.build_reference(rng.normal(size=REFERENCE_SIZE))
+            for _ in range(STREAMS)]
+
+
+def test_monitor_step(benchmark, references):
+    """One closed-loop sample through ``Monitor.step``."""
+    monitor = detector.Monitor(references, detector.MonitorConfig(1.3, 4, STREAMS))
+    sample = np.random.default_rng(1).normal(size=STREAMS)
+    benchmark(monitor.step, sample)
+
+
+def test_cdf_estimates_block(benchmark, references):
+    """Per-stream ranking of a 40 x 3500 x 20 lockstep block."""
+    block = np.random.default_rng(2).normal(size=(40, 3500, STREAMS))
+    sizes = np.array([ref.size for ref in references], dtype=float)
+    benchmark(detector._cdf_estimates, references, sizes, block)
+
+
+@pytest.mark.parametrize("shape", [(20,), (40, 20), (125, 20)], ids=str)
+def test_top_r_sum(benchmark, shape):
+    """Top-4 sum over the stream axis: one sample, a lockstep chunk, a
+    calibration chunk."""
+    stats = np.random.default_rng(3).exponential(size=shape)
+    benchmark(detector._top_r_sum, stats, 4)

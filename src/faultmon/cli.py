@@ -10,9 +10,11 @@ stdout.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import warnings
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,40 @@ def _read_matrix(path: str) -> np.ndarray:
     if data.size == 0:
         raise EmptyInputError(f"no sample rows in {name}")
     return data
+
+
+def _parse_lines(lines: Iterator[str]) -> Iterator[np.ndarray]:
+    """Sample rows of a CSV read line by line, after its header line.
+
+    Blank lines and ``#`` comments are skipped, as ``np.loadtxt`` skips them.
+    """
+    next(lines, None)
+    for number, line in enumerate(lines, start=2):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        try:
+            yield np.array([float(field) for field in text.split(",")])
+        except ValueError as exc:
+            raise FaultMonError(
+                f"could not parse samples from stdin: line {number}: {exc}"
+            ) from exc
+
+
+def _read_samples(path: str) -> Iterable[np.ndarray]:
+    """Samples of ``_read_matrix``, except that ``-`` streams stdin.
+
+    Rows from stdin are parsed as they arrive, so a live pipe yields its
+    first events before it closes. The first row is read here, so an
+    empty stream fails before any output file is opened.
+    """
+    if path != "-":
+        return _read_matrix(path)
+    rows = _parse_lines(iter(sys.stdin))
+    first = next(rows, None)
+    if first is None:
+        raise EmptyInputError("no sample rows in stdin")
+    return itertools.chain([first], rows)
 
 
 def _process_source(args):
@@ -169,28 +205,32 @@ def _cmd_train(args) -> int:
 
 def _cmd_monitor(args) -> int:
     bundle = load_bundle(args.bundle)
-    data = _read_matrix(args.input)
+    samples = _read_samples(args.input)
     events_path = Path(args.events) if args.events else None
     handle = events_path.open("w", encoding="utf-8") if events_path else None
     trace_handle = None
     if args.v_trace:
         trace_handle = Path(args.v_trace).open("w", encoding="utf-8")
         trace_handle.write("t,V,alarm\n")
+    sample_count = 0
     alarms = 0
     classifications = 0
     try:
-        for event in pipeline.online_monitor(bundle, data):
-            if event.kind == "alarm_raised":
+        for event in pipeline.online_monitor(bundle, samples):
+            if event.kind == "sample":
+                sample_count += 1
+            elif event.kind == "alarm_raised":
                 alarms += 1
             elif event.kind == "classification":
                 classifications += 1
                 print(
                     f"t={event.time_index}: predicted fault "
                     f"{event.predicted_fault}"
-                    + (f" (error: {event.error})" if event.error else "")
+                    + (f" (error: {event.error})" if event.error else ""),
+                    flush=True,
                 )
             elif event.kind == "episode_incomplete":
-                print(f"t={event.time_index}: stream ended mid-episode")
+                print(f"t={event.time_index}: stream ended mid-episode", flush=True)
             if handle and (event.kind != "sample" or args.keep_samples):
                 handle.write(json.dumps(event.__dict__) + "\n")
             if trace_handle and event.kind == "sample":
@@ -203,7 +243,7 @@ def _cmd_monitor(args) -> int:
             handle.close()
         if trace_handle:
             trace_handle.close()
-    print(f"{data.shape[0]} samples: {alarms} alarms, {classifications} classifications")
+    print(f"{sample_count} samples: {alarms} alarms, {classifications} classifications")
     return 0
 
 

@@ -20,6 +20,14 @@ per time step, so all three paths give bit-identical results. With
 ``reset_on_alarm``, ``run_many`` zeroes a run's W+ and W- after each
 sample whose V reaches the threshold (the renewal convention), as calling
 ``Monitor.reset`` after every alarm would.
+
+Ranking picks its method by the call. ``Monitor.step`` ranks its p values
+through a merged index of all references (``_MergedIndex``): two
+vectorized searches per sample instead of p separate ones, whose per-call
+overhead dominates when each searches a single key. ``Monitor.run`` and
+``run_many`` keep one search per stream over the whole batch, which is
+faster when each stream has many keys. Both count the same reference
+values strictly below each observation, so the paths stay bit-identical.
 """
 
 from __future__ import annotations
@@ -136,8 +144,7 @@ def _top_r_sum(two_sided_stats: np.ndarray, top_r: int) -> np.ndarray:
     does not depend on which code path produced them.
     """
     p = two_sided_stats.shape[-1]
-    selected = np.partition(two_sided_stats, p - top_r, axis=-1)[..., p - top_r:]
-    return np.sort(selected, axis=-1).sum(axis=-1)
+    return np.sort(two_sided_stats, axis=-1)[..., p - top_r:].sum(axis=-1)
 
 
 def global_statistic(local_stats, top_r: int) -> float:
@@ -247,11 +254,39 @@ def _cdf_estimates(references, sizes: np.ndarray, samples: np.ndarray) -> np.nda
     """Smoothed empirical CDF values for samples of shape ``(..., p)``."""
     counts = np.empty(samples.shape, dtype=float)
     for i, ref in enumerate(references):
-        column = samples[..., i]
-        counts[..., i] = np.searchsorted(ref, column.ravel(), side="left").reshape(
-            column.shape
-        )
+        counts[..., i] = ref.searchsorted(samples[..., i])
     return (counts + 1.0) / (sizes + 2.0)
+
+
+class _MergedIndex:
+    """Ranks one value per stream against all p references in two searches.
+
+    The p sorted references are merged, with a stable sort, into one
+    ascending array of N values. Each reference value's position there
+    becomes the key ``stream * (N + 1) + position``; the keys ascend by
+    construction. Every merged value below ``z_i`` sits at a position below
+    ``g_i = merged.searchsorted(z_i)``, so the keys of stream i below
+    ``i * (N + 1) + g_i`` are exactly its reference values below ``z_i``,
+    ties within and across streams included. Memory is O(N).
+    """
+
+    def __init__(self, references: list[np.ndarray]):
+        sizes = np.array([ref.size for ref in references])
+        merged = np.concatenate(references)
+        order = np.argsort(merged, kind="stable")
+        position = np.empty(merged.size, dtype=np.int64)
+        position[order] = np.arange(merged.size)
+        self._merged = merged[order]
+        self._key_base = np.arange(sizes.size) * (merged.size + 1)
+        self._keys = np.repeat(self._key_base, sizes) + position
+        self._offsets = np.cumsum(sizes) - sizes
+        self._denominators = sizes + 2.0
+
+    def cdf_estimates(self, sample: np.ndarray) -> np.ndarray:
+        """Smoothed empirical CDF values for one sample of shape ``(p,)``."""
+        below = self._merged.searchsorted(sample)
+        counts = self._keys.searchsorted(self._key_base + below) - self._offsets
+        return (counts + 1.0) / self._denominators
 
 
 def _cusum_step(w_plus, w_minus, log_hi, log_lo, allowance: float, top_r: int):
@@ -311,6 +346,7 @@ class Monitor:
         self.config = config
         self._references = _validate_references(references, config.stream_count)
         self._sizes = np.array([ref.size for ref in self._references], dtype=float)
+        self._index = _MergedIndex(self._references)
         self._w_plus = np.zeros(config.stream_count)
         self._w_minus = np.zeros(config.stream_count)
         self._time = 0
@@ -333,7 +369,7 @@ class Monitor:
     def step(self, sample) -> MonitorOutput:
         """Consume one standardized sample of shape ``(p,)``."""
         arr = _check_samples(sample, self.config.stream_count, 1)
-        mu = _cdf_estimates(self._references, self._sizes, arr)
+        mu = self._index.cdf_estimates(arr)
         self._w_plus, self._w_minus, two, v = _cusum_step(
             self._w_plus, self._w_minus, np.log(1.0 - mu), np.log(mu),
             self.config.allowance, self.config.top_r,

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from faultmon import cli, detector, simulate, standardize
+from faultmon import cli, detector, pipeline, simulate, standardize
 from faultmon.bundle import load_bundle
 from tests.conftest import PINNED_H
 
@@ -178,6 +178,49 @@ def test_monitor_reads_stdin(cli_bundle, small_benchmark, monkeypatch, capfd):
     assert "120 samples:" in capfd.readouterr().out
 
 
+class _LineFeed:
+    """Stand-in for a live stdin pipe that counts the lines handed out."""
+
+    def __init__(self, text):
+        self._lines = text.splitlines(keepends=True)
+        self.read = 0
+
+    def __iter__(self):
+        for line in self._lines:
+            self.read += 1
+            yield line
+
+
+def test_monitor_streams_stdin(cli_bundle, small_benchmark, monkeypatch,
+                               tmp_path, capfd):
+    data = small_benchmark.test_runs[0].data[:120]
+    input_csv = tmp_path / "stream.csv"
+    np.savetxt(input_csv, data, delimiter=",", header="x", comments="")
+    feed = _LineFeed(input_csv.read_text(encoding="utf-8"))
+    monkeypatch.setattr("sys.stdin", feed)
+    lines_read_at_event = []
+    online_monitor = pipeline.online_monitor
+
+    def spy(bundle, samples):
+        for event in online_monitor(bundle, samples):
+            lines_read_at_event.append(feed.read)
+            yield event
+
+    monkeypatch.setattr(pipeline, "online_monitor", spy)
+    events = {}
+    for source in ("-", str(input_csv)):
+        events[source] = tmp_path / f"events-{len(events)}.jsonl"
+        code = cli.main(["monitor", "--bundle", str(cli_bundle), "--input", source,
+                         "--events", str(events[source]), "--keep-samples"])
+        assert code == 0
+        assert "120 samples:" in capfd.readouterr().out
+    # Header plus one row: the first event came before the rest was read.
+    assert lines_read_at_event[0] == 2
+    assert feed.read == 121
+    assert (events["-"].read_text(encoding="utf-8")
+            == events[str(input_csv)].read_text(encoding="utf-8"))
+
+
 def test_evaluate_report_and_confusion(cli_bundle, cli_workspace, tmp_path,
                                        capfd):
     report_path = tmp_path / "report.json"
@@ -254,17 +297,20 @@ def test_calibrate_bracket_failure_maps_to_exit_code_2(cli_workspace, capfd):
     assert "error: threshold calibration failed" in capfd.readouterr().err
 
 
-def test_bad_input_csv_maps_to_exit_code_2(cli_bundle, tmp_path, capfd):
-    garbage = tmp_path / "garbage.csv"
-    garbage.write_text("not,a,number\nfoo,bar,baz\n", encoding="utf-8")
-    code = cli.main(["monitor", "--bundle", str(cli_bundle),
-                     "--input", str(garbage)])
-    assert code == 2
-    assert "could not parse samples" in capfd.readouterr().err
-
-    headers_only = tmp_path / "headers_only.csv"
-    headers_only.write_text("s00,s01\n", encoding="utf-8")
-    code = cli.main(["monitor", "--bundle", str(cli_bundle),
-                     "--input", str(headers_only)])
-    assert code == 2
-    assert "no sample rows" in capfd.readouterr().err
+def test_bad_input_csv_maps_to_exit_code_2(cli_bundle, tmp_path, monkeypatch,
+                                           capfd):
+    for name, text, message in [
+        ("garbage.csv", "not,a,number\nfoo,bar,baz\n", "could not parse samples"),
+        ("headers_only.csv", "s00,s01\n", "no sample rows"),
+        # One good row first: on stdin the error comes mid-stream.
+        ("bad_second_row.csv", "x\n" + ",".join(["0"] * 20) + "\n1,x\n",
+         "could not parse samples"),
+    ]:
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        for source in (str(path), "-"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code = cli.main(["monitor", "--bundle", str(cli_bundle),
+                             "--input", source])
+            assert code == 2
+            assert message in capfd.readouterr().err

@@ -133,6 +133,33 @@ def test_streaming_matches_naive_oracle_bitwise():
         np.testing.assert_array_equal(got, expected)
 
 
+def test_step_ranks_ties_like_naive_oracle_and_run():
+    # Integer references share values within and across streams, and
+    # samples hit those values exactly, so any count of ties (<= for <, or
+    # another stream's equal values) changes mu. A small allowance keeps
+    # every rank visible in W+ and W-.
+    rng = np.random.default_rng(6)
+    cases = []
+    for _ in range(40):
+        p = int(rng.integers(1, 7))
+        refs = [rng.integers(-4, 5, size=rng.integers(1, 31)).astype(float)
+                for _ in range(p)]
+        pool = np.concatenate(refs + [np.array([-9.0, 9.0])])
+        cases.append((refs, rng.choice(pool, size=(25, p))))
+    zeros = [np.array([-0.0, 0.0, 1.0]), np.array([0.0]), np.array([-1.0, -0.0])]
+    cases.append((zeros, np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]] * 3)))
+    for case, (raw_refs, data) in enumerate(cases):
+        refs = [detector.build_reference(ref) for ref in raw_refs]
+        p = len(refs)
+        top_r = p if case % 2 else int(rng.integers(1, p + 1))
+        config = detector.MonitorConfig(0.05, top_r, p)
+        stepper = detector.Monitor(refs, config)
+        stepped = np.array([stepper.step(row).global_stat for row in data])
+        np.testing.assert_array_equal(stepped, naive_run(refs, 0.05, top_r, data))
+        batch = detector.Monitor(refs, config).run(data).global_stats
+        np.testing.assert_array_equal(stepped, batch)
+
+
 def test_batch_paths_match_streaming_bitwise():
     rng = np.random.default_rng(1)
     p = 4
