@@ -21,6 +21,7 @@ import numpy as np
 
 from . import detector
 from .errors import BracketError, DomainError, EmptyInputError
+from .simulate import _uniforms
 from .standardize import ReferenceStats, apply as apply_stats
 
 __all__ = [
@@ -305,16 +306,7 @@ def bootstrap_source(pool, seed: int) -> SampleSource:
     n = rows.shape[0]
 
     def source(replication: int, start: int, count: int) -> np.ndarray:
-        rng = np.random.Generator(
-            np.random.Philox(
-                np.random.SeedSequence(entropy=seed, spawn_key=(replication,))
-            )
-        )
-        # Philox advances one 256-bit block per counter tick (4 doubles),
-        # so sample addressing discards within the first block.
-        rng.bit_generator.advance(start // 4)
-        discard = start % 4
-        draws = rng.random(discard + count)[discard:]
+        draws = _uniforms(seed, (replication,), start, count)
         idx = np.minimum((draws * n).astype(np.int64), n - 1)
         return rows[idx]
 

@@ -34,7 +34,7 @@ class DimensionMismatchError(FaultMonError, ValueError):
 
 
 class DomainError(FaultMonError, ValueError):
-    """A probability argument fell outside the open interval (0, 1)."""
+    """A parameter fell outside its allowed range, sign or set of names."""
 
 
 class BadRError(FaultMonError, ValueError):

@@ -276,10 +276,10 @@ class FaultSpec:
             raise BadSpecError(f"bad fault spec: {exc}") from exc
 
 
-def _uniforms(seed: int, run: int, stream: int, start: int, count: int) -> np.ndarray:
-    """Addressable uniform draws for one (run, stream) keystream."""
+def _uniforms(seed: int, spawn_key: tuple, start: int, count: int) -> np.ndarray:
+    """Draws ``start .. start + count - 1`` of the uniform keystream ``spawn_key``."""
     bit_gen = np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=(run, stream))
+        np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
     )
     # Philox advances one 256-bit block per counter tick, i.e. 4 doubles,
     # so positioning inside a block discards the leading draws.
@@ -291,7 +291,7 @@ def _uniforms(seed: int, run: int, stream: int, start: int, count: int) -> np.nd
 
 def _raw_samples(spec: ProcessSpec, run: int, start: int, count: int) -> np.ndarray:
     columns = [
-        stream.transform(_uniforms(spec.seed, run, i, start, count))
+        stream.transform(_uniforms(spec.seed, (run, i), start, count))
         for i, stream in enumerate(spec.streams)
     ]
     return np.column_stack(columns)

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     AllConstantWindowError,
     DimensionMismatchError,
+    DomainError,
     EigenFailureError,
     EmptyInputError,
     NoConvergenceError,
@@ -65,7 +66,7 @@ _SYM_TOL = 1e-8
 
 def _check_metric(metric: str) -> str:
     if metric not in _METRICS:
-        raise ValueError(f"metric must be one of {_METRICS}, got {metric!r}")
+        raise DomainError(f"metric must be one of {_METRICS}, got {metric!r}")
     return metric
 
 
@@ -86,37 +87,48 @@ def _check_symmetric(mat, name: str) -> np.ndarray:
     return 0.5 * (arr + arr.T)
 
 
-def _eigh(mat: np.ndarray, name: str):
+def _eigh(mat: np.ndarray, name: str, *, positive: bool = False):
+    """Ascending eigenpairs of a symmetric matrix; ``positive`` demands SPD."""
     try:
-        return np.linalg.eigh(mat)
+        eigvals, eigvecs = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise EigenFailureError(f"eigendecomposition of {name} failed: {exc}") from exc
+    if positive and eigvals[0] <= 0.0:
+        raise NotSpdError(f"{name} has non-positive eigenvalue {eigvals[0]:.3e}")
+    return eigvals, eigvecs
+
+
+def _checked_spd(mat, name: str):
+    """Symmetrize and check ``mat``; return it with its eigenpairs."""
+    sym = _check_symmetric(mat, name)
+    return (sym, *_eigh(sym, name, positive=True))
 
 
 def check_spd(mat, name: str = "matrix") -> np.ndarray:
     """Validate symmetry and positive definiteness; return the symmetrized copy."""
-    sym = _check_symmetric(mat, name)
-    eigvals = _eigh(sym, name)[0]
-    if eigvals[0] <= 0.0:
-        raise NotSpdError(
-            f"{name} has non-positive eigenvalue {eigvals[0]:.3e}"
-        )
-    return sym
+    return _checked_spd(mat, name)[0]
 
 
-def _spd_function(mat: np.ndarray, func, name: str) -> np.ndarray:
-    """Apply a scalar function to the eigenvalues of an SPD matrix."""
-    eigvals, eigvecs = _eigh(mat, name)
-    if eigvals[0] <= 0.0:
-        raise NotSpdError(f"{name} has non-positive eigenvalue {eigvals[0]:.3e}")
+def _eig_map(eigvals: np.ndarray, eigvecs: np.ndarray, func) -> np.ndarray:
+    """Apply a scalar function to a symmetric matrix through its eigenpairs."""
     transformed = (eigvecs * func(eigvals)) @ eigvecs.T
     return 0.5 * (transformed + transformed.T)
 
 
-def _sym_function(mat: np.ndarray, func, name: str) -> np.ndarray:
-    eigvals, eigvecs = _eigh(mat, name)
-    transformed = (eigvecs * func(eigvals)) @ eigvecs.T
-    return 0.5 * (transformed + transformed.T)
+def _roots(eigvals: np.ndarray, eigvecs: np.ndarray):
+    """``B^(1/2)`` and ``B^(-1/2)`` of a base point B from its eigenpairs."""
+    root = np.sqrt(eigvals)
+    return (eigvecs * root) @ eigvecs.T, (eigvecs * (1.0 / root)) @ eigvecs.T
+
+
+def _affine_map(roots, mat, func, name: str, *, positive: bool = False) -> np.ndarray:
+    """``B^(1/2) func(B^(-1/2) M B^(-1/2)) B^(1/2)``: Log_B with log, Exp_B with exp."""
+    half, inv_half = roots
+    inner = inv_half @ mat @ inv_half
+    inner = 0.5 * (inner + inner.T)
+    mapped = _eig_map(*_eigh(inner, name, positive=positive), func)
+    out = half @ mapped @ half
+    return 0.5 * (out + out.T)
 
 
 def covariance(window, *, strict: bool = False) -> np.ndarray:
@@ -174,45 +186,31 @@ def spd_log(base, point, metric: str = METRIC_AFFINE) -> np.ndarray:
     Returns a symmetric matrix; in general it is not positive definite.
     """
     _check_metric(metric)
-    b = check_spd(base, "base")
-    x = check_spd(point, "point")
+    b, b_vals, b_vecs = _checked_spd(base, "base")
+    x, x_vals, x_vecs = _checked_spd(point, "point")
     if b.shape != x.shape:
         raise DimensionMismatchError(
             f"base has shape {b.shape} but point has {x.shape}"
         )
     if metric == METRIC_LOG_EUCLIDEAN:
-        return _spd_function(x, np.log, "point") - _spd_function(b, np.log, "base")
-    eigvals, eigvecs = _eigh(b, "base")
-    half = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
-    inv_half = (eigvecs * (1.0 / np.sqrt(eigvals))) @ eigvecs.T
-    inner = inv_half @ x @ inv_half
-    inner = 0.5 * (inner + inner.T)
-    logged = _spd_function(inner, np.log, "whitened point")
-    out = half @ logged @ half
-    return 0.5 * (out + out.T)
+        return _eig_map(x_vals, x_vecs, np.log) - _eig_map(b_vals, b_vecs, np.log)
+    roots = _roots(b_vals, b_vecs)
+    return _affine_map(roots, x, np.log, "whitened point", positive=True)
 
 
 def spd_exp(base, tangent, metric: str = METRIC_AFFINE) -> np.ndarray:
     """Map a tangent vector at ``base`` back onto the manifold."""
     _check_metric(metric)
-    b = check_spd(base, "base")
+    b, b_vals, b_vecs = _checked_spd(base, "base")
     s = _check_symmetric(tangent, "tangent")
     if b.shape != s.shape:
         raise DimensionMismatchError(
             f"base has shape {b.shape} but tangent has {s.shape}"
         )
     if metric == METRIC_LOG_EUCLIDEAN:
-        return _sym_function(
-            _spd_function(b, np.log, "base") + s, np.exp, "log sum"
-        )
-    eigvals, eigvecs = _eigh(b, "base")
-    half = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
-    inv_half = (eigvecs * (1.0 / np.sqrt(eigvals))) @ eigvecs.T
-    inner = inv_half @ s @ inv_half
-    inner = 0.5 * (inner + inner.T)
-    exped = _sym_function(inner, np.exp, "whitened tangent")
-    out = half @ exped @ half
-    return 0.5 * (out + out.T)
+        log_sum = _eig_map(b_vals, b_vecs, np.log) + s
+        return _eig_map(*_eigh(log_sum, "log sum"), np.exp)
+    return _affine_map(_roots(b_vals, b_vecs), s, np.exp, "whitened tangent")
 
 
 def spd_distance(a, b, metric: str = METRIC_AFFINE) -> float:
@@ -223,15 +221,14 @@ def spd_distance(a, b, metric: str = METRIC_AFFINE) -> float:
     Log-Euclidean: Frobenius norm of ``logm(A) - logm(B)``.
     """
     _check_metric(metric)
-    ma = check_spd(a, "a")
-    mb = check_spd(b, "b")
+    ma, a_vals, a_vecs = _checked_spd(a, "a")
+    mb, b_vals, b_vecs = _checked_spd(b, "b")
     if ma.shape != mb.shape:
         raise DimensionMismatchError(f"shapes differ: {ma.shape} vs {mb.shape}")
     if metric == METRIC_LOG_EUCLIDEAN:
-        diff = _spd_function(ma, np.log, "a") - _spd_function(mb, np.log, "b")
+        diff = _eig_map(a_vals, a_vecs, np.log) - _eig_map(b_vals, b_vecs, np.log)
         return float(np.linalg.norm(diff, "fro"))
-    eigvals, eigvecs = _eigh(ma, "a")
-    inv_half = (eigvecs * (1.0 / np.sqrt(eigvals))) @ eigvecs.T
+    inv_half = _roots(a_vals, a_vecs)[1]
     inner = inv_half @ mb @ inv_half
     inner = 0.5 * (inner + inner.T)
     inner_vals = _eigh(inner, "whitened b")[0]
@@ -260,9 +257,10 @@ def karcher_mean(
         NoConvergenceError: Iteration cap reached (affine metric only).
     """
     _check_metric(metric)
-    mats = [check_spd(m, f"matrices[{i}]") for i, m in enumerate(matrices)]
-    if not mats:
+    checked = [_checked_spd(m, f"matrices[{i}]") for i, m in enumerate(matrices)]
+    if not checked:
         raise EmptyInputError("need at least one matrix")
+    mats = [sym for sym, _, _ in checked]
     shape = mats[0].shape
     for i, m in enumerate(mats):
         if m.shape != shape:
@@ -271,15 +269,20 @@ def karcher_mean(
             )
     p = shape[0]
     if metric == METRIC_LOG_EUCLIDEAN:
-        logs = [_spd_function(m, np.log, "matrix") for m in mats]
-        return _sym_function(np.mean(logs, axis=0), np.exp, "mean log")
+        logs = [_eig_map(vals, vecs, np.log) for _, vals, vecs in checked]
+        return _eig_map(*_eigh(np.mean(logs, axis=0), "mean log"), np.exp)
 
     mean = 0.5 * (np.mean(mats, axis=0) + np.mean(mats, axis=0).T)
     residual = np.inf
-    for _ in range(max_iter):
-        tangent = np.mean([spd_log(mean, m) for m in mats], axis=0)
+    for iteration in range(1, max_iter + 1):
+        roots = _roots(*_checked_spd(mean, "base")[1:])
+        logs = [_affine_map(roots, m, np.log, "whitened point", positive=True)
+                for m in mats]
+        tangent = np.mean(logs, axis=0)
         residual = float(np.linalg.norm(tangent, "fro"))
         if residual < tol_scale * p:
+            logger.debug("Karcher mean: %d iterations, residual %.3e",
+                         iteration, residual)
             return mean
         mean = spd_exp(mean, tangent)
     raise NoConvergenceError(

@@ -133,6 +133,15 @@ def _check_training_inputs(features, labels):
     return x, y
 
 
+def _working_sets(y: np.ndarray, alphas: np.ndarray, c_penalty: float):
+    """Masks of the duals that may move up (``I_up``) and down (``I_low``)."""
+    below_c = alphas < c_penalty - _ALPHA_TOL
+    above_0 = alphas > _ALPHA_TOL
+    up_mask = ((y > 0) & below_c) | ((y < 0) & above_0)
+    low_mask = ((y < 0) & below_c) | ((y > 0) & above_0)
+    return up_mask, low_mask
+
+
 def train_binary(
     features,
     labels,
@@ -181,12 +190,7 @@ def train_binary(
     while True:
         # -y_i grad_i is the quantity whose spread measures KKT violation.
         score = -y * grad
-        up_mask = ((y > 0) & (alphas < c_penalty - _ALPHA_TOL)) | (
-            (y < 0) & (alphas > _ALPHA_TOL)
-        )
-        low_mask = ((y < 0) & (alphas < c_penalty - _ALPHA_TOL)) | (
-            (y > 0) & (alphas > _ALPHA_TOL)
-        )
+        up_mask, low_mask = _working_sets(y, alphas, c_penalty)
         if not up_mask.any() or not low_mask.any():
             break
         i = np.flatnonzero(up_mask)[np.argmax(score[up_mask])]
@@ -221,12 +225,7 @@ def train_binary(
     if free.any():
         bias = float(score[free].mean())
     else:
-        up_mask = ((y > 0) & (alphas < c_penalty - _ALPHA_TOL)) | (
-            (y < 0) & (alphas > _ALPHA_TOL)
-        )
-        low_mask = ((y < 0) & (alphas < c_penalty - _ALPHA_TOL)) | (
-            (y > 0) & (alphas > _ALPHA_TOL)
-        )
+        up_mask, low_mask = _working_sets(y, alphas, c_penalty)
         hi = score[up_mask].max() if up_mask.any() else score.min()
         lo = score[low_mask].min() if low_mask.any() else score.max()
         bias = float(0.5 * (hi + lo))

@@ -145,6 +145,11 @@ def test_bootstrap_source_addressable_and_deterministic():
     pool = rng.normal(size=(50, 3))
     source = calibrate.bootstrap_source(pool, seed=123)
     whole = source(2, 0, 40)
+    # Replication r reads the Philox keystream spawned with key (r,).
+    draws = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=123, spawn_key=(2,)))
+    ).random(40)
+    np.testing.assert_array_equal(whole, pool[(draws * 50).astype(np.int64)])
     tail = source(2, 13, 27)
     np.testing.assert_array_equal(whole[13:], tail)
     again = calibrate.bootstrap_source(pool, seed=123)(2, 0, 40)

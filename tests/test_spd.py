@@ -7,6 +7,7 @@ from scipy.linalg import expm, logm, sqrtm
 from faultmon import spd
 from faultmon.errors import (
     AllConstantWindowError,
+    DomainError,
     NotSpdError,
     NotSymmetricError,
     WindowTooShortError,
@@ -184,6 +185,35 @@ def test_karcher_log_euclidean_closed_form():
     np.testing.assert_allclose(got, expected, atol=1e-9)
 
 
+def reference_karcher_mean(matrices, tol_scale=1e-6, max_iter=100):
+    """The fixed-point iteration written with the public maps alone."""
+    mats = [spd.check_spd(m) for m in matrices]
+    mean = 0.5 * (np.mean(mats, axis=0) + np.mean(mats, axis=0).T)
+    for _ in range(max_iter):
+        tangent = np.mean([spd.spd_log(mean, m) for m in mats], axis=0)
+        if np.linalg.norm(tangent, "fro") < tol_scale * mean.shape[0]:
+            return mean
+        mean = spd.spd_exp(mean, tangent)
+    raise AssertionError("oracle did not converge")
+
+
+@pytest.mark.parametrize("p, count", [(p, 6) for p in range(2, 11)] + [(20, 50)])
+def test_karcher_matches_public_map_iteration(p, count):
+    # The shared whitening inside karcher_mean must reproduce the
+    # spd_log / spd_exp iteration bit for bit.
+    rng = np.random.default_rng(100 + p)
+    mats = [random_spd(rng, p) for _ in range(count)]
+    assert np.array_equal(spd.karcher_mean(mats), reference_karcher_mean(mats))
+
+
+def test_karcher_logs_iterations_and_residual(caplog):
+    with caplog.at_level(logging.DEBUG, logger="faultmon.spd"):
+        spd.karcher_mean([np.diag([1.0, 4.0]), np.diag([4.0, 1.0])])
+    (record,) = [r for r in caplog.records if "Karcher" in r.message]
+    assert record.levelno == logging.DEBUG
+    assert "iterations" in record.message and "residual" in record.message
+
+
 def test_karcher_mean_minimizes_gradient():
     # At the Karcher mean the tangent vectors to the inputs sum to ~zero.
     rng = np.random.default_rng(24)
@@ -224,5 +254,5 @@ def test_vectorize_round_trip():
 
 
 def test_unknown_metric_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError):
         spd.spd_log(np.eye(2), np.eye(2), "euclidean")
