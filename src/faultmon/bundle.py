@@ -29,6 +29,18 @@ FORMAT_VERSION = 1
 FEATURE_MODES = ("tangent", "raw")
 
 
+def _check_model_options(feature_mode: str, metric: str, patience: int) -> None:
+    """The option checks shared by ``TrainConfig`` and :class:`ModelBundle`."""
+    if feature_mode not in FEATURE_MODES:
+        raise DomainError(
+            f"feature_mode must be one of {FEATURE_MODES}, got {feature_mode!r}"
+        )
+    if metric not in (METRIC_AFFINE, METRIC_LOG_EUCLIDEAN):
+        raise DomainError(f"unknown metric {metric!r}")
+    if patience < 0:
+        raise DomainError(f"patience must be >= 0, got {patience}")
+
+
 @dataclass
 class ModelBundle:
     """Everything needed to monitor and classify a live process.
@@ -65,14 +77,7 @@ class ModelBundle:
     training_summary: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.feature_mode not in FEATURE_MODES:
-            raise DomainError(
-                f"feature_mode must be one of {FEATURE_MODES}, got {self.feature_mode!r}"
-            )
-        if self.metric not in (METRIC_AFFINE, METRIC_LOG_EUCLIDEAN):
-            raise DomainError(f"unknown metric {self.metric!r}")
-        if self.patience < 0:
-            raise DomainError(f"patience must be >= 0, got {self.patience}")
+        _check_model_options(self.feature_mode, self.metric, self.patience)
         if self.window < 2:
             raise DomainError(f"window must be at least 2, got {self.window}")
         if len(self.references) != self.config.stream_count:

@@ -43,6 +43,9 @@ SampleSource = Callable[[int, int, int], np.ndarray]
 # function of H at finite replication counts).
 _MIN_BRACKET_WIDTH = 0.125
 _MAX_EXPANSIONS = 60
+# Initial (low, high) threshold bracket; doubled / halved until it
+# straddles the target.
+_H_BRACKET = (0.5, 32.0)
 
 
 @dataclass(frozen=True)
@@ -54,15 +57,12 @@ class CalibrationSpec:
         replications: Number of simulated in-control runs.
         max_run_length: Samples per run before censoring; defaults to
             ``20 * target_arl0``.
-        h_bracket: Initial (low, high) threshold bracket; expanded by
-            doubling / halving if it does not straddle the target.
         tolerance: Relative ARL tolerance for early termination.
     """
 
     target_arl0: float
     replications: int = 1000
     max_run_length: int | None = None
-    h_bracket: tuple[float, float] = (0.5, 32.0)
     tolerance: float = 0.02
 
     def __post_init__(self):
@@ -70,9 +70,6 @@ class CalibrationSpec:
             raise DomainError(f"target_arl0 must exceed 1, got {self.target_arl0}")
         if self.replications < 1:
             raise EmptyInputError("replications must be at least 1")
-        low, high = self.h_bracket
-        if not (0.0 < low < high):
-            raise DomainError(f"h_bracket must satisfy 0 < low < high, got {self.h_bracket}")
         if self.max_run_length is not None and self.max_run_length < 1:
             raise DomainError("max_run_length must be positive")
         if not 0.0 < self.tolerance < 1.0:
@@ -92,10 +89,6 @@ class ArlEstimate:
     mean_run_length: float
     censored_fraction: float
     run_lengths: np.ndarray
-
-    @property
-    def replications(self) -> int:
-        return self.run_lengths.size
 
 
 @dataclass(frozen=True)
@@ -219,7 +212,7 @@ def find_threshold(
         evaluations += 1
         return _estimate_from_traces(traces, h, cap)
 
-    low, high = spec.h_bracket
+    low, high = _H_BRACKET
     est_high = arl_at(high)
     expansions = 0
     while est_high.mean_run_length <= spec.target_arl0:

@@ -276,11 +276,18 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _parse_grid(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError as exc:
+        raise FaultMonError(f"could not parse --grid {text!r}: {exc}") from exc
+
+
 def _cmd_sweep(args) -> int:
+    grid = _parse_grid(args.grid)
     pool = _read_matrix(args.in_control)
     train_runs = simulate.read_corpus(args.train_runs)
     test_runs = simulate.read_corpus(args.test_runs)
-    grid = [int(x) for x in args.grid.split(",") if x.strip() != ""]
     config = pipeline.TrainConfig(
         allowance=args.allowance,
         top_r=args.top_r,

@@ -49,10 +49,6 @@ from .errors import (
 __all__ = [
     "build_reference",
     "estimate_cdf",
-    "LocalState",
-    "update_local",
-    "two_sided",
-    "global_statistic",
     "MonitorConfig",
     "MonitorOutput",
     "MonitorTrace",
@@ -98,45 +94,6 @@ def estimate_cdf(reference: np.ndarray, value: float) -> float:
     return float((count + 1.0) / (ref.size + 2.0))
 
 
-@dataclass(frozen=True)
-class LocalState:
-    """One stream's pair of one-sided CUSUM statistics."""
-
-    w_plus: float = 0.0
-    w_minus: float = 0.0
-
-    def __post_init__(self):
-        if self.w_plus < 0.0 or self.w_minus < 0.0:
-            raise DomainError("CUSUM statistics cannot be negative")
-
-
-def update_local(state: LocalState, mu_hat: float, allowance: float) -> LocalState:
-    """Advance one stream's statistics by a single CDF estimate.
-
-    Args:
-        state: Current statistics.
-        mu_hat: Smoothed empirical CDF estimate, strictly inside (0, 1).
-        allowance: Drift allowance k, strictly positive.
-
-    Returns:
-        Updated :class:`LocalState`, both components clamped at zero.
-    """
-    if not 0.0 < mu_hat < 1.0:
-        raise DomainError(f"mu_hat must lie in (0, 1), got {mu_hat}")
-    if not allowance > 0.0:
-        raise DomainError(f"allowance must be positive, got {allowance}")
-    w_plus, w_minus, _, _ = _cusum_step(
-        np.array([state.w_plus]), np.array([state.w_minus]),
-        np.log([1.0 - mu_hat]), np.log([mu_hat]), allowance, 1,
-    )
-    return LocalState(w_plus=float(w_plus[0]), w_minus=float(w_minus[0]))
-
-
-def two_sided(state: LocalState) -> float:
-    """Two-sided statistic for one stream: max of the one-sided pair."""
-    return max(state.w_plus, state.w_minus)
-
-
 def _top_r_sum(two_sided_stats: np.ndarray, top_r: int) -> np.ndarray:
     """Sum of the r largest entries along the last axis.
 
@@ -145,31 +102,6 @@ def _top_r_sum(two_sided_stats: np.ndarray, top_r: int) -> np.ndarray:
     """
     p = two_sided_stats.shape[-1]
     return np.sort(two_sided_stats, axis=-1)[..., p - top_r:].sum(axis=-1)
-
-
-def global_statistic(local_stats, top_r: int) -> float:
-    """Sum of the r largest two-sided stream statistics.
-
-    Args:
-        local_stats: Sequence of :class:`LocalState` or an array of
-            two-sided statistics, length p.
-        top_r: How many streams to pool, ``1 <= top_r <= p``.
-    """
-    if isinstance(local_stats, np.ndarray):
-        stats = np.asarray(local_stats, dtype=float)
-    else:
-        items = list(local_stats)
-        if items and isinstance(items[0], LocalState):
-            stats = np.array([two_sided(s) for s in items], dtype=float)
-        else:
-            stats = np.asarray(items, dtype=float)
-    if stats.ndim != 1 or stats.size == 0:
-        raise EmptyInputError("local_stats must be a non-empty 1-D collection")
-    if not 1 <= top_r <= stats.size:
-        raise BadRError(
-            f"top_r must be in 1..{stats.size}, got {top_r}"
-        )
-    return float(_top_r_sum(stats, top_r))
 
 
 @dataclass(frozen=True)
@@ -221,11 +153,6 @@ class MonitorTrace:
 
     global_stats: np.ndarray
     alarms: np.ndarray
-
-    @property
-    def first_alarm(self) -> int | None:
-        hits = np.flatnonzero(self.alarms)
-        return int(hits[0]) if hits.size else None
 
 
 def _validate_references(references, stream_count: int) -> list[np.ndarray]:
@@ -350,15 +277,6 @@ class Monitor:
         self._w_plus = np.zeros(config.stream_count)
         self._w_minus = np.zeros(config.stream_count)
         self._time = 0
-
-    @property
-    def references(self) -> list[np.ndarray]:
-        return [ref.copy() for ref in self._references]
-
-    @property
-    def time_index(self) -> int:
-        """Index the next sample will get."""
-        return self._time
 
     def reset(self) -> None:
         """Zero the CUSUM state and the sample counter."""

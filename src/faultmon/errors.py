@@ -57,10 +57,6 @@ class WindowTooShortError(FaultMonError, ValueError):
     """A covariance window had fewer than two rows."""
 
 
-class AllConstantWindowError(FaultMonError, ValueError):
-    """Every stream in a covariance window was constant."""
-
-
 class NotSymmetricError(FaultMonError, ValueError):
     """A matrix expected to be symmetric was not."""
 

@@ -37,7 +37,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import calibrate, detector, spd, standardize, svm
-from .bundle import FEATURE_MODES, ModelBundle
+from .bundle import ModelBundle, _check_model_options
 from .errors import (
     BracketError,
     CalibrationFailedError,
@@ -49,7 +49,7 @@ from .errors import (
 )
 from .features import trace_features
 from .simulate import Run
-from .spd import METRIC_AFFINE, METRIC_LOG_EUCLIDEAN
+from .spd import METRIC_AFFINE
 
 __all__ = [
     "TrainConfig",
@@ -106,14 +106,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.feature_mode not in FEATURE_MODES:
-            raise DomainError(
-                f"feature_mode must be one of {FEATURE_MODES}, got {self.feature_mode!r}"
-            )
-        if self.metric not in (METRIC_AFFINE, METRIC_LOG_EUCLIDEAN):
-            raise DomainError(f"unknown metric {self.metric!r}")
-        if self.patience < 0:
-            raise DomainError(f"patience must be >= 0, got {self.patience}")
+        _check_model_options(self.feature_mode, self.metric, self.patience)
 
 
 @dataclass(frozen=True)

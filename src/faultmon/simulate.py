@@ -13,7 +13,6 @@ labels are 0 while in control and the fault id from the onset on.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field

@@ -26,7 +26,6 @@ import logging
 import numpy as np
 
 from .errors import (
-    AllConstantWindowError,
     DimensionMismatchError,
     DomainError,
     EigenFailureError,
@@ -48,7 +47,6 @@ __all__ = [
     "spd_distance",
     "karcher_mean",
     "tangent_vectorize",
-    "tangent_unvectorize",
 ]
 
 logger = logging.getLogger(__name__)
@@ -62,6 +60,10 @@ _METRICS = (METRIC_AFFINE, METRIC_LOG_EUCLIDEAN)
 _EIG_FLOOR = 1e-10
 _RIDGE = 1e-6
 _SYM_TOL = 1e-8
+# The Karcher iteration stops once the mean tangent's Frobenius norm falls
+# below _KARCHER_TOL * p, or fails after _KARCHER_MAX_ITER iterations.
+_KARCHER_TOL = 1e-6
+_KARCHER_MAX_ITER = 100
 
 
 def _check_metric(metric: str) -> str:
@@ -131,18 +133,16 @@ def _affine_map(roots, mat, func, name: str, *, positive: bool = False) -> np.nd
     return 0.5 * (out + out.T)
 
 
-def covariance(window, *, strict: bool = False) -> np.ndarray:
+def covariance(window) -> np.ndarray:
     """Sample covariance (ddof=1) of a window, conditioned for the manifold.
 
     Near-singular results are ridged by ``1e-6 * trace/p`` on the diagonal
     so downstream matrix logarithms are defined. A window in which every
-    stream is constant carries no covariance information at all; by
-    default it maps to a tiny multiple of the identity (with a warning),
-    or raises when ``strict`` is set.
+    stream is constant carries no covariance information at all; it maps
+    to a tiny multiple of the identity, with a warning.
 
     Args:
         window: Matrix of shape ``(n, p)``, ``n >= 2``.
-        strict: Raise instead of repairing an all-constant window.
 
     Returns:
         SPD matrix of shape ``(p, p)``.
@@ -164,10 +164,6 @@ def covariance(window, *, strict: bool = False) -> np.ndarray:
     p = cov.shape[0]
     scale = float(np.trace(cov)) / p
     if scale <= 0.0:
-        if strict:
-            raise AllConstantWindowError(
-                "every stream is constant over the window"
-            )
         logger.warning(
             "all-constant window of %d rows; substituting %.0e * identity",
             arr.shape[0],
@@ -237,19 +233,13 @@ def spd_distance(a, b, metric: str = METRIC_AFFINE) -> float:
     return float(np.sqrt(np.sum(np.log(inner_vals) ** 2)))
 
 
-def karcher_mean(
-    matrices,
-    metric: str = METRIC_AFFINE,
-    *,
-    tol_scale: float = 1e-6,
-    max_iter: int = 100,
-) -> np.ndarray:
+def karcher_mean(matrices, metric: str = METRIC_AFFINE) -> np.ndarray:
     """Frechet mean of SPD matrices under the chosen metric.
 
     Affine-invariant: fixed-point iteration. Starting from the arithmetic
     mean, repeatedly average the data in the tangent space at the current
     estimate and move along that mean tangent; stop when the mean tangent
-    has Frobenius norm below ``tol_scale * p``.
+    has Frobenius norm below ``1e-6 * p``.
 
     Log-Euclidean: closed form, ``expm`` of the mean of ``logm``.
 
@@ -274,19 +264,19 @@ def karcher_mean(
 
     mean = 0.5 * (np.mean(mats, axis=0) + np.mean(mats, axis=0).T)
     residual = np.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _KARCHER_MAX_ITER + 1):
         roots = _roots(*_checked_spd(mean, "base")[1:])
         logs = [_affine_map(roots, m, np.log, "whitened point", positive=True)
                 for m in mats]
         tangent = np.mean(logs, axis=0)
         residual = float(np.linalg.norm(tangent, "fro"))
-        if residual < tol_scale * p:
+        if residual < _KARCHER_TOL * p:
             logger.debug("Karcher mean: %d iterations, residual %.3e",
                          iteration, residual)
             return mean
         mean = spd_exp(mean, tangent)
     raise NoConvergenceError(
-        f"Karcher mean did not converge in {max_iter} iterations "
+        f"Karcher mean did not converge in {_KARCHER_MAX_ITER} iterations "
         f"(residual {residual:.3e})",
         residual=residual,
     )
@@ -305,20 +295,3 @@ def tangent_vectorize(tangent) -> np.ndarray:
     weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
     return sym[rows, cols] * weights
 
-
-def tangent_unvectorize(flat) -> np.ndarray:
-    """Inverse of :func:`tangent_vectorize`."""
-    vec = np.asarray(flat, dtype=float)
-    if vec.ndim != 1:
-        raise DimensionMismatchError(f"expected a 1-D vector, got ndim={vec.ndim}")
-    p = int(round((np.sqrt(8.0 * vec.size + 1.0) - 1.0) / 2.0))
-    if p * (p + 1) // 2 != vec.size:
-        raise DimensionMismatchError(
-            f"length {vec.size} is not a triangular number"
-        )
-    rows, cols = np.triu_indices(p)
-    weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
-    out = np.zeros((p, p))
-    out[rows, cols] = vec / weights
-    out = out + np.triu(out, 1).T
-    return out

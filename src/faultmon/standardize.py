@@ -19,7 +19,7 @@ from .errors import (
     NonFiniteValueError,
 )
 
-__all__ = ["ReferenceStats", "fit_reference", "apply", "invert"]
+__all__ = ["ReferenceStats", "fit_reference", "apply"]
 
 
 @dataclass(frozen=True)
@@ -121,13 +121,3 @@ def apply(values, stats: ReferenceStats) -> np.ndarray:
         raise NonFiniteValueError("input contains NaN or infinity")
     return (arr - stats.means) / stats.stddevs
 
-
-def invert(standardized, stats: ReferenceStats) -> np.ndarray:
-    """Map standardized values back to the original scale."""
-    arr = np.asarray(standardized, dtype=float)
-    if arr.ndim == 0 or arr.shape[-1] != stats.stream_count:
-        raise DimensionMismatchError(
-            f"expected {stats.stream_count} streams on the last axis, "
-            f"got shape {arr.shape}"
-        )
-    return arr * stats.stddevs + stats.means

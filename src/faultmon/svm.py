@@ -28,7 +28,6 @@ from .errors import (
 )
 
 __all__ = [
-    "rbf_kernel",
     "rbf_kernel_matrix",
     "dual_objective",
     "BinaryModel",
@@ -45,20 +44,6 @@ __all__ = [
 _ALPHA_TOL = 1e-8
 # Floor for the pair curvature K_ii + K_jj - 2 K_ij.
 _CURVATURE_FLOOR = 1e-12
-
-
-def rbf_kernel(x, y, gamma: float) -> float:
-    """Gaussian kernel ``exp(-gamma * ||x - y||^2)`` for two vectors."""
-    if gamma <= 0.0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
-    a = np.asarray(x, dtype=float)
-    b = np.asarray(y, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DimensionMismatchError(
-            f"expected two equal-length vectors, got {a.shape} and {b.shape}"
-        )
-    diff = a - b
-    return float(np.exp(-gamma * np.dot(diff, diff)))
 
 
 def rbf_kernel_matrix(a, b, gamma: float) -> np.ndarray:
@@ -149,7 +134,6 @@ def train_binary(
     gamma: float,
     *,
     tol: float = 1e-3,
-    max_iter: int | None = None,
 ) -> BinaryModel:
     """Train a binary RBF-SVM by SMO.
 
@@ -164,11 +148,11 @@ def train_binary(
         c_penalty: Box constraint C > 0.
         gamma: RBF width > 0.
         tol: KKT gap at which to stop.
-        max_iter: Iteration cap; defaults to ``10_000 * n``.
 
     Raises:
         SingleClassError: Only one label present.
-        NoConvergenceError: Cap reached with the gap still above ``tol``.
+        NoConvergenceError: ``10_000 * n`` iterations ran with the gap still
+            above ``tol``.
     """
     x, y_raw = _check_training_inputs(features, labels)
     y = np.asarray(y_raw, dtype=float)
@@ -179,7 +163,7 @@ def train_binary(
     if c_penalty <= 0.0:
         raise DomainError(f"c_penalty must be positive, got {c_penalty}")
     n = x.shape[0]
-    cap = int(max_iter) if max_iter is not None else 10_000 * n
+    cap = 10_000 * n
 
     kernel = rbf_kernel_matrix(x, x, gamma)
     alphas = np.zeros(n)
@@ -306,9 +290,6 @@ def train_multiclass(
     labels,
     c_penalty: float,
     gamma: float,
-    *,
-    tol: float = 1e-3,
-    max_iter: int | None = None,
 ) -> MulticlassModel:
     """Train a one-vs-one multiclass SVM.
 
@@ -331,9 +312,7 @@ def train_multiclass(
     for label_a, label_b in itertools.combinations(class_labels.tolist(), 2):
         mask = (y == label_a) | (y == label_b)
         pair_y = np.where(y[mask] == label_a, 1.0, -1.0)
-        model = train_binary(
-            scaled[mask], pair_y, c_penalty, gamma, tol=tol, max_iter=max_iter
-        )
+        model = train_binary(scaled[mask], pair_y, c_penalty, gamma)
         pairs.append((int(label_a), int(label_b), model))
     return MulticlassModel(
         class_labels=class_labels,
@@ -395,7 +374,6 @@ def grid_search(
     *,
     folds: int = 5,
     seed: int = 0,
-    tol: float = 1e-3,
 ) -> GridSearchResult:
     """Pick (C, gamma) by stratified k-fold cross-validated accuracy.
 
@@ -417,9 +395,7 @@ def grid_search(
             for fold in fold_indices:
                 train_mask = np.ones(y.size, dtype=bool)
                 train_mask[fold] = False
-                model = train_multiclass(
-                    x[train_mask], y[train_mask], c_penalty, gamma, tol=tol
-                )
+                model = train_multiclass(x[train_mask], y[train_mask], c_penalty, gamma)
                 correct += int(np.sum(model.predict(x[fold]) == y[fold]))
             accuracy = correct / y.size
             table.append((float(c_penalty), float(gamma), accuracy))

@@ -86,8 +86,6 @@ def test_spec_validation():
     with pytest.raises(EmptyInputError):
         calibrate.CalibrationSpec(target_arl0=10.0, replications=0)
     with pytest.raises(DomainError):
-        calibrate.CalibrationSpec(target_arl0=10.0, h_bracket=(2.0, 1.0))
-    with pytest.raises(DomainError):
         calibrate.CalibrationSpec(target_arl0=10.0, tolerance=0.0)
     assert calibrate.CalibrationSpec(target_arl0=10.0).run_length_cap == 200
 

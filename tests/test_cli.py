@@ -288,6 +288,16 @@ def test_errors_map_to_exit_code_2(cli_workspace, tmp_path, capfd):
     assert code == 2
     assert "error:" in capfd.readouterr().err
 
+    code = cli.main([
+        "sweep-patience",
+        "--in-control", str(cli_workspace / "in_control.csv"),
+        "--train-runs", str(cli_workspace / "train"),
+        "--test-runs", str(cli_workspace / "test"),
+        "--threshold", str(PINNED_H), "--grid", "0,abc",
+    ])
+    assert code == 2
+    assert "error: could not parse --grid" in capfd.readouterr().err
+
 
 def test_calibrate_bracket_failure_maps_to_exit_code_2(cli_workspace, capfd):
     # A cap of 20 samples cannot resolve a target ARL of 25.

@@ -15,7 +15,6 @@ from faultmon import detector
 from faultmon.errors import (
     BadRError,
     DimensionMismatchError,
-    DomainError,
     EmptyInputError,
     NonFiniteValueError,
 )
@@ -79,42 +78,48 @@ def test_build_reference_sorts_and_validates():
         detector.build_reference([1.0, np.nan])
 
 
-def test_update_local_hand_cases():
-    state = detector.LocalState(0.0, 0.0)
+def _one_stream_step(w_plus, w_minus, mu, allowance):
+    """W+ and W- of one stream after one ``_cusum_step`` at CDF estimate mu."""
+    w_plus, w_minus, _, _ = detector._cusum_step(
+        np.array([w_plus]), np.array([w_minus]),
+        np.log([1.0 - mu]), np.log([mu]), allowance, 1,
+    )
+    return w_plus[0], w_minus[0]
+
+
+def test_cusum_step_hand_cases():
     # mu=0.5: both raw increments are log(2)-1.3 < 0, clamp to zero.
-    updated = detector.update_local(state, 0.5, 1.3)
-    assert updated.w_plus == 0.0 and updated.w_minus == 0.0
+    w_plus, w_minus = _one_stream_step(0.0, 0.0, 0.5, 1.3)
+    assert w_plus == 0.0 and w_minus == 0.0
     # mu=0.99 pushes the upper side only.
-    updated = detector.update_local(state, 0.99, 1.3)
-    assert updated.w_plus == pytest.approx(-np.log(0.01) - 1.3)
-    assert updated.w_minus == 0.0
+    w_plus, w_minus = _one_stream_step(0.0, 0.0, 0.99, 1.3)
+    assert w_plus == pytest.approx(-np.log(0.01) - 1.3)
+    assert w_minus == 0.0
     # Accumulation from a non-zero state.
-    updated = detector.update_local(detector.LocalState(5.0, 0.0), 0.5, 1.3)
-    assert updated.w_plus == pytest.approx(5.0 + np.log(2.0) - 1.3)
-
-
-def test_update_local_rejects_bad_mu():
-    state = detector.LocalState(0.0, 0.0)
-    for mu in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(DomainError):
-            detector.update_local(state, mu, 1.3)
+    w_plus, _ = _one_stream_step(5.0, 0.0, 0.5, 1.3)
+    assert w_plus == pytest.approx(5.0 + np.log(2.0) - 1.3)
 
 
 def test_two_sided():
-    assert detector.two_sided(detector.LocalState(0.0, 0.0)) == 0.0
-    assert detector.two_sided(detector.LocalState(3.3, 0.0)) == 3.3
-    assert detector.two_sided(detector.LocalState(1.2, 4.5)) == 4.5
+    # Log terms of -0.5 against an allowance of 0.5 add exactly zero, so
+    # W+ and W- stay as given and the step returns their maximum.
+    for w_plus, w_minus, expected in ((0.0, 0.0, 0.0), (3.3, 0.0, 3.3), (1.2, 4.5, 4.5)):
+        _, _, two, _ = detector._cusum_step(
+            np.array([w_plus]), np.array([w_minus]),
+            np.array([-0.5]), np.array([-0.5]), 0.5, 1,
+        )
+        assert two[0] == expected
 
 
 def test_global_statistic():
-    stats = [3.0, 1.0, 4.0, 1.0, 5.0]
-    assert detector.global_statistic(stats, 4) == 13.0
-    assert detector.global_statistic(stats, 5) == pytest.approx(sum(stats))
-    assert detector.global_statistic([0.0, 0.0], 2) == 0.0
+    stats = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
+    assert detector._top_r_sum(stats, 4) == 13.0
+    assert detector._top_r_sum(stats, 5) == pytest.approx(stats.sum())
+    assert detector._top_r_sum(np.zeros(2), 2) == 0.0
     with pytest.raises(BadRError):
-        detector.global_statistic(stats, 0)
+        detector.MonitorConfig(1.3, 0, stats.size)
     with pytest.raises(BadRError):
-        detector.global_statistic(stats, 6)
+        detector.MonitorConfig(1.3, 6, stats.size)
 
 
 def test_streaming_matches_naive_oracle_bitwise():
@@ -187,7 +192,7 @@ def test_alarm_threshold_is_inclusive():
     monitor = detector.Monitor(refs, config.with_threshold(v))
     trace = monitor.run(np.full((5, 1), 5.0))
     assert trace.alarms[-1]
-    assert trace.first_alarm == 4
+    assert np.flatnonzero(trace.alarms)[0] == 4
 
 
 def test_monitor_reset_clears_state():

@@ -16,6 +16,7 @@ from faultmon.errors import (
     SingleClassError,
     TooFewPerClassError,
 )
+from tests.oracles import rbf_kernel
 
 
 def _project(v, y, caps):
@@ -75,12 +76,16 @@ def _random_instances(count, seed):
 
 def test_rbf_kernel_values():
     x = np.array([1.0, 0.0])
-    assert svm.rbf_kernel(x, x, 2.0) == 1.0
+    assert svm.rbf_kernel_matrix(x, x, 2.0)[0, 0] == 1.0
     y = np.array([0.0, 0.0])
-    assert svm.rbf_kernel(x, y, 1.0) == pytest.approx(np.exp(-1.0))
+    assert svm.rbf_kernel_matrix(x, y, 1.0)[0, 0] == pytest.approx(np.exp(-1.0))
+    # Swapping the row sets transposes the kernel; the expanded squared
+    # distance sums its terms in another order, so equality is to rounding.
     rng = np.random.default_rng(40)
-    a, b = rng.normal(size=2), rng.normal(size=2)
-    assert svm.rbf_kernel(a, b, 0.7) == svm.rbf_kernel(b, a, 0.7)
+    a, b = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
+    np.testing.assert_allclose(
+        svm.rbf_kernel_matrix(a, b, 0.7), svm.rbf_kernel_matrix(b, a, 0.7).T, rtol=1e-12
+    )
 
 
 def test_kernel_matrix_matches_pairwise():
@@ -90,7 +95,7 @@ def test_kernel_matrix_matches_pairwise():
     mat = svm.rbf_kernel_matrix(x, z, 0.5)
     for i in range(6):
         for j in range(4):
-            assert mat[i, j] == pytest.approx(svm.rbf_kernel(x[i], z[j], 0.5))
+            assert mat[i, j] == pytest.approx(rbf_kernel(x[i], z[j], 0.5))
 
 
 def test_smo_matches_projected_gradient_oracle():
