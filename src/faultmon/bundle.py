@@ -29,14 +29,12 @@ FORMAT_VERSION = 1
 FEATURE_MODES = ("tangent", "raw")
 
 
-def _check_model_options(feature_mode: str, metric: str, patience: int) -> None:
+def _check_model_options(feature_mode: str, patience: int) -> None:
     """The option checks shared by ``TrainConfig`` and :class:`ModelBundle`."""
     if feature_mode not in FEATURE_MODES:
         raise DomainError(
             f"feature_mode must be one of {FEATURE_MODES}, got {feature_mode!r}"
         )
-    if metric not in (METRIC_AFFINE, METRIC_LOG_EUCLIDEAN):
-        raise DomainError(f"unknown metric {metric!r}")
     if patience < 0:
         raise DomainError(f"patience must be >= 0, got {patience}")
 
@@ -77,7 +75,9 @@ class ModelBundle:
     training_summary: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_model_options(self.feature_mode, self.metric, self.patience)
+        _check_model_options(self.feature_mode, self.patience)
+        if self.metric not in (METRIC_AFFINE, METRIC_LOG_EUCLIDEAN):
+            raise DomainError(f"unknown metric {self.metric!r}")
         if self.window < 2:
             raise DomainError(f"window must be at least 2, got {self.window}")
         if len(self.references) != self.config.stream_count:

@@ -14,7 +14,7 @@ of call order, which makes every estimate here reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -103,14 +103,7 @@ class CalibrationResult:
     evaluations: int
 
     def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "achieved_arl": self.achieved_arl,
-            "censored_fraction": self.censored_fraction,
-            "target_arl0": self.target_arl0,
-            "replications": self.replications,
-            "evaluations": self.evaluations,
-        }
+        return asdict(self)
 
 
 def _collect_traces(

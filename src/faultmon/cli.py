@@ -13,7 +13,6 @@ import argparse
 import itertools
 import json
 import sys
-import warnings
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -27,18 +26,10 @@ __all__ = ["main"]
 
 
 def _read_matrix(path: str) -> np.ndarray:
-    source = sys.stdin if path == "-" else path
-    name = "stdin" if path == "-" else path
-    try:
-        with warnings.catch_warnings():
-            # loadtxt warns instead of raising when the file has no data rows
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(source, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise FaultMonError(f"could not parse samples from {name}: {exc}") from exc
-    if data.size == 0:
-        raise EmptyInputError(f"no sample rows in {name}")
-    return data
+    """Sample rows of the CSV file ``path``, or of stdin for ``-``."""
+    if path == "-":
+        return simulate._read_csv(sys.stdin, "stdin")
+    return simulate._read_csv(path, path)
 
 
 def _parse_lines(lines: Iterator[str]) -> Iterator[np.ndarray]:

@@ -9,7 +9,7 @@ augmentation is enabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,21 +17,12 @@ from .errors import DimensionMismatchError, NonFiniteValueError, TraceTooShortEr
 
 __all__ = ["FEATURE_NAMES", "TraceFeatures", "trace_features"]
 
-FEATURE_NAMES = (
-    "mean",
-    "stddev",
-    "median",
-    "variance",
-    "value_range",
-    "max_value",
-    "peak_count",
-    "auc",
-)
-
 
 @dataclass(frozen=True)
 class TraceFeatures:
     """Fixed-order summary of one V(t) trace.
+
+    The field order is the feature order, :data:`FEATURE_NAMES`.
 
     Attributes:
         mean: Arithmetic mean of the trace.
@@ -56,18 +47,11 @@ class TraceFeatures:
 
     def as_vector(self) -> np.ndarray:
         """Feature vector in the order of :data:`FEATURE_NAMES`."""
-        return np.array(
-            [
-                self.mean,
-                self.stddev,
-                self.median,
-                self.variance,
-                self.value_range,
-                self.max_value,
-                float(self.peak_count),
-                self.auc,
-            ]
-        )
+        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=float)
+
+
+# The classifier's trace-feature order: the field order of TraceFeatures.
+FEATURE_NAMES = tuple(f.name for f in fields(TraceFeatures))
 
 
 def trace_features(trace) -> TraceFeatures:

@@ -79,7 +79,6 @@ class TrainConfig:
         patience: Samples to wait after an alarm before classifying.
         feature_mode: ``tangent`` or ``raw`` covariance features.
         trace_features: Append V(t) summary features.
-        metric: Manifold metric for tangent features.
         folds: Cross-validation folds for the hyper-parameter search.
         c_grid, gamma_grid: Optional explicit hyper-parameter grids.
         calibration_replications: Monte-Carlo budget for the threshold.
@@ -95,7 +94,6 @@ class TrainConfig:
     patience: int = 300
     feature_mode: str = "tangent"
     trace_features: bool = False
-    metric: str = METRIC_AFFINE
     folds: int = 5
     c_grid: tuple[float, ...] | None = None
     gamma_grid: tuple[float, ...] | None = None
@@ -106,7 +104,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_model_options(self.feature_mode, self.metric, self.patience)
+        _check_model_options(self.feature_mode, self.patience)
 
 
 @dataclass(frozen=True)
@@ -181,7 +179,7 @@ def _window_covariance(z, t_c: int, window: int, trace_length: int, use_trace: b
         return None, "run_ends_before_classification"
     start = t_c - window + 1
     if start < 0:
-        return None, "window_before_run_start"
+        return None, "window_too_short"
     if use_trace and trace_length < 3:
         return None, "trace_too_short"
     return spd.covariance(z[start : t_c + 1]), None
@@ -332,12 +330,12 @@ def _fit(
     class_counts = _check_class_coverage(labels, fault_ids, dropped)
 
     if config.feature_mode == "tangent":
-        karcher_base = spd.karcher_mean(covs, config.metric)
+        karcher_base = spd.karcher_mean(covs, METRIC_AFFINE)
     else:
         karcher_base = np.eye(setup.stats.stream_count)
     feature_matrix = np.vstack([
         _feature_vector(
-            cov, trace, karcher_base, config.feature_mode, config.metric,
+            cov, trace, karcher_base, config.feature_mode, METRIC_AFFINE,
             config.trace_features,
         )
         for cov, trace in zip(covs, traces)
@@ -377,7 +375,7 @@ def _fit(
         classifier=classifier,
         feature_mode=config.feature_mode,
         trace_features=config.trace_features,
-        metric=config.metric,
+        metric=METRIC_AFFINE,
         training_summary=summary,
     )
 
@@ -469,10 +467,6 @@ def _classify_buffer(bundle: ModelBundle, window_buffer, v_episode):
         z, z.shape[0] - 1, bundle.window, len(v_episode), bundle.trace_features
     )
     if reason is not None:
-        # The buffer holds the stream's last samples, so only its start can
-        # fall short; events have always called that "window_too_short".
-        if reason == "window_before_run_start":
-            reason = "window_too_short"
         return None, reason
     vec = _feature_vector(
         cov, v_episode, bundle.karcher_base, bundle.feature_mode, bundle.metric,

@@ -9,13 +9,17 @@ and two runs never share randomness.
 
 Faults perturb the raw-scale samples from a 0-based onset index onward;
 labels are 0 while in control and the fault id from the onset on.
+
+Runs are stored as headed CSV files. ``_read_csv`` loads them, their
+``t,fault_id`` label files and the CLI's sample files and stdin.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +29,7 @@ from .errors import (
     BadSpecError,
     DimensionMismatchError,
     EmptyInputError,
+    FaultMonError,
     LabelMismatchError,
 )
 
@@ -53,11 +58,22 @@ FAULT_KINDS = ("step", "random_variation", "slow_drift", "sticking")
 _U_FLOOR = 1e-300
 
 
+# Parameter names of each stream kind, in (p1, p2) order.
+_STREAM_PARAMS = {
+    "normal": ("mu", "sigma"),
+    "uniform": ("low", "high"),
+    "exponential": ("rate",),
+    "student_t": ("dof",),
+    "lognormal": ("mu", "sigma"),
+}
+
+
 @dataclass(frozen=True)
 class StreamSpec:
     """Marginal distribution of one stream.
 
-    Use the named constructors; ``p1``/``p2`` are interpreted per kind.
+    ``p1``/``p2`` are the kind's parameters in the order of
+    ``_STREAM_PARAMS``; the named constructors spell them out.
     """
 
     kind: str
@@ -66,39 +82,38 @@ class StreamSpec:
 
     @staticmethod
     def normal(mu: float, sigma: float) -> "StreamSpec":
-        if sigma <= 0:
-            raise BadSpecError(f"normal sigma must be positive, got {sigma}")
         return StreamSpec("normal", mu, sigma)
 
     @staticmethod
     def uniform(low: float, high: float) -> "StreamSpec":
-        if not high > low:
-            raise BadSpecError(f"uniform needs high > low, got [{low}, {high}]")
         return StreamSpec("uniform", low, high)
 
     @staticmethod
     def exponential(rate: float) -> "StreamSpec":
-        if rate <= 0:
-            raise BadSpecError(f"exponential rate must be positive, got {rate}")
         return StreamSpec("exponential", rate)
 
     @staticmethod
     def student_t(dof: float) -> "StreamSpec":
-        if dof <= 2:
-            raise BadSpecError(
-                f"student_t needs dof > 2 for a finite variance, got {dof}"
-            )
         return StreamSpec("student_t", dof)
 
     @staticmethod
     def lognormal(mu: float, sigma: float) -> "StreamSpec":
-        if sigma <= 0:
-            raise BadSpecError(f"lognormal sigma must be positive, got {sigma}")
         return StreamSpec("lognormal", mu, sigma)
 
     def __post_init__(self):
-        if self.kind not in ("normal", "uniform", "exponential", "student_t", "lognormal"):
-            raise BadSpecError(f"unknown stream kind {self.kind!r}")
+        kind, p1, p2 = self.kind, self.p1, self.p2
+        if kind not in _STREAM_PARAMS:
+            raise BadSpecError(f"unknown stream kind {kind!r}")
+        if kind in ("normal", "lognormal") and not p2 > 0:
+            raise BadSpecError(f"{kind} sigma must be positive, got {p2}")
+        if kind == "uniform" and not p2 > p1:
+            raise BadSpecError(f"uniform needs high > low, got [{p1}, {p2}]")
+        if kind == "exponential" and not p1 > 0:
+            raise BadSpecError(f"exponential rate must be positive, got {p1}")
+        if kind == "student_t" and not p1 > 2:
+            raise BadSpecError(
+                f"student_t needs dof > 2 for a finite variance, got {p1}"
+            )
 
     def mean(self) -> float:
         if self.kind == "normal":
@@ -136,33 +151,17 @@ class StreamSpec:
         return np.exp(self.p1 + self.p2 * special.ndtri(np.maximum(u, _U_FLOOR)))
 
     def to_dict(self) -> dict:
-        if self.kind == "normal":
-            return {"kind": "normal", "mu": self.p1, "sigma": self.p2}
-        if self.kind == "uniform":
-            return {"kind": "uniform", "low": self.p1, "high": self.p2}
-        if self.kind == "exponential":
-            return {"kind": "exponential", "rate": self.p1}
-        if self.kind == "student_t":
-            return {"kind": "student_t", "dof": self.p1}
-        return {"kind": "lognormal", "mu": self.p1, "sigma": self.p2}
+        params = zip(_STREAM_PARAMS[self.kind], (self.p1, self.p2))
+        return {"kind": self.kind, **dict(params)}
 
     @staticmethod
     def from_dict(data: dict) -> "StreamSpec":
         try:
             kind = data["kind"]
-            if kind == "normal":
-                return StreamSpec.normal(data["mu"], data["sigma"])
-            if kind == "uniform":
-                return StreamSpec.uniform(data["low"], data["high"])
-            if kind == "exponential":
-                return StreamSpec.exponential(data["rate"])
-            if kind == "student_t":
-                return StreamSpec.student_t(data["dof"])
-            if kind == "lognormal":
-                return StreamSpec.lognormal(data["mu"], data["sigma"])
+            params = [data[name] for name in _STREAM_PARAMS.get(kind, ())]
         except KeyError as exc:
             raise BadSpecError(f"stream spec is missing field {exc}") from exc
-        raise BadSpecError(f"unknown stream kind {kind!r}")
+        return StreamSpec(kind, *params)
 
 
 @dataclass(frozen=True)
@@ -180,12 +179,6 @@ class ProcessSpec:
     @property
     def stream_count(self) -> int:
         return len(self.streams)
-
-    def means(self) -> np.ndarray:
-        return np.array([s.mean() for s in self.streams])
-
-    def stddevs(self) -> np.ndarray:
-        return np.array([s.stddev() for s in self.streams])
 
     def to_dict(self) -> dict:
         return {
@@ -251,14 +244,7 @@ class FaultSpec:
         object.__setattr__(self, "affected_streams", streams)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "affected_streams": list(self.affected_streams),
-            "onset": self.onset,
-            "magnitude": self.magnitude,
-            "drift_rate": self.drift_rate,
-            "fault_id": self.fault_id,
-        }
+        return {**asdict(self), "affected_streams": list(self.affected_streams)}
 
     @staticmethod
     def from_dict(data: dict) -> "FaultSpec":
@@ -558,17 +544,38 @@ def write_run_csv(path, data: np.ndarray, labels: np.ndarray | None = None) -> N
         )
 
 
+def _read_csv(source, name: str, dtype=float) -> np.ndarray:
+    """Rows after the header of a CSV path or text stream, as a 2-D array.
+
+    A row that does not parse raises ``FaultMonError``, and a CSV with no
+    rows raises ``EmptyInputError``.
+    """
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns instead of raising when the file has no data rows
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(source, delimiter=",", skiprows=1, dtype=dtype, ndmin=2)
+    except ValueError as exc:
+        raise FaultMonError(f"could not parse samples from {name}: {exc}") from exc
+    if rows.size == 0:
+        raise EmptyInputError(f"no sample rows in {name}")
+    return rows
+
+
 def read_run_csv(path) -> Run:
     """Read one run; picks up ``<stem>_labels.csv`` when present."""
     path = Path(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _read_csv(path, str(path))
+    n = data.shape[0]
+    labels = np.zeros(n, dtype=int)
     labels_path = path.with_name(path.stem + "_labels.csv")
     if labels_path.exists():
-        rows = np.loadtxt(labels_path, delimiter=",", skiprows=1, dtype=int, ndmin=2)
-        labels = np.zeros(data.shape[0], dtype=int)
+        rows = _read_csv(labels_path, str(labels_path), dtype=int)
+        if rows.shape[1] != 2 or not ((rows[:, 0] >= 0) & (rows[:, 0] < n)).all():
+            raise LabelMismatchError(
+                f"{labels_path}: each row must be t,fault_id with 0 <= t < {n}"
+            )
         labels[rows[:, 0]] = rows[:, 1]
-    else:
-        labels = np.zeros(data.shape[0], dtype=int)
     return Run(data=data, labels=labels, run_id=path.stem)
 
 

@@ -98,9 +98,6 @@ def fit_reference(raw) -> ReferenceStats:
         )
     means = arr.mean(axis=0)
     stddevs = arr.std(axis=0, ddof=1)
-    zero = np.flatnonzero(stddevs == 0.0)
-    if zero.size:
-        raise ConstantStreamError(zero)
     return ReferenceStats(means=means, stddevs=stddevs)
 
 

@@ -274,14 +274,10 @@ class MulticlassModel:
             magnitude = np.abs(values)
             margin[:, ia] += magnitude
             margin[:, ib] += magnitude
-        out = np.empty(n, dtype=int)
-        for row in range(n):
-            best = votes[row].max()
-            tied = np.flatnonzero(votes[row] == best)
-            if tied.size > 1:
-                margins = margin[row, tied]
-                tied = tied[margins == margins.max()]
-            out[row] = int(self.class_labels[tied[0]])
+        most_voted = votes == votes.max(axis=1, keepdims=True)
+        # argmax takes the first, i.e. smallest, label among equal margins.
+        best = np.where(most_voted, margin, -np.inf).argmax(axis=1)
+        out = self.class_labels[best].astype(int)
         return out[0] if single else out
 
 

@@ -27,3 +27,26 @@ def tangent_unvectorize(flat):
 def unstandardize(standardized, stats):
     """Inverse of ``standardize.apply``: back to the original scale."""
     return np.asarray(standardized, dtype=float) * stats.stddevs + stats.means
+
+
+def one_vs_one_vote(model, x):
+    """Labels of ``MulticlassModel.predict``, chosen one row at a time.
+
+    The label with the most pair votes wins; a vote tie goes to the largest
+    sum of |decision| over the label's pairs, then to the smallest label.
+    """
+    scaled = model._scale(np.atleast_2d(np.asarray(x, dtype=float)))
+    decisions = [
+        (label_a, label_b, binary.decision_function(scaled))
+        for label_a, label_b, binary in model.pairs
+    ]
+    out = []
+    for row in range(scaled.shape[0]):
+        votes = dict.fromkeys(model.class_labels.tolist(), 0)
+        margins = dict.fromkeys(votes, 0.0)
+        for label_a, label_b, values in decisions:
+            votes[label_a if values[row] > 0.0 else label_b] += 1
+            margins[label_a] += abs(values[row])
+            margins[label_b] += abs(values[row])
+        out.append(max(votes, key=lambda label: (votes[label], margins[label], -label)))
+    return np.array(out)

@@ -299,6 +299,32 @@ def test_errors_map_to_exit_code_2(cli_workspace, tmp_path, capfd):
     assert "error: could not parse --grid" in capfd.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data_row,label_row,message",
+    [
+        ("abc,1", "0,0", "could not parse samples"),
+        ("1,2", "99999,1", "0 <= t < 2"),
+        ("1,2", "-1,3", "0 <= t < 2"),
+    ],
+)
+def test_bad_corpus_maps_to_exit_code_2(cli_workspace, tmp_path, capfd,
+                                        data_row, label_row, message):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / "run.csv").write_text(f"s0,s1\n1,2\n{data_row}\n")
+    (runs / "run_labels.csv").write_text(f"t,fault_id\n{label_row}\n")
+    code = cli.main([
+        "train",
+        "--in-control", str(cli_workspace / "in_control.csv"),
+        "--runs", str(runs),
+        "--threshold", str(PINNED_H),
+        "--out", str(tmp_path / "b.json"),
+    ])
+    assert code == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_calibrate_bracket_failure_maps_to_exit_code_2(cli_workspace, capfd):
     # A cap of 20 samples cannot resolve a target ARL of 25.
     code = cli.main(["calibrate", "--in-control", str(cli_workspace / "in_control.csv"),

@@ -192,6 +192,24 @@ def test_evaluate_reports_trace_too_short(trained_bundle, monkeypatch):
     assert report.classified == 0
 
 
+def test_evaluate_reports_window_too_short(trained_bundle, monkeypatch):
+    # An alarm at t=1 with no patience leaves 2 samples for a longer
+    # window: offline scoring names it as online monitoring does.
+    bundle = dataclasses.replace(trained_bundle, window=10, patience=0)
+    length = 30
+    labels = np.ones(length, dtype=int)
+    labels[0] = 0
+    run = simulate.Run(
+        data=np.zeros((length, 20)), labels=labels, run_id="fabricated"
+    )
+    v = np.full(length, bundle.config.threshold + 1.0)
+    fake = [pipeline._DetectedRun(run=run, z=run.data, v_trace=v, alarm_time=1)]
+    monkeypatch.setattr(pipeline, "_detect_runs", lambda *args, **kw: fake)
+    report = pipeline.evaluate(bundle, [run])
+    assert report.unclassified == {"window_too_short": 1}
+    assert report.classified == 0
+
+
 def test_sweep_patience_single_point(small_benchmark, small_config):
     points = pipeline.sweep_patience(
         small_benchmark.in_control,

@@ -1,16 +1,18 @@
 """The public surface of faultmon, pinned name by name.
 
-Adding or removing a public name must change this file, so that every
-change to the surface is a deliberate one.
+Adding or removing a public name, or reordering the fields of a record
+whose field order is a file format or a feature order, must change this
+file, so that every change to the surface is a deliberate one.
 """
 
+import dataclasses
 import importlib
 import inspect
 
 import pytest
 
 import faultmon
-from faultmon import errors
+from faultmon import calibrate, errors, features, simulate
 
 PUBLIC = {
     "bundle": ["FEATURE_MODES", "FORMAT_VERSION", "ModelBundle", "load_bundle", "save_bundle"],
@@ -83,3 +85,35 @@ def test_error_types_are_pinned():
         if inspect.isclass(obj) and issubclass(obj, errors.FaultMonError)
     )
     assert defined == ERRORS
+
+
+# Records whose field order is a serialized key order (to_dict, and so the
+# JSON files), the positional order StreamSpec.from_dict builds with, or
+# the classifier's input order (TraceFeatures).
+FIELDS = {
+    simulate.StreamSpec: ["kind", "p1", "p2"],
+    simulate.FaultSpec: [
+        "kind", "affected_streams", "onset", "magnitude", "drift_rate", "fault_id",
+    ],
+    calibrate.CalibrationResult: [
+        "threshold", "achieved_arl", "censored_fraction", "target_arl0",
+        "replications", "evaluations",
+    ],
+    features.TraceFeatures: [
+        "mean", "stddev", "median", "variance", "value_range", "max_value",
+        "peak_count", "auc",
+    ],
+}
+
+
+@pytest.mark.parametrize("record", list(FIELDS), ids=lambda r: r.__name__)
+def test_record_field_order_is_pinned(record):
+    assert [f.name for f in dataclasses.fields(record)] == FIELDS[record]
+
+
+def test_serialized_orders_follow_the_fields():
+    assert list(features.FEATURE_NAMES) == FIELDS[features.TraceFeatures]
+    fault = simulate.FaultSpec("step", (2, 0), 5, magnitude=1.0)
+    assert list(fault.to_dict()) == FIELDS[simulate.FaultSpec]
+    result = calibrate.CalibrationResult(1.0, 2.0, 0.0, 2.0, 10, 3)
+    assert list(result.to_dict()) == FIELDS[calibrate.CalibrationResult]

@@ -5,7 +5,12 @@ import pytest
 from scipy import stats as scipy_stats
 
 from faultmon import simulate
-from faultmon.errors import BadSpecError, LabelMismatchError
+from faultmon.errors import (
+    BadSpecError,
+    EmptyInputError,
+    FaultMonError,
+    LabelMismatchError,
+)
 
 # Onset is a 0-based index; post-onset means samples onset, onset+1, ...
 ONSET = 120
@@ -65,6 +70,36 @@ def test_stream_spec_validation():
         simulate.StreamSpec.student_t(2.0)
     with pytest.raises(BadSpecError):
         simulate.StreamSpec.lognormal(0.0, -0.1)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("normal", 0.0, 0.0), "normal sigma must be positive"),
+        (("uniform", 3.0, 3.0), "uniform needs high > low"),
+        (("exponential", 0.0), "exponential rate must be positive"),
+        (("student_t", 1.0), "student_t needs dof > 2"),
+        (("lognormal", 0.0, float("nan")), "lognormal sigma must be positive"),
+        (("gamma", 1.0), "unknown stream kind"),
+    ],
+    ids=["normal", "uniform", "exponential", "student_t", "lognormal_nan", "unknown"],
+)
+def test_stream_spec_checks_direct_construction(args, message):
+    # A spec built without a named constructor is checked too, instead of
+    # failing later in mean() or stddev().
+    with pytest.raises(BadSpecError, match=message):
+        simulate.StreamSpec(*args)
+
+
+def test_stream_spec_from_dict_errors():
+    with pytest.raises(BadSpecError, match="missing field 'sigma'"):
+        simulate.StreamSpec.from_dict({"kind": "normal", "mu": 0.0})
+    with pytest.raises(BadSpecError, match="missing field 'kind'"):
+        simulate.StreamSpec.from_dict({"dof": 3.0})
+    with pytest.raises(BadSpecError, match="unknown stream kind 'gamma'"):
+        simulate.StreamSpec.from_dict({"kind": "gamma", "shape": 2.0})
+    with pytest.raises(BadSpecError, match="student_t needs dof > 2"):
+        simulate.StreamSpec.from_dict({"kind": "student_t", "dof": 1.0})
 
 
 def test_same_run_is_byte_identical():
@@ -186,6 +221,25 @@ def test_run_csv_without_labels(tmp_path):
     assert (loaded.labels == 0).all()
     assert loaded.fault_id == 0
     assert loaded.onset is None
+
+
+@pytest.mark.parametrize("row", ["-1,3", "99999,1", "2,1,0"])
+def test_read_run_csv_rejects_bad_label_rows(tmp_path, row):
+    path = tmp_path / "run.csv"
+    simulate.write_run_csv(path, np.zeros((5, 2)))
+    (tmp_path / "run_labels.csv").write_text(f"t,fault_id\n{row}\n")
+    with pytest.raises(LabelMismatchError, match="0 <= t < 5"):
+        simulate.read_run_csv(path)
+
+
+def test_read_run_csv_rejects_unparsable_and_empty_files(tmp_path):
+    path = tmp_path / "run.csv"
+    path.write_text("s0,s1\n1,abc\n")
+    with pytest.raises(FaultMonError, match="could not parse samples"):
+        simulate.read_run_csv(path)
+    path.write_text("s0,s1\n")
+    with pytest.raises(EmptyInputError, match="no sample rows"):
+        simulate.read_run_csv(path)
 
 
 def test_write_run_csv_validates_labels():

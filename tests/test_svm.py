@@ -16,7 +16,7 @@ from faultmon.errors import (
     SingleClassError,
     TooFewPerClassError,
 )
-from tests.oracles import rbf_kernel
+from tests.oracles import one_vs_one_vote, rbf_kernel
 
 
 def _project(v, y, caps):
@@ -199,6 +199,18 @@ def test_vote_tie_breaks_on_aggregate_margin():
     if len(set(votes.values())) == 1 and len(votes) == 3:
         top = max(votes, key=lambda lab: (margins[lab], -lab))
         assert model.predict(query) == top
+
+
+def test_predict_matches_row_by_row_vote():
+    # Four overlapping classes give many split votes across the grid.
+    rng = np.random.default_rng(49)
+    x, y = _blobs(rng, [(1, (0, 0)), (2, (2, 0)), (3, (0, 2)), (4, (2, 2))],
+                  spread=0.8)
+    model = svm.train_multiclass(x, y, 2.0, 0.5)
+    grid = np.stack(np.meshgrid(np.linspace(-2, 4, 25), np.linspace(-2, 4, 25)),
+                    axis=-1).reshape(-1, 2)
+    np.testing.assert_array_equal(model.predict(grid), one_vs_one_vote(model, grid))
+    assert model.predict(grid[7]) == one_vs_one_vote(model, grid[7])[0]
 
 
 def test_predict_dimension_mismatch():
