@@ -6,7 +6,10 @@ name does not match ``test_*.py``, so the unit-test run skips it. Record
 the BLAS thread setting (``OPENBLAS_NUM_THREADS``) with any numbers.
 
 Sizes follow the benchmark corpus: p = 20 streams with s = 3000 reference
-values each, and 40 runs of 3500 samples for the lockstep block.
+values each. The ranking blocks are the three batch shapes the system
+ranks: 40 runs of 3500 samples (a ``_detect_runs`` chunk in training and
+evaluation), 125 replications of 4000 (a threshold-calibration chunk) and
+one replication of 3000 (one false-alarm-rate call).
 """
 
 import numpy as np
@@ -32,9 +35,12 @@ def test_monitor_step(benchmark, references):
     benchmark(monitor.step, sample)
 
 
-def test_cdf_estimates_block(benchmark, references):
-    """Per-stream ranking of a 40 x 3500 x 20 lockstep block."""
-    block = np.random.default_rng(2).normal(size=(40, 3500, STREAMS))
+@pytest.mark.parametrize(
+    "shape", [(40, 3500, STREAMS), (125, 4000, STREAMS), (1, 3000, STREAMS)], ids=str
+)
+def test_cdf_estimates_block(benchmark, references, shape):
+    """Per-stream ranking of a lockstep block."""
+    block = np.random.default_rng(2).normal(size=shape)
     sizes = np.array([ref.size for ref in references], dtype=float)
     benchmark(detector._cdf_estimates, references, sizes, block)
 

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import detector
-from .errors import BracketError, DomainError, EmptyInputError
+from .errors import BracketError, DimensionMismatchError, DomainError, EmptyInputError
 from .simulate import _uniforms
 from .standardize import ReferenceStats, apply as apply_stats
 
@@ -119,6 +119,10 @@ def _collect_traces(
     Without ``reset_on_alarm`` trajectories do not depend on the threshold,
     so one pass supports every threshold probed during the search.
     Replications are advanced in lockstep in chunks to bound memory.
+
+    Raises:
+        DimensionMismatchError: A draw is not exactly ``(run_length, p)``;
+            it would otherwise be broadcast into the block.
     """
     stream_count = config.stream_count
     traces = np.empty((replications, run_length))
@@ -129,7 +133,13 @@ def _collect_traces(
         hi = min(lo + chunk, replications)
         block = np.empty((hi - lo, run_length, stream_count))
         for rep in range(lo, hi):
-            block[rep - lo] = source(rep, 0, run_length)
+            draw = source(rep, 0, run_length)
+            if np.shape(draw) != block.shape[1:]:
+                raise DimensionMismatchError(
+                    f"source returned shape {np.shape(draw)} for replication "
+                    f"{rep}, expected {block.shape[1:]}"
+                )
+            block[rep - lo] = draw
         traces[lo:hi] = detector.run_many(
             references, config, block, reset_on_alarm=reset_on_alarm
         )

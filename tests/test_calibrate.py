@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from faultmon import calibrate, detector, standardize
-from faultmon.errors import BracketError, DomainError, EmptyInputError
+from faultmon.errors import (
+    BracketError,
+    DimensionMismatchError,
+    DomainError,
+    EmptyInputError,
+)
 
 # Reference [0, 1], online value 10 -> mu = 3/4 exactly, so W+ grows by
 # -log(1/4) - k per step and never clamps for k < log(4).
@@ -107,6 +112,35 @@ def test_false_alarm_rate_rejects_empty_budget():
             calibrate.estimate_false_alarm_rate(
                 1.0, refs, config, _constant_source, replications, run_length
             )
+
+
+def _three_stream_refs_config():
+    rng = np.random.default_rng(13)
+    refs = [detector.build_reference(rng.normal(size=50)) for _ in range(3)]
+    return refs, detector.MonitorConfig(1.3, 2, 3)
+
+
+def test_find_threshold_rejects_single_column_source():
+    # A (count, 1) draw would broadcast into all three streams.
+    refs, config = _three_stream_refs_config()
+
+    def one_column(replication, start, count):
+        return np.random.default_rng(replication).normal(size=(count, 1))
+
+    spec = calibrate.CalibrationSpec(target_arl0=50.0, replications=4)
+    with pytest.raises(DimensionMismatchError):
+        calibrate.find_threshold(refs, config, one_column, spec)
+
+
+def test_false_alarm_rate_rejects_single_row_source():
+    # A (p,) draw would repeat one sample for the whole run.
+    refs, config = _three_stream_refs_config()
+
+    def one_row(replication, start, count):
+        return np.random.default_rng(replication).normal(size=3)
+
+    with pytest.raises(DimensionMismatchError):
+        calibrate.estimate_false_alarm_rate(8.0, refs, config, one_row, 2, 100)
 
 
 def _restart_loop_far(threshold, references, config, source, replications, run_length):

@@ -266,6 +266,46 @@ def test_v_nonnegative_and_finite(seed):
     assert (trace.global_stats >= 0).all()
 
 
+# Integer values tie within and across streams, the two zeros tie with each
+# other, and -9 and 9 lie beyond both ends of every reference.
+_TIE_VALUES = [-4.0, -1.0, -0.0, 0.0, 1.0, 2.0, 4.0]
+_KEY_VALUES = _TIE_VALUES + [-9.0, 9.0]
+
+
+@st.composite
+def _ranking_cases(draw):
+    """References of differing sizes (often 1) and keys of shape
+    ``(1, 1, p)``, ``(T, p)`` or one row past a ranking slice."""
+    p = draw(st.integers(1, 4))
+    refs = []
+    for _ in range(p):
+        size = draw(st.one_of(st.just(1), st.integers(2, 30)))
+        values = draw(st.lists(st.sampled_from(_TIE_VALUES), min_size=size, max_size=size))
+        refs.append(detector.build_reference(values))
+    shape = draw(st.sampled_from(["sample", "run", "slices"]))
+    if shape == "slices":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return refs, rng.choice(_KEY_VALUES, size=(detector._RANK_SLICE_ROWS + 1, p))
+    rows = 1 if shape == "sample" else draw(st.integers(1, 40))
+    values = draw(st.lists(st.sampled_from(_KEY_VALUES), min_size=rows * p, max_size=rows * p))
+    keys = np.array(values).reshape(rows, p)
+    return refs, keys[np.newaxis] if shape == "sample" else keys
+
+
+@given(_ranking_cases())
+@settings(max_examples=150, deadline=None)
+def test_cdf_estimates_match_per_key_search_bitwise(case):
+    refs, keys = case
+    sizes = np.array([ref.size for ref in refs], dtype=float)
+    expected = np.empty(keys.shape)
+    for i, ref in enumerate(refs):
+        counts = np.searchsorted(ref, keys[..., i], side="left")
+        expected[..., i] = (counts + 1.0) / (ref.size + 2.0)
+    got = detector._cdf_estimates(refs, sizes, keys)
+    assert got.shape == keys.shape
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 def _step_with_resets(refs, config, run):
     """Oracle: one Monitor stepped sample by sample, reset after every alarm."""
     monitor = detector.Monitor(refs, config)
