@@ -274,7 +274,8 @@ def _run_recursion(
     """Drive the CUSUM recursion over the time axis.
 
     Args:
-        mu: CDF estimates, shape ``(..., T, p)``.
+        mu: CDF estimates, shape ``(..., T, p)``; overwritten with
+            ``log(mu)`` so that no more block-sized arrays are kept.
         w_plus, w_minus: Entry state, shape ``(..., p)``; not modified.
         reset_at: If given, zero the state of each row whose V reaches it.
 
@@ -282,8 +283,9 @@ def _run_recursion(
         ``(v, w_plus, w_minus)`` with ``v`` of shape ``(..., T)`` and the
         exit states.
     """
-    log_hi = np.log(1.0 - mu)
-    log_lo = np.log(mu)
+    log_hi = np.subtract(1.0, mu)
+    np.log(log_hi, out=log_hi)
+    log_lo = np.log(mu, out=mu)
     v = np.empty(mu.shape[:-1], dtype=float)
     for t in range(mu.shape[-2]):
         w_plus, w_minus, _, v[..., t] = _cusum_step(

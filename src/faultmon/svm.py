@@ -5,9 +5,13 @@ Binary models solve the standard soft-margin dual
     min_a  0.5 a' Q a - sum(a)   s.t.  0 <= a_i <= C,  y' a = 0,
 
 with Q_ij = y_i y_j K(x_i, x_j), by sequential minimal optimization with
-maximal-violating-pair working-set selection. Multiclass wraps one-vs-one
-voting over all label pairs. Features are z-scored once before any kernel
-is evaluated so a single gamma suits all coordinates.
+maximal-violating-pair working-set selection (Platt 1998). The loop keeps
+``-y * grad`` and both working sets incrementally on buffers allocated once
+per fit, so an iteration costs a fixed handful of numpy calls; it reads
+kernel columns, not rows, because the expanded-distance kernel is not
+bitwise symmetric. Multiclass wraps one-vs-one voting over all label
+pairs. Features are z-scored once before any kernel is evaluated so a
+single gamma suits all coordinates.
 """
 
 from __future__ import annotations
@@ -46,10 +50,15 @@ _ALPHA_TOL = 1e-8
 _CURVATURE_FLOOR = 1e-12
 
 
+def _check_hyperparameter(name: str, value) -> None:
+    # Written so that NaN fails it too.
+    if not 0.0 < value < np.inf:
+        raise DomainError(f"{name} must be finite and positive, got {value}")
+
+
 def rbf_kernel_matrix(a, b, gamma: float) -> np.ndarray:
     """Gaussian kernel between row sets: shape ``(len(a), len(b))``."""
-    if gamma <= 0.0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+    _check_hyperparameter("gamma", gamma)
     left = np.atleast_2d(np.asarray(a, dtype=float))
     right = np.atleast_2d(np.asarray(b, dtype=float))
     if left.shape[1] != right.shape[1]:
@@ -142,15 +151,23 @@ def train_binary(
     two-variable subproblem exactly with clipping, and updates the
     gradient. Terminates when the KKT violation gap falls to ``tol``.
 
+    The loop keeps ``-y * grad`` rather than the gradient, and the two
+    working sets as 0/-inf penalty vectors of which only the two moved
+    duals' entries change; the scalar step and clipping run on Python
+    floats. The gradient update reads kernel columns because the kernel is
+    not bitwise symmetric. Ties go to the lowest index.
+
     Args:
         features: ``(n, d)`` matrix, already scaled.
         labels: n values in {-1, +1}.
-        c_penalty: Box constraint C > 0.
-        gamma: RBF width > 0.
+        c_penalty: Box constraint C, finite and positive.
+        gamma: RBF width, finite and positive.
         tol: KKT gap at which to stop.
 
     Raises:
         SingleClassError: Only one label present.
+        DomainError: A label is not -1 or +1, or C or gamma is not finite
+            and positive.
         NoConvergenceError: ``10_000 * n`` iterations ran with the gap still
             above ``tol``.
     """
@@ -160,26 +177,40 @@ def train_binary(
         raise DomainError("binary labels must be -1 or +1")
     if np.unique(y).size < 2:
         raise SingleClassError("training data contains a single class")
-    if c_penalty <= 0.0:
-        raise DomainError(f"c_penalty must be positive, got {c_penalty}")
+    _check_hyperparameter("c_penalty", c_penalty)
     n = x.shape[0]
     cap = 10_000 * n
 
     kernel = rbf_kernel_matrix(x, x, gamma)
-    alphas = np.zeros(n)
-    # Gradient of the minimized form: grad_i = (Q a)_i - 1.
-    grad = -np.ones(n)
+    # columns[k] is kernel[:, k]. The expanded-distance kernel is not
+    # bitwise symmetric, so its rows would not reproduce the same sums.
+    columns = np.ascontiguousarray(kernel.T)
+    signs = y.tolist()
+    alphas = [0.0] * n
+    upper = c_penalty - _ALPHA_TOL
+    # score = -y * grad for the gradient grad = Q a - 1 of the minimized
+    # form; its spread over the working sets measures KKT violation.
+    score = y.copy()
+    # The working sets as additive penalties: 0 inside, -inf outside.
+    up_mask, low_mask = _working_sets(y, np.zeros(n), c_penalty)
+    up_penalty = np.where(up_mask, 0.0, -np.inf)
+    low_penalty = np.where(low_mask, 0.0, -np.inf)
+    buffer = np.empty(n)
+    diff = np.empty(n)
 
     iterations = 0
     while True:
-        # -y_i grad_i is the quantity whose spread measures KKT violation.
-        score = -y * grad
-        up_mask, low_mask = _working_sets(y, alphas, c_penalty)
-        if not up_mask.any() or not low_mask.any():
+        # argmax/argmin take the first extremum, as over the masked scores;
+        # a working set is empty when its extremum is infinite.
+        np.add(score, up_penalty, out=buffer)
+        i = int(buffer.argmax())
+        if buffer[i] == -np.inf:
             break
-        i = np.flatnonzero(up_mask)[np.argmax(score[up_mask])]
-        j = np.flatnonzero(low_mask)[np.argmin(score[low_mask])]
-        gap = score[i] - score[j]
+        np.subtract(score, low_penalty, out=buffer)
+        j = int(buffer.argmin())
+        if buffer[j] == np.inf:
+            break
+        gap = score.item(i) - score.item(j)
         if gap <= tol:
             break
         if iterations >= cap:
@@ -187,24 +218,35 @@ def train_binary(
                 f"SMO hit the iteration cap {cap} with KKT gap {gap:.3e}",
                 residual=float(gap),
             )
-        curvature = kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j]
+        curvature = kernel.item(i, i) + kernel.item(j, j) - 2.0 * kernel.item(i, j)
         step = gap / max(curvature, _CURVATURE_FLOOR)
         # The step moves alpha_i by +y_i * step and alpha_j by -y_j * step;
         # clip it so both duals stay inside the box.
-        if y[i] > 0:
+        y_i, y_j = signs[i], signs[j]
+        if y_i > 0:
             step = min(step, c_penalty - alphas[i])
         else:
             step = min(step, alphas[i])
-        if y[j] > 0:
+        if y_j > 0:
             step = min(step, alphas[j])
         else:
             step = min(step, c_penalty - alphas[j])
-        alphas[i] += y[i] * step
-        alphas[j] -= y[j] * step
-        grad += y * step * (kernel[:, i] - kernel[:, j])
+        alphas[i] += y_i * step
+        alphas[j] -= y_j * step
+        # y is +-1 and rounding is symmetric under negation, so this is
+        # bitwise the update grad += y * step * (K[:, i] - K[:, j]).
+        np.subtract(columns[i], columns[j], out=diff)
+        diff *= step
+        score -= diff
+        for k, y_k in ((i, y_i), (j, y_j)):
+            below_c = alphas[k] < upper
+            above_0 = alphas[k] > _ALPHA_TOL
+            up, low = (below_c, above_0) if y_k > 0 else (above_0, below_c)
+            up_penalty[k] = 0.0 if up else -np.inf
+            low_penalty[k] = 0.0 if low else -np.inf
         iterations += 1
 
-    score = -y * grad
+    alphas = np.array(alphas)
     free = (alphas > _ALPHA_TOL) & (alphas < c_penalty - _ALPHA_TOL)
     if free.any():
         bias = float(score[free].mean())
@@ -375,6 +417,10 @@ def grid_search(
 
     Accuracy ties are broken toward the smaller C, then the smaller gamma
     (the least complex model).
+
+    Raises:
+        EmptyInputError: A grid is empty.
+        DomainError: A grid value is not finite and positive.
     """
     x, y = _check_training_inputs(features, labels)
     y = y.astype(int)
@@ -382,11 +428,17 @@ def grid_search(
         default_c, default_gamma = default_grids(x.shape[1])
         c_grid = default_c if c_grid is None else c_grid
         gamma_grid = default_gamma if gamma_grid is None else gamma_grid
+    c_grid, gamma_grid = sorted(c_grid), sorted(gamma_grid)
+    for name, grid in (("c_penalty", c_grid), ("gamma", gamma_grid)):
+        if not grid:
+            raise EmptyInputError(f"the {name} grid is empty")
+        for value in grid:
+            _check_hyperparameter(name, value)
     fold_indices = stratified_folds(y, folds, seed)
     table = []
     best = None
-    for c_penalty in sorted(c_grid):
-        for gamma in sorted(gamma_grid):
+    for c_penalty in c_grid:
+        for gamma in gamma_grid:
             correct = 0
             for fold in fold_indices:
                 train_mask = np.ones(y.size, dtype=bool)

@@ -50,3 +50,64 @@ def one_vs_one_vote(model, x):
             margins[label_b] += abs(values[row])
         out.append(max(votes, key=lambda label: (votes[label], margins[label], -label)))
     return np.array(out)
+
+
+def max_violating_pair_smo(kernel, labels, c_penalty, tol, alpha_tol=1e-8,
+                           curvature_floor=1e-12):
+    """Duals, bias and iteration count of ``svm.train_binary``, one mask at a time.
+
+    SMO with maximal-violating-pair selection that recomputes the gradient
+    form ``-y * grad`` and both working-set masks from scratch on every
+    iteration, and reads the kernel column by column. It makes the same
+    floating-point operations as the package's incremental loop, so the two
+    agree bit for bit.
+    """
+    y = np.asarray(labels, dtype=float)
+    n = y.size
+    alphas = np.zeros(n)
+    # Gradient of the minimized form: grad_i = (Q a)_i - 1.
+    grad = -np.ones(n)
+
+    def working_sets():
+        below_c = alphas < c_penalty - alpha_tol
+        above_0 = alphas > alpha_tol
+        up_mask = ((y > 0) & below_c) | ((y < 0) & above_0)
+        low_mask = ((y < 0) & below_c) | ((y > 0) & above_0)
+        return up_mask, low_mask
+
+    iterations = 0
+    while True:
+        score = -y * grad
+        up_mask, low_mask = working_sets()
+        if not up_mask.any() or not low_mask.any():
+            break
+        i = np.flatnonzero(up_mask)[np.argmax(score[up_mask])]
+        j = np.flatnonzero(low_mask)[np.argmin(score[low_mask])]
+        gap = score[i] - score[j]
+        if gap <= tol:
+            break
+        curvature = kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j]
+        step = gap / max(curvature, curvature_floor)
+        if y[i] > 0:
+            step = min(step, c_penalty - alphas[i])
+        else:
+            step = min(step, alphas[i])
+        if y[j] > 0:
+            step = min(step, alphas[j])
+        else:
+            step = min(step, c_penalty - alphas[j])
+        alphas[i] += y[i] * step
+        alphas[j] -= y[j] * step
+        grad += y * step * (kernel[:, i] - kernel[:, j])
+        iterations += 1
+
+    score = -y * grad
+    free = (alphas > alpha_tol) & (alphas < c_penalty - alpha_tol)
+    if free.any():
+        bias = float(score[free].mean())
+    else:
+        up_mask, low_mask = working_sets()
+        hi = score[up_mask].max() if up_mask.any() else score.min()
+        lo = score[low_mask].min() if low_mask.any() else score.max()
+        bias = float(0.5 * (hi + lo))
+    return alphas, bias, iterations

@@ -3,20 +3,25 @@
 The dual oracle is an accelerated projected-gradient solver, vectorized
 across instances: maximize sum(a) - 0.5 (ay)' K (ay) subject to the box
 and the equality constraint, with the projection computed by bisection
-on the constraint multiplier. It shares no code with the SMO path.
+on the constraint multiplier. It shares no code with the SMO path. The
+bitwise test compares the SMO loop with ``oracles.max_violating_pair_smo``,
+which makes the same arithmetic one recomputed mask at a time.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from faultmon import svm
 from faultmon.errors import (
     DimensionMismatchError,
+    DomainError,
     EmptyInputError,
     SingleClassError,
     TooFewPerClassError,
 )
-from tests.oracles import one_vs_one_vote, rbf_kernel
+from tests.oracles import max_violating_pair_smo, one_vs_one_vote, rbf_kernel
 
 
 def _project(v, y, caps):
@@ -117,6 +122,92 @@ def test_smo_solution_is_feasible():
         assert (alphas >= -1e-12).all()
         assert (alphas <= c + 1e-12).all()
         assert abs(np.dot(alphas, y)) <= 1e-6
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+# Explicit cases: duplicated rows (argmax ties), C so small that every dual
+# ends at a bound (bias from the working sets), a large C, one minority
+# label, n = 2, and both tolerances.
+@given(
+    n=st.integers(2, 24),
+    d=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    duplicates=st.booleans(),
+    minority=st.booleans(),
+    c_penalty=st.sampled_from([1e-4, 0.3, 2.0, 1e4]),
+    gamma=st.sampled_from([0.05, 0.7, 4.0]),
+    tol=st.sampled_from([1e-3, 1e-6]),
+)
+@example(n=12, d=2, seed=1, duplicates=True, minority=False, c_penalty=2.0,
+         gamma=0.7, tol=1e-3)
+@example(n=12, d=3, seed=2, duplicates=False, minority=False, c_penalty=1e-4,
+         gamma=0.7, tol=1e-6)
+@example(n=16, d=3, seed=3, duplicates=True, minority=False, c_penalty=1e4,
+         gamma=4.0, tol=1e-6)
+@example(n=10, d=2, seed=4, duplicates=False, minority=True, c_penalty=2.0,
+         gamma=0.7, tol=1e-3)
+@example(n=2, d=1, seed=5, duplicates=False, minority=False, c_penalty=0.3,
+         gamma=0.05, tol=1e-6)
+@settings(max_examples=150, deadline=None)
+def test_smo_matches_mask_oracle_bitwise(n, d, seed, duplicates, minority,
+                                         c_penalty, gamma, tol):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0)
+    if duplicates:
+        x[rng.integers(0, n, size=n // 2)] = x[rng.integers(0, n)]
+    if minority:
+        y = -np.ones(n)
+        y[rng.integers(0, n)] = 1.0
+    else:
+        y = rng.choice([-1.0, 1.0], size=n)
+        y[rng.permutation(n)[:2]] = (1.0, -1.0)
+    model = svm.train_binary(x, y, c_penalty, gamma, tol=tol)
+    kernel = svm.rbf_kernel_matrix(x, x, gamma)
+    alphas, bias, iterations = max_violating_pair_smo(kernel, y, c_penalty, tol)
+    np.testing.assert_array_equal(_bits(model.alphas), _bits(alphas))
+    assert _bits(model.bias) == _bits(bias)
+    assert model.iterations == iterations
+    support = alphas > 1e-8
+    np.testing.assert_array_equal(_bits(model.support_vectors), _bits(x[support]))
+    np.testing.assert_array_equal(_bits(model.dual_coefs), _bits((alphas * y)[support]))
+
+
+def _two_class_rows():
+    x = np.random.default_rng(60).normal(size=(20, 3))
+    y = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)
+    return x, y
+
+
+def test_train_binary_rejects_nan_c_penalty():
+    x, y = _two_class_rows()
+    with pytest.raises(DomainError):
+        svm.train_binary(x, y, np.nan, 1.0)
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf])
+def test_train_binary_rejects_non_finite_gamma(gamma):
+    x, y = _two_class_rows()
+    with pytest.raises(DomainError):
+        svm.train_binary(x, y, 1.0, gamma)
+    with pytest.raises(DomainError):
+        svm.rbf_kernel_matrix(x, x, gamma)
+
+
+def test_grid_search_rejects_nan_gamma():
+    rng = np.random.default_rng(61)
+    x, y = _blobs(rng, [(1, (0, 0)), (2, (4, 4))], per_class=8)
+    with pytest.raises(DomainError):
+        svm.grid_search(x, y, c_grid=[1.0], gamma_grid=(np.nan,), folds=2)
+
+
+def test_grid_search_rejects_empty_c_grid():
+    rng = np.random.default_rng(62)
+    x, y = _blobs(rng, [(1, (0, 0)), (2, (4, 4))], per_class=8)
+    with pytest.raises(EmptyInputError):
+        svm.grid_search(x, y, c_grid=(), gamma_grid=[0.5], folds=2)
 
 
 def test_kkt_residuals_small():
