@@ -22,15 +22,26 @@ sample whose V reaches the threshold (the renewal convention), as calling
 ``Monitor.reset`` after every alarm would.
 
 Ranking picks its method by the call. ``Monitor.step`` ranks its p values
-through a merged index of all references (``_MergedIndex``): two
-vectorized searches per sample instead of p separate ones, whose per-call
-overhead dominates when each searches a single key. ``Monitor.run`` and
-``run_many`` rank a batch by sort-merge (``_cdf_estimates``): per stream
-and per slice of rows, they sort the slice's values and place the s
-reference values among them with s searches, instead of one binary search
-over the reference per value, whose mispredicted branches dominate when a
-stream has thousands of keys. Both count the same reference values
-strictly below each observation, so the paths stay bit-identical.
+through one index of all references (``_StepIndex``): one vectorized
+search per sample instead of p separate ones, whose per-call overhead
+dominates when each searches a single key. Each stream's reference values
+are complex keys ``stream + value j``, and the sample's value for stream i
+is searched as ``i + z_i j``; numpy orders complex numbers by real part,
+then imaginary part, so that one search ranks every stream within its own
+block. Its result is the sample's position in two tables, built once per
+monitor, that hold ``log(1 - mu)`` and ``log(mu)`` for every count c in
+0..s of every stream: ``step`` gathers its log terms there instead of
+dividing and taking two logs per sample. The tables hold the logs of the
+same estimate ``(c + 1.0) / (s + 2.0)``, so the step stays bit-identical
+to the batch path, which takes the logs of a whole block at once.
+
+``Monitor.run`` and ``run_many`` rank a batch by sort-merge
+(``_cdf_estimates``): per stream and per slice of rows, they sort the
+slice's values and place the s reference values among them with s
+searches, instead of one binary search over the reference per value,
+whose mispredicted branches dominate when a stream has thousands of keys.
+Both paths count the same reference values strictly below each
+observation, so they stay bit-identical.
 """
 
 from __future__ import annotations
@@ -223,35 +234,42 @@ def _cdf_estimates(references, sizes: np.ndarray, samples: np.ndarray) -> np.nda
     return mu.reshape(samples.shape)
 
 
-class _MergedIndex:
-    """Ranks one value per stream against all p references in two searches.
+class _StepIndex:
+    """Ranks one value per stream against all p references in one search
+    and reads the CUSUM's log terms for those ranks from two tables.
 
-    The p sorted references are merged, with a stable sort, into one
-    ascending array of N values. Each reference value's position there
-    becomes the key ``stream * (N + 1) + position``; the keys ascend by
-    construction. Every merged value below ``z_i`` sits at a position below
-    ``g_i = merged.searchsorted(z_i)``, so the keys of stream i below
-    ``i * (N + 1) + g_i`` are exactly its reference values below ``z_i``,
-    ties within and across streams included. Memory is O(N).
+    Stream i's reference values r become the complex keys ``i + r j``,
+    followed by one closing key ``i + inf j``, and the p streams' keys are
+    laid end to end; numpy orders complex numbers by real part, then by
+    imaginary part, so the keys ascend as built. Searching them for the
+    sample ``i + z_i j`` finds every key of the streams before i, their
+    closing keys included, then stream i's reference values strictly below
+    ``z_i``, with ties and ``-0.0 == 0.0`` counted as ``ref.searchsorted``
+    counts them; its closing key is never below a finite ``z_i``. The
+    search thus returns ``offset_i + i + c_i``, the position of count
+    ``c_i`` in stream i's block of two tables that hold ``log(1 - mu)``
+    and ``log(mu)`` at ``mu = (c + 1.0) / (s_i + 2.0)`` for every c in
+    0..s_i. Memory is O(N + p) for N reference values in all.
     """
 
     def __init__(self, references: list[np.ndarray]):
         sizes = np.array([ref.size for ref in references])
-        merged = np.concatenate(references)
-        order = np.argsort(merged, kind="stable")
-        position = np.empty(merged.size, dtype=np.int64)
-        position[order] = np.arange(merged.size)
-        self._merged = merged[order]
-        self._key_base = np.arange(sizes.size) * (merged.size + 1)
-        self._keys = np.repeat(self._key_base, sizes) + position
-        self._offsets = np.cumsum(sizes) - sizes
-        self._denominators = sizes + 2.0
+        keys = np.empty(sizes.sum() + sizes.size, dtype=complex)
+        keys.real = np.repeat(np.arange(sizes.size), sizes + 1)
+        keys.imag = np.concatenate([np.append(ref, np.inf) for ref in references])
+        self._keys = keys
+        # One sample's keys; step writes z into the imaginary parts.
+        self._query = np.arange(sizes.size, dtype=complex)
+        counts = np.concatenate([np.arange(size + 1) for size in sizes])
+        mu = (counts + 1.0) / np.repeat(sizes + 2.0, sizes + 1)
+        self._log_hi = np.log(1.0 - mu)
+        self._log_lo = np.log(mu)
 
-    def cdf_estimates(self, sample: np.ndarray) -> np.ndarray:
-        """Smoothed empirical CDF values for one sample of shape ``(p,)``."""
-        below = self._merged.searchsorted(sample)
-        counts = self._keys.searchsorted(self._key_base + below) - self._offsets
-        return (counts + 1.0) / self._denominators
+    def log_terms(self, sample: np.ndarray):
+        """``log(1 - mu)`` and ``log(mu)`` for one finite sample of shape ``(p,)``."""
+        self._query.imag = sample
+        at = self._keys.searchsorted(self._query)
+        return self._log_hi[at], self._log_lo[at]
 
 
 def _cusum_step(w_plus, w_minus, log_hi, log_lo, allowance: float, top_r: int):
@@ -309,11 +327,16 @@ class Monitor:
     (or :meth:`reset`) has ``time_index == 0``.
     """
 
+    # Whether ``step`` checks its sample. ``pipeline.online_monitor`` turns
+    # it off on the monitor it owns, which only ever sees rows it has
+    # checked itself: a 1-D float array of p finite values.
+    _checks_samples = True
+
     def __init__(self, references, config: MonitorConfig):
         self.config = config
         self._references = _validate_references(references, config.stream_count)
         self._sizes = np.array([ref.size for ref in self._references], dtype=float)
-        self._index = _MergedIndex(self._references)
+        self._index = _StepIndex(self._references)
         self._w_plus = np.zeros(config.stream_count)
         self._w_minus = np.zeros(config.stream_count)
         self._time = 0
@@ -326,10 +349,11 @@ class Monitor:
 
     def step(self, sample) -> MonitorOutput:
         """Consume one standardized sample of shape ``(p,)``."""
-        arr = _check_samples(sample, self.config.stream_count, 1)
-        mu = self._index.cdf_estimates(arr)
+        if self._checks_samples:
+            sample = _check_samples(sample, self.config.stream_count, 1)
+        log_hi, log_lo = self._index.log_terms(sample)
         self._w_plus, self._w_minus, two, v = _cusum_step(
-            self._w_plus, self._w_minus, np.log(1.0 - mu), np.log(mu),
+            self._w_plus, self._w_minus, log_hi, log_lo,
             self.config.allowance, self.config.top_r,
         )
         v = float(v)

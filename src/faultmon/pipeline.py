@@ -41,6 +41,7 @@ from .bundle import ModelBundle, _check_model_options
 from .errors import (
     BracketError,
     CalibrationFailedError,
+    DimensionMismatchError,
     DomainError,
     EmptyInputError,
     LabelMismatchError,
@@ -185,12 +186,16 @@ def _window_covariance(z, t_c: int, window: int, trace_length: int, use_trace: b
     return spd.covariance(z[start : t_c + 1]), None
 
 
-def _feature_vector(
-    cov, v_trace, karcher_base, feature_mode: str, metric: str, use_trace: bool
-):
+def _tangent_base(karcher_base, feature_mode: str):
+    """The Karcher base for ``_feature_vector``: decomposed once for tangent
+    features, ``None`` for raw ones."""
+    return spd._Base(karcher_base) if feature_mode == "tangent" else None
+
+
+def _feature_vector(cov, v_trace, tangent_base, metric: str, use_trace: bool):
     """Classifier input for one window covariance and its V trace."""
-    if feature_mode == "tangent":
-        vec = spd.tangent_vectorize(spd.spd_log(karcher_base, cov, metric))
+    if tangent_base is not None:
+        vec = spd.tangent_vectorize(spd.spd_log(tangent_base, cov, metric))
     else:
         vec = spd.tangent_vectorize(cov)
     if use_trace:
@@ -333,10 +338,10 @@ def _fit(
         karcher_base = spd.karcher_mean(covs, METRIC_AFFINE)
     else:
         karcher_base = np.eye(setup.stats.stream_count)
+    tangent_base = _tangent_base(karcher_base, config.feature_mode)
     feature_matrix = np.vstack([
         _feature_vector(
-            cov, trace, karcher_base, config.feature_mode, METRIC_AFFINE,
-            config.trace_features,
+            cov, trace, tangent_base, METRIC_AFFINE, config.trace_features
         )
         for cov, trace in zip(covs, traces)
     ])
@@ -430,13 +435,15 @@ def online_monitor(bundle: ModelBundle, samples: Iterable) -> Iterator[MonitorEv
         :class:`MonitorEvent` in time order.
     """
     monitor = detector.Monitor(bundle.references, bundle.config)
+    monitor._checks_samples = False  # _standardized_row checks each sample
+    tangent_base = _tangent_base(bundle.karcher_base, bundle.feature_mode)
     window_buffer: deque = deque(maxlen=bundle.window)
     v_episode: list[float] = []
     alarm_at: int | None = None
     time_index = -1
     last_stat = 0.0
     for time_index, sample in enumerate(samples):
-        z = standardize.apply(np.asarray(sample, dtype=float), bundle.stats)
+        z = _standardized_row(sample, bundle.stats)
         out = monitor.step(z)
         window_buffer.append(z)
         v_episode.append(out.global_stat)
@@ -446,7 +453,9 @@ def online_monitor(bundle: ModelBundle, samples: Iterable) -> Iterator[MonitorEv
             alarm_at = time_index
             yield MonitorEvent("alarm_raised", time_index, out.global_stat)
         if alarm_at is not None and time_index == alarm_at + bundle.patience:
-            predicted, error = _classify_buffer(bundle, window_buffer, v_episode)
+            predicted, error = _classify_buffer(
+                bundle, tangent_base, window_buffer, v_episode
+            )
             yield MonitorEvent(
                 "classification",
                 time_index,
@@ -461,7 +470,24 @@ def online_monitor(bundle: ModelBundle, samples: Iterable) -> Iterator[MonitorEv
         yield MonitorEvent("episode_incomplete", time_index, last_stat)
 
 
-def _classify_buffer(bundle: ModelBundle, window_buffer, v_episode):
+def _standardized_row(sample, stats: standardize.ReferenceStats) -> np.ndarray:
+    """One raw sample, standardized and checked once: p finite values, 1-D.
+
+    ``standardize.apply`` checks the stream count and that its result is
+    finite; a sample of more than one axis is refused here. A finite one
+    is refused before it is standardized, so it fails for its shape even
+    where standardizing it would overflow, while one holding a NaN or an
+    infinity fails in ``apply`` for that.
+    """
+    arr = np.asarray(sample, dtype=float)
+    if arr.ndim > 1 and np.isfinite(arr).all():
+        raise DimensionMismatchError(
+            f"expected one sample of {stats.stream_count} streams, got shape {arr.shape}"
+        )
+    return standardize.apply(arr, stats)
+
+
+def _classify_buffer(bundle: ModelBundle, tangent_base, window_buffer, v_episode):
     z = np.asarray(window_buffer)
     cov, reason = _window_covariance(
         z, z.shape[0] - 1, bundle.window, len(v_episode), bundle.trace_features
@@ -469,8 +495,7 @@ def _classify_buffer(bundle: ModelBundle, window_buffer, v_episode):
     if reason is not None:
         return None, reason
     vec = _feature_vector(
-        cov, v_episode, bundle.karcher_base, bundle.feature_mode, bundle.metric,
-        bundle.trace_features,
+        cov, v_episode, tangent_base, bundle.metric, bundle.trace_features
     )
     return int(bundle.classifier.predict(vec)), None
 
@@ -539,6 +564,7 @@ def _score(bundle: ModelBundle, detected: list[_DetectedRun]) -> EvalReport:
         {d.run.fault_id for d in detected if d.run.fault_id != 0}
     )
     class_labels = [int(c) for c in bundle.classifier.class_labels]
+    tangent_base = _tangent_base(bundle.karcher_base, bundle.feature_mode)
     label_index = {c: i for i, c in enumerate(class_labels)}
     confusion = np.zeros((len(class_labels), len(class_labels)), dtype=int)
     per_class_total = {fid: 0 for fid in labels_present}
@@ -576,8 +602,7 @@ def _score(bundle: ModelBundle, detected: list[_DetectedRun]) -> EvalReport:
             unclassified[reason] = unclassified.get(reason, 0) + 1
             continue
         vec = _feature_vector(
-            cov, v[: t_c + 1], bundle.karcher_base, bundle.feature_mode,
-            bundle.metric, bundle.trace_features,
+            cov, v[: t_c + 1], tangent_base, bundle.metric, bundle.trace_features
         )
         predicted = int(bundle.classifier.predict(vec))
         classified += 1

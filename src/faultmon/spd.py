@@ -21,6 +21,7 @@ applied to eigenvalues.
 
 from __future__ import annotations
 
+import functools
 import logging
 
 import numpy as np
@@ -176,22 +177,49 @@ def covariance(window) -> np.ndarray:
     return cov
 
 
+class _Base:
+    """A base point of ``spd_log``, checked and decomposed once.
+
+    ``spd_log`` takes one in place of the base matrix, so that a caller
+    mapping many points at one base pays for the base's check, ``eigh``
+    and roots or log once; the maps are bitwise those of the matrix. The
+    check runs at the first map, so a bad base fails there, as the matrix
+    itself would.
+    """
+
+    def __init__(self, base):
+        self._base = base
+
+    @functools.cached_property
+    def checked(self):
+        """The symmetrized base with its eigenpairs."""
+        return _checked_spd(self._base, "base")
+
+    @functools.cached_property
+    def roots(self):
+        return _roots(*self.checked[1:])
+
+    @functools.cached_property
+    def log(self):
+        return _eig_map(*self.checked[1:], np.log)
+
+
 def spd_log(base, point, metric: str = METRIC_AFFINE) -> np.ndarray:
     """Map an SPD point into the tangent space at ``base``.
 
     Returns a symmetric matrix; in general it is not positive definite.
     """
     _check_metric(metric)
-    b, b_vals, b_vecs = _checked_spd(base, "base")
+    b = base if isinstance(base, _Base) else _Base(base)
+    b_shape = b.checked[0].shape
     x, x_vals, x_vecs = _checked_spd(point, "point")
-    if b.shape != x.shape:
+    if b_shape != x.shape:
         raise DimensionMismatchError(
-            f"base has shape {b.shape} but point has {x.shape}"
+            f"base has shape {b_shape} but point has {x.shape}"
         )
     if metric == METRIC_LOG_EUCLIDEAN:
-        return _eig_map(x_vals, x_vecs, np.log) - _eig_map(b_vals, b_vecs, np.log)
-    roots = _roots(b_vals, b_vecs)
-    return _affine_map(roots, x, np.log, "whitened point", positive=True)
+        return _eig_map(x_vals, x_vecs, np.log) - b.log
+    return _affine_map(b.roots, x, np.log, "whitened point", positive=True)
 
 
 def spd_exp(base, tangent, metric: str = METRIC_AFFINE) -> np.ndarray:

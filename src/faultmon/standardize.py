@@ -104,9 +104,14 @@ def fit_reference(raw) -> ReferenceStats:
 def apply(values, stats: ReferenceStats) -> np.ndarray:
     """Standardize one sample ``(p,)`` or a batch ``(n, p)``.
 
+    The result is checked rather than the input: it is non-finite where
+    the input is, and also where standardizing a finite value overflows,
+    so one check rejects both.
+
     Raises:
         DimensionMismatchError: Last axis does not match the stream count.
-        NonFiniteValueError: Any NaN or infinite entry.
+        NonFiniteValueError: Any NaN or infinite entry, in the input or in
+            the standardized result.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 0 or arr.shape[-1] != stats.stream_count:
@@ -114,7 +119,10 @@ def apply(values, stats: ReferenceStats) -> np.ndarray:
             f"expected {stats.stream_count} streams on the last axis, "
             f"got shape {arr.shape}"
         )
-    if not np.isfinite(arr).all():
-        raise NonFiniteValueError("input contains NaN or infinity")
-    return (arr - stats.means) / stats.stddevs
+    out = (arr - stats.means) / stats.stddevs
+    if not np.isfinite(out).all():
+        raise NonFiniteValueError(
+            "input contains NaN or infinity, or overflows when standardized"
+        )
+    return out
 

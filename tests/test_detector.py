@@ -25,12 +25,14 @@ def naive_cdf(reference, value):
     return float((count + 1.0) / (len(reference) + 2.0))
 
 
-def naive_run(references, allowance, top_r, data):
-    """Pure-loop recompute-everything CUSUM; returns the V trajectory."""
+def naive_trace(references, allowance, top_r, data):
+    """Pure-loop recompute-everything CUSUM; returns the V trajectory and
+    the two-sided statistics of every stream, shapes ``(T,)`` and ``(T, p)``."""
     p = len(references)
     w_plus = [0.0] * p
     w_minus = [0.0] * p
     out = []
+    local = []
     for t in range(data.shape[0]):
         stats = []
         for i in range(p):
@@ -43,7 +45,13 @@ def naive_run(references, allowance, top_r, data):
         for value in top:
             total += value
         out.append(total)
-    return np.array(out)
+        local.append(stats)
+    return np.array(out), np.array(local).reshape(-1, p)
+
+
+def naive_run(references, allowance, top_r, data):
+    """The V trajectory of :func:`naive_trace`."""
+    return naive_trace(references, allowance, top_r, data)[0]
 
 
 def test_estimate_cdf_hand_cases():
@@ -163,6 +171,42 @@ def test_step_ranks_ties_like_naive_oracle_and_run():
         np.testing.assert_array_equal(stepped, naive_run(refs, 0.05, top_r, data))
         batch = detector.Monitor(refs, config).run(data).global_stats
         np.testing.assert_array_equal(stepped, batch)
+
+
+def test_step_log_tables_match_oracle_bitwise_across_reset():
+    # Each stream's reference has its own size in 1..30, and a quarter of
+    # the keys lie below or above every reference value, so both ends of
+    # every stream's log tables (c = 0 and c = s_i) are read. Each monitor
+    # is reset part-way; both parts must match a fresh oracle run.
+    rng = np.random.default_rng(9)
+    cases = [[1, 30, 2, 17, 5]]
+    cases += [rng.permutation(30)[: rng.integers(1, 7)] + 1 for _ in range(30)]
+    for case, sizes in enumerate(cases):
+        p = len(sizes)
+        refs = [detector.build_reference(rng.normal(size=size)) for size in sizes]
+        data = rng.normal(size=(40, p))
+        data[rng.random(data.shape) < 0.125] = -50.0
+        data[rng.random(data.shape) < 0.125] = 50.0
+        top_r = p if case % 2 else int(rng.integers(1, p + 1))
+        config = detector.MonitorConfig(0.05, top_r, p)
+        cut = int(rng.integers(1, data.shape[0]))
+        monitor = detector.Monitor(refs, config)
+        outputs = [monitor.step(row) for row in data[:cut]]
+        monitor.reset()
+        outputs += [monitor.step(row) for row in data[cut:]]
+        assert outputs[cut].time_index == 0
+        stepped = np.array([out.global_stat for out in outputs])
+        local = np.array([out.local_stats for out in outputs])
+        for part in (slice(0, cut), slice(cut, None)):
+            v_expected, local_expected = naive_trace(refs, 0.05, top_r, data[part])
+            np.testing.assert_array_equal(
+                stepped[part].view(np.int64), v_expected.view(np.int64)
+            )
+            np.testing.assert_array_equal(
+                local[part].view(np.int64), local_expected.view(np.int64)
+            )
+            batch = detector.Monitor(refs, config).run(data[part]).global_stats
+            np.testing.assert_array_equal(stepped[part].view(np.int64), batch.view(np.int64))
 
 
 def test_batch_paths_match_streaming_bitwise():

@@ -3,12 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from faultmon import pipeline, simulate
+from faultmon import pipeline, simulate, standardize
 from faultmon.errors import (
+    DimensionMismatchError,
     DomainError,
     EmptyInputError,
     LabelMismatchError,
     NoAlarmInTrainingError,
+    NonFiniteValueError,
 )
 from tests.conftest import PINNED_H
 
@@ -122,6 +124,47 @@ def test_online_monitor_matches_offline_evaluate(trained_bundle, small_benchmark
         assert outcomes[0].predicted_fault == predicted
         compared += 1
     assert compared >= 1
+
+
+def _with_value(row, stream, value):
+    row = row.copy()
+    row[stream] = value
+    return row
+
+
+# Malformed raw samples, built from the in-control means, after which
+# online_monitor must stop. Stream 0's scale is set to 1e-300 below, so a
+# finite offset of 1e10 there overflows when standardized.
+_BAD_ROWS = {
+    "nan": (lambda m: _with_value(m, 3, np.nan), NonFiniteValueError),
+    "+inf": (lambda m: _with_value(m, 1, np.inf), NonFiniteValueError),
+    "-inf": (lambda m: _with_value(m, 0, -np.inf), NonFiniteValueError),
+    "overflow": (lambda m: _with_value(m, 0, m[0] + 1e10), NonFiniteValueError),
+    "(1, p)": (lambda m: m[np.newaxis], DimensionMismatchError),
+    "(1, p) overflow": (
+        lambda m: _with_value(m, 0, m[0] + 1e10)[np.newaxis], DimensionMismatchError
+    ),
+    "(1, p) nan": (lambda m: _with_value(m, 3, np.nan)[np.newaxis], NonFiniteValueError),
+    "(p + 1,)": (lambda m: np.append(m, 0.0), DimensionMismatchError),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_ROWS))
+def test_online_monitor_rejects_bad_sample_after_good_ones(trained_bundle, case):
+    stats = trained_bundle.stats
+    stddevs = stats.stddevs.copy()
+    stddevs[0] = 1e-300
+    bundle = dataclasses.replace(
+        trained_bundle, stats=standardize.ReferenceStats(stats.means, stddevs)
+    )
+    build_row, error = _BAD_ROWS[case]
+    # The means standardize to zero on every stream, tiny scale or not.
+    good = [stats.means.copy() for _ in range(3)]
+    events = []
+    with pytest.raises(error):
+        for event in pipeline.online_monitor(bundle, good + [build_row(stats.means)]):
+            events.append(event)
+    assert [(e.kind, e.time_index) for e in events] == [("sample", t) for t in range(3)]
 
 
 def test_evaluate_report_shape(trained_bundle, small_benchmark):

@@ -92,6 +92,32 @@ def test_log_of_base_is_zero():
         assert np.abs(spd.spd_log(base, base)).max() < 1e-12
 
 
+@pytest.mark.parametrize("metric", [spd.METRIC_AFFINE, spd.METRIC_LOG_EUCLIDEAN])
+def test_log_at_decomposed_base_matches_matrix_bitwise(metric, monkeypatch):
+    rng = np.random.default_rng(14)
+    base = random_spd(rng, 6)
+    points = [random_spd(rng, 6) for _ in range(4)]
+    expected = [spd.spd_log(base, point, metric) for point in points]
+    checked = []
+    checked_spd = spd._checked_spd
+
+    def counting_checked_spd(mat, name):
+        checked.append(name)
+        return checked_spd(mat, name)
+
+    monkeypatch.setattr(spd, "_checked_spd", counting_checked_spd)
+    decomposed = spd._Base(base)
+    for point, want in zip(points, expected):
+        np.testing.assert_array_equal(spd.spd_log(decomposed, point, metric), want)
+    assert checked == ["base"] + ["point"] * len(points)
+
+
+def test_decomposed_base_fails_at_first_map():
+    decomposed = spd._Base(np.diag([1.0, -1.0]))
+    with pytest.raises(NotSpdError):
+        spd.spd_log(decomposed, np.eye(2))
+
+
 def test_exp_hand_cases():
     rng = np.random.default_rng(15)
     base = random_spd(rng, 3)

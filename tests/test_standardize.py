@@ -79,6 +79,17 @@ def test_dimension_mismatch():
         standardize.apply(np.ones(3), stats)
 
 
+def test_apply_rejects_non_finite_input_and_overflow():
+    stats = standardize.ReferenceStats(means=(0.0, 0.0), stddevs=(1.0, 1e-300))
+    for bad in ([np.nan, 0.0], [0.0, np.inf], [[1.0, 1.0], [-np.inf, 0.0]]):
+        with pytest.raises(NonFiniteValueError):
+            standardize.apply(np.array(bad), stats)
+    # Finite, but 1e10 / 1e-300 overflows.
+    with pytest.raises(NonFiniteValueError):
+        standardize.apply(np.array([0.0, 1e10]), stats)
+    np.testing.assert_array_equal(standardize.apply(np.array([2.0, 0.0]), stats), [2.0, 0.0])
+
+
 def test_stats_are_frozen():
     stats = standardize.ReferenceStats(means=(0.0,), stddevs=(1.0,))
     with pytest.raises(AttributeError):
