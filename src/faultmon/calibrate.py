@@ -118,30 +118,20 @@ def _collect_traces(
 
     Without ``reset_on_alarm`` trajectories do not depend on the threshold,
     so one pass supports every threshold probed during the search.
-    Replications are advanced in lockstep in chunks to bound memory.
 
     Raises:
-        DimensionMismatchError: A draw is not exactly ``(run_length, p)``;
-            it would otherwise be broadcast into the block.
+        DimensionMismatchError: A draw is not exactly ``(run_length, p)``.
     """
-    stream_count = config.stream_count
-    traces = np.empty((replications, run_length))
-    # Each (chunk, run_length, p) float64 intermediate holds about 80 MB:
-    # 125 runs x 4000 samples x 20 streams x 8 B at the default cap.
-    chunk = max(1, int(160_000_000 / (run_length * stream_count * 8)) // 2)
-    for lo in range(0, replications, chunk):
-        hi = min(lo + chunk, replications)
-        block = np.empty((hi - lo, run_length, stream_count))
-        for rep in range(lo, hi):
-            draw = source(rep, 0, run_length)
-            if np.shape(draw) != block.shape[1:]:
-                raise DimensionMismatchError(
-                    f"source returned shape {np.shape(draw)} for replication "
-                    f"{rep}, expected {block.shape[1:]}"
-                )
-            block[rep - lo] = draw
-        traces[lo:hi] = detector.run_many(
-            references, config, block, reset_on_alarm=reset_on_alarm
+    traces = detector.run_many(
+        references,
+        config,
+        (source(rep, 0, run_length) for rep in range(replications)),
+        reset_on_alarm=reset_on_alarm,
+    )
+    if traces.shape[1] != run_length:
+        raise DimensionMismatchError(
+            f"source returned {traces.shape[1]} samples per replication, "
+            f"expected {run_length}"
         )
     return traces
 

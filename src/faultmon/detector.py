@@ -42,6 +42,10 @@ searches, instead of one binary search over the reference per value,
 whose mispredicted branches dominate when a stream has thousands of keys.
 Both paths count the same reference values strictly below each
 observation, so they stay bit-identical.
+
+``run_many`` owns the lockstep block: it checks runs as it copies them,
+one at a time, into a block of at most ``_BLOCK_BYTES`` and ranks the
+block in place, so callers may pass generators and keep no corpus.
 """
 
 from __future__ import annotations
@@ -196,9 +200,17 @@ def _check_samples(samples, stream_count: int, ndim: int) -> np.ndarray:
 # stays in cache while its p streams are ranked.
 _RANK_SLICE_ROWS = 1 << 15
 
+# Bytes of the block of runs that ``run_many`` ranks and advances in
+# lockstep, about 125 runs of 4000 samples over 20 streams. The recursion
+# pays numpy's per-call overhead once per time step for the whole block, so
+# wide blocks amortize it; while it runs, the block (holding mu, then
+# log(mu)) and log(1 - mu) beside it are the two block-sized arrays alive.
+_BLOCK_BYTES = 80_000_000
 
-def _cdf_estimates(references, sizes: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Smoothed empirical CDF values for samples of shape ``(..., p)``.
+
+def _cdf_estimates(references, samples: np.ndarray) -> np.ndarray:
+    """Smoothed empirical CDF values for samples of shape ``(..., p)``,
+    written over ``samples`` (a C-contiguous float array), which is returned.
 
     Ranks each stream of each slice of rows by sort-merge. With the slice's
     n keys of stream i sorted as ``x_0 <= ... <= x_{n-1}``,
@@ -213,12 +225,11 @@ def _cdf_estimates(references, sizes: np.ndarray, samples: np.ndarray) -> np.nda
     not be stable.
     """
     p = samples.shape[-1]
-    rows = samples.reshape(-1, p)
-    denominators = sizes + 2.0
-    mu = np.empty(rows.shape)
+    rows = samples.reshape(-1, p, copy=False)
     # Each slice is copied in transposed, so that every stream's keys are
-    # contiguous, and ranked in place. One buffer serves every slice:
-    # allocating one per slice raised the resident peak by several MB.
+    # contiguous, ranked in place and copied back over the slice. One
+    # buffer serves every slice: allocating one per slice raised the
+    # resident peak by several MB.
     buffer = np.empty((p, min(_RANK_SLICE_ROWS, rows.shape[0])))
     for lo in range(0, rows.shape[0], _RANK_SLICE_ROWS):
         rows_slice = rows[lo : lo + _RANK_SLICE_ROWS]
@@ -229,9 +240,9 @@ def _cdf_estimates(references, sizes: np.ndarray, samples: np.ndarray) -> np.nda
             order = np.argsort(keys[i])
             above = keys[i][order].searchsorted(ref, side="right")
             below = np.bincount(above, minlength=n + 1).cumsum()[:-1]
-            keys[i, order] = (below + 1.0) / denominators[i]
-        mu[lo : lo + n] = keys.T
-    return mu.reshape(samples.shape)
+            keys[i, order] = (below + 1.0) / (ref.size + 2.0)
+        rows_slice[...] = keys.T
+    return samples
 
 
 class _StepIndex:
@@ -282,32 +293,35 @@ def _cusum_step(w_plus, w_minus, log_hi, log_lo, allowance: float, top_r: int):
 
 
 def _run_recursion(
-    mu: np.ndarray,
-    allowance: float,
-    top_r: int,
+    references,
+    config: MonitorConfig,
+    samples: np.ndarray,
     w_plus: np.ndarray,
     w_minus: np.ndarray,
     reset_at: float | None = None,
 ):
-    """Drive the CUSUM recursion over the time axis.
+    """Rank samples and drive the CUSUM recursion over their time axis.
 
     Args:
-        mu: CDF estimates, shape ``(..., T, p)``; overwritten with
-            ``log(mu)`` so that no more block-sized arrays are kept.
-        w_plus, w_minus: Entry state, shape ``(..., p)``; not modified.
+        samples: Shape ``(..., T, p)``, C-contiguous; overwritten with mu,
+            then ``log(mu)``, so that no more block-sized arrays are kept.
+        w_plus, w_minus: Entry state, broadcastable to ``(..., p)`` (0.0
+            for zeroed state); not modified.
         reset_at: If given, zero the state of each row whose V reaches it.
 
     Returns:
         ``(v, w_plus, w_minus)`` with ``v`` of shape ``(..., T)`` and the
         exit states.
     """
+    mu = _cdf_estimates(references, samples)
     log_hi = np.subtract(1.0, mu)
     np.log(log_hi, out=log_hi)
     log_lo = np.log(mu, out=mu)
     v = np.empty(mu.shape[:-1], dtype=float)
     for t in range(mu.shape[-2]):
         w_plus, w_minus, _, v[..., t] = _cusum_step(
-            w_plus, w_minus, log_hi[..., t, :], log_lo[..., t, :], allowance, top_r
+            w_plus, w_minus, log_hi[..., t, :], log_lo[..., t, :],
+            config.allowance, config.top_r,
         )
         if reset_at is not None:
             # In place is safe: _cusum_step returned fresh arrays.
@@ -335,7 +349,6 @@ class Monitor:
     def __init__(self, references, config: MonitorConfig):
         self.config = config
         self._references = _validate_references(references, config.stream_count)
-        self._sizes = np.array([ref.size for ref in self._references], dtype=float)
         self._index = _StepIndex(self._references)
         self._w_plus = np.zeros(config.stream_count)
         self._w_minus = np.zeros(config.stream_count)
@@ -368,10 +381,10 @@ class Monitor:
 
     def run(self, samples) -> MonitorTrace:
         """Consume a batch of shape ``(T, p)``; equivalent to T ``step`` calls."""
-        arr = _check_samples(samples, self.config.stream_count, 2)
-        mu = _cdf_estimates(self._references, self._sizes, arr)
+        # A private copy, because ranking writes mu over its input.
+        arr = _check_samples(samples, self.config.stream_count, 2).copy()
         v, self._w_plus, self._w_minus = _run_recursion(
-            mu, self.config.allowance, self.config.top_r, self._w_plus, self._w_minus
+            self._references, self.config, arr, self._w_plus, self._w_minus
         )
         self._time += arr.shape[0]
         return MonitorTrace(global_stats=v, alarms=v >= self.config.threshold)
@@ -385,20 +398,42 @@ def run_many(
     Args:
         references: In-control histories, one per stream.
         config: Detection parameters.
-        runs: Array of shape ``(R, T, p)``; every run starts from zeroed
-            state.
+        runs: Iterable of equal-shaped ``(T, p)`` arrays, such as a
+            generator or an array of shape ``(R, T, p)``; every run starts
+            from zeroed state.
         reset_on_alarm: Zero a run's state after each alarm at
             ``config.threshold``, as :meth:`Monitor.reset` would.
 
     Returns:
         V traces of shape ``(R, T)``, bit-identical to running each run
         through its own :class:`Monitor`.
+
+    Raises:
+        DimensionMismatchError: A run is not ``(T, p)`` with the first run's T.
+        EmptyInputError: There is no run, or T is 0.
+        NonFiniteValueError: A run holds NaN or infinity.
     """
     refs = _validate_references(references, config.stream_count)
-    sizes = np.array([ref.size for ref in refs], dtype=float)
-    arr = _check_samples(runs, config.stream_count, 3)
-    mu = _cdf_estimates(refs, sizes, arr)
-    w0 = np.zeros((arr.shape[0], config.stream_count))
     reset_at = config.threshold if reset_on_alarm else None
-    v, _, _ = _run_recursion(mu, config.allowance, config.top_r, w0, w0, reset_at)
-    return v
+    traces, block, filled = [], None, 0
+    for index, run in enumerate(runs):
+        run = _check_samples(run, config.stream_count, 2)
+        if block is None:
+            # Rows past the last run filled are never written, so a block
+            # larger than the runs given costs address space, not memory.
+            block = np.empty((max(1, _BLOCK_BYTES // run.nbytes), *run.shape))
+        elif run.shape != block.shape[1:]:
+            raise DimensionMismatchError(
+                f"run {index} has shape {run.shape}, expected {block.shape[1:]}"
+            )
+        block[filled] = run
+        filled += 1
+        if filled == len(block):
+            traces.append(_run_recursion(refs, config, block, 0.0, 0.0, reset_at)[0])
+            filled = 0
+    if block is None:
+        raise EmptyInputError("no runs")
+    if filled:
+        rows = block[:filled]
+        traces.append(_run_recursion(refs, config, rows, 0.0, 0.0, reset_at)[0])
+    return np.concatenate(traces)

@@ -9,9 +9,9 @@ trains a one-vs-one SVM on the flattened features. Online monitoring
 replays that recipe one sample at a time with episode resets.
 
 Training, evaluation and online monitoring share one featurizer:
-``_window_covariance`` checks that a classification window fits and
-takes its covariance, and ``_feature_vector`` maps that covariance and
-its V trace to the classifier's input. ``prepare_reference_and_source``
+``_window_rows`` checks that a classification window fits and cuts it
+out, and ``_feature_vector`` maps its covariance and V trace to the
+classifier's input. ``prepare_reference_and_source``
 splits the in-control pool into references and calibration samples, and
 ``choose_threshold`` turns the training knobs into a detector config with
 its threshold; the CLI calls both too.
@@ -64,10 +64,6 @@ __all__ = [
     "evaluate",
     "sweep_patience",
 ]
-
-# Cap on runs advanced in lockstep per detector call, to bound memory.
-_DETECT_CHUNK = 40
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -129,7 +125,6 @@ class MonitorEvent:
 @dataclass
 class _DetectedRun:
     run: Run
-    z: np.ndarray  # the run, standardized
     v_trace: np.ndarray
     alarm_time: int | None
 
@@ -141,27 +136,24 @@ class _DetectedRun:
 
 
 def _detect_runs(runs, references, config, stats) -> list[_DetectedRun]:
-    """Standardized run, V trace and first post-onset alarm per run, batched."""
+    """V trace and first post-onset alarm per run, one call per run length."""
     by_length: dict[int, list[int]] = {}
     for idx, run in enumerate(runs):
         by_length.setdefault(run.data.shape[0], []).append(idx)
-    blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    v_traces = {}
     for indices in by_length.values():
-        for lo in range(0, len(indices), _DETECT_CHUNK):
-            chunk = indices[lo : lo + _DETECT_CHUNK]
-            block = np.stack(
-                [standardize.apply(runs[i].data, stats) for i in chunk]
-            )
-            v_block = detector.run_many(references, config, block)
-            for row, i in enumerate(chunk):
-                blocks[i] = block[row], v_block[row]
+        v_traces.update(zip(indices, detector.run_many(
+            references,
+            config,
+            (standardize.apply(runs[i].data, stats) for i in indices),
+        )))
     detected: list[_DetectedRun] = []
     for idx, run in enumerate(runs):
-        z, v = blocks[idx]
+        v = v_traces[idx]
         start = run.onset if run.onset is not None else 0
         hits = np.flatnonzero(v[start:] >= config.threshold)
         alarm_time = int(start + hits[0]) if hits.size else None
-        detected.append(_DetectedRun(run=run, z=z, v_trace=v, alarm_time=alarm_time))
+        detected.append(_DetectedRun(run=run, v_trace=v, alarm_time=alarm_time))
     return detected
 
 
@@ -169,21 +161,34 @@ def _window_length(delays, patience: int) -> int:
     return max(2, int(round(float(np.mean(delays)) + patience)))
 
 
-def _window_covariance(z, t_c: int, window: int, trace_length: int, use_trace: bool):
-    """Covariance of the ``window`` rows of ``z`` ending at row t_c.
+def _window_rows(rows, t_c: int, window: int, trace_length: int, use_trace: bool):
+    """The ``window`` rows of ``rows`` ending at row t_c.
 
-    Returns ``(covariance, None)``, or ``(None, reason)`` when the window
-    does not fit in ``z`` or the V trace (``trace_length`` samples) is too
-    short to summarize.
+    Returns ``(window_rows, None)``, or ``(None, reason)`` when the window
+    does not fit in ``rows`` or the V trace (``trace_length`` samples) is
+    too short to summarize.
     """
-    if t_c >= z.shape[0]:
+    if t_c >= rows.shape[0]:
         return None, "run_ends_before_classification"
     start = t_c - window + 1
     if start < 0:
         return None, "window_too_short"
     if use_trace and trace_length < 3:
         return None, "trace_too_short"
-    return spd.covariance(z[start : t_c + 1]), None
+    return rows[start : t_c + 1], None
+
+
+def _classification_window(item: _DetectedRun, stats, patience, window, use_trace):
+    """``(covariance, v_prefix, None)`` of a detected run's standardized window
+    and V trace at ``alarm_time + patience``, or ``(None, None, reason)``."""
+    if item.alarm_time is None:
+        return None, None, "no_alarm"
+    t_c = item.alarm_time + patience
+    rows, reason = _window_rows(item.run.data, t_c, window, t_c + 1, use_trace)
+    if reason is not None:
+        return None, None, reason
+    cov = spd.covariance(standardize.apply(rows, stats))
+    return cov, item.v_trace[: t_c + 1], None
 
 
 def _tangent_base(karcher_base, feature_mode: str):
@@ -318,17 +323,14 @@ def _fit(
     covs, traces, labels = [], [], []
     dropped: dict[str, list[str]] = {}
     for item in detected:
-        reason = "no_alarm"
-        if item.alarm_time is not None:
-            t_c = item.alarm_time + config.patience
-            cov, reason = _window_covariance(
-                item.z, t_c, window, t_c + 1, config.trace_features
-            )
+        cov, trace, reason = _classification_window(
+            item, setup.stats, config.patience, window, config.trace_features
+        )
         if reason is not None:
             dropped.setdefault(reason, []).append(item.run.run_id)
             continue
         covs.append(cov)
-        traces.append(item.v_trace[: t_c + 1])
+        traces.append(trace)
         labels.append(item.run.fault_id)
     labels = np.asarray(labels, dtype=int)
     fault_ids = sorted({d.run.fault_id for d in detected})
@@ -489,13 +491,14 @@ def _standardized_row(sample, stats: standardize.ReferenceStats) -> np.ndarray:
 
 def _classify_buffer(bundle: ModelBundle, tangent_base, window_buffer, v_episode):
     z = np.asarray(window_buffer)
-    cov, reason = _window_covariance(
+    rows, reason = _window_rows(
         z, z.shape[0] - 1, bundle.window, len(v_episode), bundle.trace_features
     )
     if reason is not None:
         return None, reason
     vec = _feature_vector(
-        cov, v_episode, tangent_base, bundle.metric, bundle.trace_features
+        spd.covariance(rows), v_episode, tangent_base, bundle.metric,
+        bundle.trace_features,
     )
     return int(bundle.classifier.predict(vec)), None
 
@@ -507,9 +510,12 @@ class EvalReport:
     ``fdr_per_fault`` counts alarm-state samples after onset (the
     non-resetting detector's per-sample state), pooled over that fault's
     runs. ``fds_per_fault`` is the mean delay from onset to first alarm
-    over detected runs. ``far`` counts above-threshold samples among
-    in-control samples (held-out in-control runs plus pre-onset
-    segments). ``overall_accuracy`` is over classified runs only;
+    over detected runs. ``far`` is the share of in-control samples
+    (held-out in-control runs plus pre-onset segments) whose
+    *non-resetting* V is at or above H. It is not alarms per sample: one
+    excursion above H counts every sample it lasts, so it is not
+    comparable with 1/ARL0; :func:`calibrate.estimate_false_alarm_rate`
+    gives that rate. ``overall_accuracy`` is over classified runs only;
     denominators for everything are included.
     """
 
@@ -594,15 +600,14 @@ def _score(bundle: ModelBundle, detected: list[_DetectedRun]) -> EvalReport:
             continue
         per_class_detected[run.fault_id] += 1
         per_class_delays[run.fault_id].append(item.delay)
-        t_c = item.alarm_time + bundle.patience
-        cov, reason = _window_covariance(
-            item.z, t_c, bundle.window, t_c + 1, bundle.trace_features
+        cov, trace, reason = _classification_window(
+            item, bundle.stats, bundle.patience, bundle.window, bundle.trace_features
         )
         if reason is not None:
             unclassified[reason] = unclassified.get(reason, 0) + 1
             continue
         vec = _feature_vector(
-            cov, v[: t_c + 1], tangent_base, bundle.metric, bundle.trace_features
+            cov, trace, tangent_base, bundle.metric, bundle.trace_features
         )
         predicted = int(bundle.classifier.predict(vec))
         classified += 1

@@ -279,6 +279,8 @@ def test_bad_inputs_rejected():
         monitor.step(np.float64(1.0))
     with pytest.raises(EmptyInputError):
         detector.run_many(refs, config, np.empty((2, 0, 1)))
+    with pytest.raises(EmptyInputError):
+        detector.run_many(refs, config, iter([]))
 
 
 @given(
@@ -340,12 +342,11 @@ def _ranking_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_cdf_estimates_match_per_key_search_bitwise(case):
     refs, keys = case
-    sizes = np.array([ref.size for ref in refs], dtype=float)
     expected = np.empty(keys.shape)
     for i, ref in enumerate(refs):
         counts = np.searchsorted(ref, keys[..., i], side="left")
         expected[..., i] = (counts + 1.0) / (ref.size + 2.0)
-    got = detector._cdf_estimates(refs, sizes, keys)
+    got = detector._cdf_estimates(refs, keys)
     assert got.shape == keys.shape
     np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
@@ -388,3 +389,65 @@ def test_run_many_reset_on_alarm_matches_stepping_with_resets():
     # Without resets the same runs alarm on more samples.
     plain = detector.run_many(refs, config, runs)
     assert (plain >= config.threshold).sum() > alarms.sum()
+
+
+def _shifted_runs(count, t_len, p, seed):
+    """Runs around a 0..19 reference, wide enough to alarm at H = 3."""
+    return np.random.default_rng(seed).normal(size=(count, t_len, p)) * 8.0 + 9.5
+
+
+@pytest.mark.parametrize("reset_on_alarm", [False, True])
+def test_run_many_over_small_blocks_matches_per_run_monitors_bitwise(
+    monkeypatch, reset_on_alarm
+):
+    p, t_len = 3, 30
+    refs = [detector.build_reference(np.arange(20.0)) for _ in range(p)]
+    config = detector.MonitorConfig(1.3, 2, p, threshold=3.0)
+    runs = _shifted_runs(7, t_len, p, seed=8)
+    whole = detector.run_many(refs, config, runs, reset_on_alarm=reset_on_alarm)
+    # Two runs per block: the seven runs fill three blocks and part of a fourth.
+    monkeypatch.setattr(detector, "_BLOCK_BYTES", 2 * runs[0].nbytes + 1)
+    stacked = detector.run_many(refs, config, runs, reset_on_alarm=reset_on_alarm)
+    streamed = detector.run_many(
+        refs, config, (run.copy() for run in runs), reset_on_alarm=reset_on_alarm
+    )
+    for got in (whole, stacked, streamed):
+        assert got.shape == runs.shape[:2]
+    for r, run in enumerate(runs):
+        if reset_on_alarm:
+            expected = _step_with_resets(refs, config, run)
+        else:
+            expected = detector.Monitor(refs, config).run(run).global_stats
+        for got in (whole, stacked, streamed):
+            np.testing.assert_array_equal(got[r].view(np.int64), expected.view(np.int64))
+    assert (whole >= config.threshold).any(axis=1).all()
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (np.zeros((31, 3)), DimensionMismatchError),
+        (np.zeros((30, 4)), DimensionMismatchError),
+        (np.zeros(3), DimensionMismatchError),
+        (np.where(np.arange(3) == 1, np.nan, np.zeros((30, 3))), NonFiniteValueError),
+        (np.full((30, 3), -np.inf), NonFiniteValueError),
+    ],
+)
+def test_run_many_rejects_bad_run_after_good_ones(monkeypatch, bad, error):
+    p = 3
+    refs = [detector.build_reference(np.arange(20.0)) for _ in range(p)]
+    config = detector.MonitorConfig(1.3, 2, p)
+    good = _shifted_runs(3, 30, p, seed=9)
+    # The bad run comes after one full block of two runs has been advanced.
+    monkeypatch.setattr(detector, "_BLOCK_BYTES", 2 * good[0].nbytes)
+    with pytest.raises(error):
+        detector.run_many(refs, config, [*good, bad])
+
+
+def test_monitor_run_leaves_samples_unchanged():
+    rng = np.random.default_rng(10)
+    refs = [detector.build_reference(rng.normal(size=20)) for _ in range(2)]
+    samples = rng.normal(size=(25, 2))
+    before = samples.copy()
+    detector.Monitor(refs, detector.MonitorConfig(1.3, 1, 2)).run(samples)
+    np.testing.assert_array_equal(samples.view(np.int64), before.view(np.int64))

@@ -205,7 +205,7 @@ def test_fdr_and_far_identities(trained_bundle, monkeypatch):
     )
     h = trained_bundle.config.threshold
     v = np.where(np.arange(length) >= onset, h + 1.0, 0.0)
-    fake = [pipeline._DetectedRun(run=run, z=run.data, v_trace=v, alarm_time=onset)]
+    fake = [pipeline._DetectedRun(run=run, v_trace=v, alarm_time=onset)]
     monkeypatch.setattr(pipeline, "_detect_runs", lambda *args, **kw: fake)
     report = pipeline.evaluate(trained_bundle, [run])
     assert report.fdr_per_fault[1] == 1.0
@@ -228,7 +228,7 @@ def test_evaluate_reports_trace_too_short(trained_bundle, monkeypatch):
         data=np.zeros((length, 20)), labels=labels, run_id="fabricated"
     )
     v = np.full(length, bundle.config.threshold + 1.0)
-    fake = [pipeline._DetectedRun(run=run, z=run.data, v_trace=v, alarm_time=1)]
+    fake = [pipeline._DetectedRun(run=run, v_trace=v, alarm_time=1)]
     monkeypatch.setattr(pipeline, "_detect_runs", lambda *args, **kw: fake)
     report = pipeline.evaluate(bundle, [run])
     assert report.unclassified == {"trace_too_short": 1}
@@ -246,7 +246,7 @@ def test_evaluate_reports_window_too_short(trained_bundle, monkeypatch):
         data=np.zeros((length, 20)), labels=labels, run_id="fabricated"
     )
     v = np.full(length, bundle.config.threshold + 1.0)
-    fake = [pipeline._DetectedRun(run=run, z=run.data, v_trace=v, alarm_time=1)]
+    fake = [pipeline._DetectedRun(run=run, v_trace=v, alarm_time=1)]
     monkeypatch.setattr(pipeline, "_detect_runs", lambda *args, **kw: fake)
     report = pipeline.evaluate(bundle, [run])
     assert report.unclassified == {"window_too_short": 1}

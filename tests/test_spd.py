@@ -247,6 +247,23 @@ def test_karcher_mean_minimizes_gradient():
     assert np.abs(total).max() < 1e-5
 
 
+def test_karcher_mean_converges_on_dispersed_set(caplog):
+    # Eigenvalues spread over seven decades in random bases. Unit steps
+    # overshoot: the residual rises after the third iteration and is still
+    # about 0.15 at the iteration cap.
+    rng = np.random.default_rng(3)
+    mats = []
+    for _ in range(10):
+        basis, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+        mats.append((basis * 10.0 ** rng.uniform(-7.0, 0.0, size=5)) @ basis.T)
+    assert max(np.linalg.cond(m) for m in mats) > 1e6
+    with caplog.at_level(logging.DEBUG, logger="faultmon.spd"):
+        mean = spd.karcher_mean(mats)
+    assert any("step halved" in r.message for r in caplog.records)
+    tangent = np.mean([spd.spd_log(mean, m) for m in mats], axis=0)
+    assert np.linalg.norm(tangent, "fro") < 1e-6 * 5
+
+
 def test_vectorize_hand_case():
     s = np.array([[1.0, 2.0], [2.0, 3.0]])
     flat = spd.tangent_vectorize(s)

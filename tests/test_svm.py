@@ -130,7 +130,8 @@ def _bits(values):
 
 # Explicit cases: duplicated rows (argmax ties), C so small that every dual
 # ends at a bound (bias from the working sets), a large C, one minority
-# label, n = 2, and both tolerances.
+# label, n = 2, both tolerances, and points on a line at C = 1e4, which
+# take 206,909 SMO iterations (about 11,500 n).
 @given(
     n=st.integers(2, 24),
     d=st.integers(1, 5),
@@ -151,6 +152,8 @@ def _bits(values):
          gamma=0.7, tol=1e-3)
 @example(n=2, d=1, seed=5, duplicates=False, minority=False, c_penalty=0.3,
          gamma=0.05, tol=1e-6)
+@example(n=18, d=1, seed=124, duplicates=False, minority=False, c_penalty=1e4,
+         gamma=0.7, tol=1e-3)
 @settings(max_examples=150, deadline=None)
 def test_smo_matches_mask_oracle_bitwise(n, d, seed, duplicates, minority,
                                          c_penalty, gamma, tol):
