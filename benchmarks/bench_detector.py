@@ -10,7 +10,8 @@ values each. The ranking blocks are the three batch shapes that
 ``run_many``'s block budget (``detector._BLOCK_BYTES``, 80 MB) gives the
 system: 142 runs of 3500 samples (a full block of training runs), 125
 replications of 4000 (a full threshold-calibration block) and one
-replication of 3000 (one false-alarm-rate call).
+replication of 3000 (one false-alarm-rate call). ``run_many`` holds each
+block twice over, as the two halves of one ``(2, R, T, p)`` array.
 """
 
 import itertools
@@ -73,9 +74,38 @@ def test_run_many_streamed(benchmark, references):
     )
 
 
-@pytest.mark.parametrize("shape", [(20,), (142, 20), (125, 20)], ids=str)
-def test_top_r_sum(benchmark, shape):
-    """Top-4 sum over the stream axis: one sample, a training block, a
-    calibration block."""
-    stats = np.random.default_rng(3).exponential(size=shape)
-    benchmark(detector._top_r_sum, stats, 4)
+@pytest.mark.parametrize(
+    "shape, threshold",
+    [((1, 3000, STREAMS), 35.970703125), ((125, 4000, STREAMS), None)],
+    ids=["far-run-with-resets", "calibration-block"],
+)
+def test_run_recursion(benchmark, references, shape, threshold):
+    """Ranking, log terms and the CUSUM recursion of one block: the one
+    run of a false-alarm-rate call, reset after each alarm at the
+    calibrated threshold of the benchmark's acceptance point, and a full
+    calibration block without resets.
+
+    Subtract ``test_cdf_estimates_block`` at the same shape for the
+    recursion alone. Each round starts from a fresh copy of the samples
+    and zeroed state, both made outside the timing.
+    """
+    samples = np.random.default_rng(5).normal(size=shape)
+    config = detector.MonitorConfig(1.3, 4, STREAMS)
+
+    def setup():
+        block = np.empty((2, *shape))
+        block[0] = samples
+        return (references, block, detector._Cusum(config, shape[:1]), threshold), {}
+
+    benchmark.pedantic(detector._run_recursion, setup=setup, rounds=5 if shape[0] == 1 else 2)
+
+
+@pytest.mark.parametrize("runs", [(), (142,), (125,)], ids=str)
+def test_cusum_step(benchmark, runs):
+    """One kernel step over 20 streams at top-r 4: one sample, a training
+    block, a calibration block."""
+    config = detector.MonitorConfig(1.3, 4, STREAMS)
+    cusum = detector._Cusum(config, runs)
+    mu = np.random.default_rng(3).uniform(size=(*runs, STREAMS))
+    terms = np.stack([np.log(mu), np.log1p(-mu)])
+    benchmark(cusum.step, terms)

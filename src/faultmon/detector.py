@@ -14,9 +14,13 @@ where ``k`` is the allowance that drains the statistics while in control.
 The monitor-wide statistic V is the sum of the r largest two-sided stream
 statistics; an alarm is raised when V reaches the threshold.
 
-One function, ``_cusum_step``, applies this update: ``Monitor.step`` calls
+One function, ``_Cusum.step``, applies this update: ``Monitor.step`` calls
 it per sample and the batch loop behind ``Monitor.run`` and ``run_many``
-per time step, so all three paths give bit-identical results. With
+per time step, so all three paths give bit-identical results. It works in
+place on one state array that holds W- and W+ as its two halves, shape
+``(2, ..., p)``, so each ufunc of the update runs once for both sides and
+allocates nothing; when a single run is advanced, as a false-alarm-rate
+check does, numpy's per-call overhead is most of the cost of a step. With
 ``reset_on_alarm``, ``run_many`` zeroes a run's W+ and W- after each
 sample whose V reaches the threshold (the renewal convention), as calling
 ``Monitor.reset`` after every alarm would.
@@ -29,7 +33,7 @@ are complex keys ``stream + value j``, and the sample's value for stream i
 is searched as ``i + z_i j``; numpy orders complex numbers by real part,
 then imaginary part, so that one search ranks every stream within its own
 block. Its result is the sample's position in two tables, built once per
-monitor, that hold ``log(1 - mu)`` and ``log(mu)`` for every count c in
+monitor, that hold ``log(mu)`` and ``log(1 - mu)`` for every count c in
 0..s of every stream: ``step`` gathers its log terms there instead of
 dividing and taking two logs per sample. The tables hold the logs of the
 same estimate ``(c + 1.0) / (s + 2.0)``, so the step stays bit-identical
@@ -44,8 +48,11 @@ Both paths count the same reference values strictly below each
 observation, so they stay bit-identical.
 
 ``run_many`` owns the lockstep block: it checks runs as it copies them,
-one at a time, into a block of at most ``_BLOCK_BYTES`` and ranks the
-block in place, so callers may pass generators and keep no corpus.
+one at a time, into the first half of a ``(2, R, T, p)`` array of at most
+``_BLOCK_BYTES`` per half and ranks that half in place, so callers may
+pass generators and keep no corpus. The logs of the estimates then fill
+both halves, stacked as the state is, and the recursion reads one time
+step of both as a single view.
 """
 
 from __future__ import annotations
@@ -110,16 +117,6 @@ def estimate_cdf(reference: np.ndarray, value: float) -> float:
         raise NonFiniteValueError("value must be finite")
     count = np.searchsorted(ref, value, side="left")
     return float((count + 1.0) / (ref.size + 2.0))
-
-
-def _top_r_sum(two_sided_stats: np.ndarray, top_r: int) -> np.ndarray:
-    """Sum of the r largest entries along the last axis.
-
-    The selected entries are summed in ascending order so that the result
-    does not depend on which code path produced them.
-    """
-    p = two_sided_stats.shape[-1]
-    return np.sort(two_sided_stats, axis=-1)[..., p - top_r:].sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -200,11 +197,12 @@ def _check_samples(samples, stream_count: int, ndim: int) -> np.ndarray:
 # stays in cache while its p streams are ranked.
 _RANK_SLICE_ROWS = 1 << 15
 
-# Bytes of the block of runs that ``run_many`` ranks and advances in
-# lockstep, about 125 runs of 4000 samples over 20 streams. The recursion
-# pays numpy's per-call overhead once per time step for the whole block, so
-# wide blocks amortize it; while it runs, the block (holding mu, then
-# log(mu)) and log(1 - mu) beside it are the two block-sized arrays alive.
+# Bytes of each half of the block of runs that ``run_many`` ranks and
+# advances in lockstep, about 125 runs of 4000 samples over 20 streams. The
+# recursion pays numpy's per-call overhead once per time step for the whole
+# block, so wide blocks amortize it. The block is one array of two halves:
+# the first holds the samples, then mu, then log(mu); the second
+# log(1 - mu). They are the only block-sized memory alive.
 _BLOCK_BYTES = 80_000_000
 
 
@@ -258,8 +256,8 @@ class _StepIndex:
     ``z_i``, with ties and ``-0.0 == 0.0`` counted as ``ref.searchsorted``
     counts them; its closing key is never below a finite ``z_i``. The
     search thus returns ``offset_i + i + c_i``, the position of count
-    ``c_i`` in stream i's block of two tables that hold ``log(1 - mu)``
-    and ``log(mu)`` at ``mu = (c + 1.0) / (s_i + 2.0)`` for every c in
+    ``c_i`` in stream i's block of two tables that hold ``log(mu)`` and
+    ``log(1 - mu)`` at ``mu = (c + 1.0) / (s_i + 2.0)`` for every c in
     0..s_i. Memory is O(N + p) for N reference values in all.
     """
 
@@ -275,59 +273,101 @@ class _StepIndex:
         mu = (counts + 1.0) / np.repeat(sizes + 2.0, sizes + 1)
         self._log_hi = np.log(1.0 - mu)
         self._log_lo = np.log(mu)
+        # The sample's log terms, stacked as ``_Cusum.w`` is; each step
+        # overwrites them.
+        self._terms = np.empty((2, sizes.size))
 
-    def log_terms(self, sample: np.ndarray):
-        """``log(1 - mu)`` and ``log(mu)`` for one finite sample of shape ``(p,)``."""
+    def log_terms(self, sample: np.ndarray) -> np.ndarray:
+        """``log(mu)`` and ``log(1 - mu)`` for one finite sample of shape
+        ``(p,)``, as one ``(2, p)`` array that the next call overwrites."""
         self._query.imag = sample
         at = self._keys.searchsorted(self._query)
-        return self._log_hi[at], self._log_lo[at]
+        terms = self._terms
+        terms[0] = self._log_lo[at]
+        terms[1] = self._log_hi[at]
+        return terms
 
 
-def _cusum_step(w_plus, w_minus, log_hi, log_lo, allowance: float, top_r: int):
-    """Advance W+/W- (shape ``(..., p)``) by one sample's ``log(1 - mu)`` and
-    ``log(mu)``; returns the new W+, W-, the two-sided statistics and V."""
-    w_plus = np.maximum(w_plus - log_hi - allowance, 0.0)
-    w_minus = np.maximum(w_minus - log_lo - allowance, 0.0)
-    two = np.maximum(w_plus, w_minus)
-    return w_plus, w_minus, two, _top_r_sum(two, top_r)
+class _Cusum:
+    """W- and W+ of one run, or of a block of runs, advanced in place.
+
+    The state ``w`` has shape ``(2, ..., p)``: ``w[0]`` is W- and ``w[1]``
+    is W+, so each of the three update ufuncs runs once over both sides,
+    writing into ``w`` with ``out=``. The allowance and the zero floor are
+    0-d arrays, built once, which numpy does not have to convert on every
+    call, and the two-sided statistics go to one buffer that is sorted in
+    place; its top-r slice is a view made once. ``step`` is the only code
+    that advances the recursion.
+    """
+
+    __slots__ = ("w", "_minus", "_plus", "_allowance", "_zero", "_two", "_top")
+
+    def __init__(self, config: MonitorConfig, runs: tuple[int, ...] = ()):
+        shape = (*runs, config.stream_count)
+        self.w = np.zeros((2, *shape))
+        self._minus, self._plus = self.w
+        self._allowance = np.array(config.allowance)
+        self._zero = np.zeros(())
+        self._two = np.empty(shape)
+        self._top = self._two[..., config.stream_count - config.top_r :]
+
+    def step(self, terms: np.ndarray):
+        """Advance by one sample per run and return V.
+
+        Args:
+            terms: ``log(mu)`` and ``log(1 - mu)`` stacked as ``w`` is,
+                shape ``(2, ..., p)``.
+
+        Returns:
+            V, the sum of the r largest two-sided statistics of each run,
+            added in ascending order so that every path agrees bitwise.
+        """
+        w = self.w
+        np.subtract(w, terms, out=w)
+        np.subtract(w, self._allowance, out=w)
+        np.maximum(w, self._zero, out=w)
+        np.maximum(self._plus, self._minus, out=self._two)
+        self._two.sort()
+        return np.add.reduce(self._top, -1)
+
+    def two_sided(self) -> np.ndarray:
+        """A fresh array of each stream's ``max(W+, W-)``, in stream order."""
+        return np.maximum(self._plus, self._minus)
 
 
 def _run_recursion(
-    references,
-    config: MonitorConfig,
-    samples: np.ndarray,
-    w_plus: np.ndarray,
-    w_minus: np.ndarray,
-    reset_at: float | None = None,
-):
+    references, block: np.ndarray, cusum: _Cusum, reset_at: float | None = None
+) -> np.ndarray:
     """Rank samples and drive the CUSUM recursion over their time axis.
 
     Args:
-        samples: Shape ``(..., T, p)``, C-contiguous; overwritten with mu,
-            then ``log(mu)``, so that no more block-sized arrays are kept.
-        w_plus, w_minus: Entry state, broadcastable to ``(..., p)`` (0.0
-            for zeroed state); not modified.
-        reset_at: If given, zero the state of each row whose V reaches it.
+        block: Shape ``(2, ..., T, p)`` with samples in ``block[0]``, whose
+            two halves are each C-contiguous. Ranking writes mu over
+            ``block[0]``; then ``log(1 - mu)`` goes to ``block[1]`` and
+            ``log(mu)`` over ``block[0]``, so the log terms of one time
+            step are ``block[:, ..., t, :]``, stacked as ``cusum.w`` is.
+        cusum: Entry state of shape ``(2, ..., p)``, advanced in place.
+        reset_at: If given, zero the state of each run whose V reaches it.
 
     Returns:
-        ``(v, w_plus, w_minus)`` with ``v`` of shape ``(..., T)`` and the
-        exit states.
+        V of shape ``(..., T)``.
     """
-    mu = _cdf_estimates(references, samples)
-    log_hi = np.subtract(1.0, mu)
-    np.log(log_hi, out=log_hi)
-    log_lo = np.log(mu, out=mu)
-    v = np.empty(mu.shape[:-1], dtype=float)
-    for t in range(mu.shape[-2]):
-        w_plus, w_minus, _, v[..., t] = _cusum_step(
-            w_plus, w_minus, log_hi[..., t, :], log_lo[..., t, :],
-            config.allowance, config.top_r,
-        )
+    mu = _cdf_estimates(references, block[0])
+    np.subtract(1.0, mu, out=block[1])
+    np.log(block[1], out=block[1])
+    np.log(mu, out=mu)
+    v = np.empty(block.shape[1:-1])
+    # Indexing the time axis first costs less per step than ``v[..., t]``.
+    v_at = np.moveaxis(v, -1, 0)
+    for t, terms in enumerate(np.moveaxis(block, -2, 0)):
+        v_at[t] = v_t = cusum.step(terms)
         if reset_at is not None:
-            # In place is safe: _cusum_step returned fresh arrays.
-            fired = v[..., t] >= reset_at
-            w_plus[fired] = w_minus[fired] = 0.0
-    return v, w_plus, w_minus
+            fired = v_t >= reset_at
+            # Few steps fire; count_nonzero tests that at a third of the
+            # per-call cost of fired.any().
+            if np.count_nonzero(fired):
+                cusum.w[:, fired] = 0.0
+    return v
 
 
 class Monitor:
@@ -350,42 +390,35 @@ class Monitor:
         self.config = config
         self._references = _validate_references(references, config.stream_count)
         self._index = _StepIndex(self._references)
-        self._w_plus = np.zeros(config.stream_count)
-        self._w_minus = np.zeros(config.stream_count)
+        self._cusum = _Cusum(config)
         self._time = 0
 
     def reset(self) -> None:
         """Zero the CUSUM state and the sample counter."""
-        self._w_plus = np.zeros(self.config.stream_count)
-        self._w_minus = np.zeros(self.config.stream_count)
+        self._cusum.w.fill(0.0)
         self._time = 0
 
     def step(self, sample) -> MonitorOutput:
         """Consume one standardized sample of shape ``(p,)``."""
         if self._checks_samples:
             sample = _check_samples(sample, self.config.stream_count, 1)
-        log_hi, log_lo = self._index.log_terms(sample)
-        self._w_plus, self._w_minus, two, v = _cusum_step(
-            self._w_plus, self._w_minus, log_hi, log_lo,
-            self.config.allowance, self.config.top_r,
-        )
-        v = float(v)
+        v = float(self._cusum.step(self._index.log_terms(sample)))
         out = MonitorOutput(
             time_index=self._time,
             global_stat=v,
             alarm=v >= self.config.threshold,
-            local_stats=two,
+            local_stats=self._cusum.two_sided(),
         )
         self._time += 1
         return out
 
     def run(self, samples) -> MonitorTrace:
         """Consume a batch of shape ``(T, p)``; equivalent to T ``step`` calls."""
+        arr = _check_samples(samples, self.config.stream_count, 2)
         # A private copy, because ranking writes mu over its input.
-        arr = _check_samples(samples, self.config.stream_count, 2).copy()
-        v, self._w_plus, self._w_minus = _run_recursion(
-            self._references, self.config, arr, self._w_plus, self._w_minus
-        )
+        block = np.empty((2, *arr.shape))
+        block[0] = arr
+        v = _run_recursion(self._references, block, self._cusum)
         self._time += arr.shape[0]
         return MonitorTrace(global_stats=v, alarms=v >= self.config.threshold)
 
@@ -394,6 +427,11 @@ def run_many(
     references, config: MonitorConfig, runs, *, reset_on_alarm: bool = False
 ) -> np.ndarray:
     """Global-statistic traces for many runs advanced in lockstep.
+
+    Runs are copied one at a time into a ``(2, R, T, p)`` block of at most
+    ``_BLOCK_BYTES`` per half; each full block, and the last part-filled
+    one, is ranked and advanced from zeroed state by :func:`_run_recursion`
+    and then released, so at most one block is alive.
 
     Args:
         references: In-control histories, one per stream.
@@ -415,25 +453,32 @@ def run_many(
     """
     refs = _validate_references(references, config.stream_count)
     reset_at = config.threshold if reset_on_alarm else None
-    traces, block, filled = [], None, 0
+    traces, shape, block, filled = [], None, None, 0
     for index, run in enumerate(runs):
         run = _check_samples(run, config.stream_count, 2)
-        if block is None:
-            # Rows past the last run filled are never written, so a block
-            # larger than the runs given costs address space, not memory.
-            block = np.empty((max(1, _BLOCK_BYTES // run.nbytes), *run.shape))
-        elif run.shape != block.shape[1:]:
+        if shape is None:
+            shape, capacity = run.shape, max(1, _BLOCK_BYTES // run.nbytes)
+        elif run.shape != shape:
             raise DimensionMismatchError(
-                f"run {index} has shape {run.shape}, expected {block.shape[1:]}"
+                f"run {index} has shape {run.shape}, expected {shape}"
             )
-        block[filled] = run
+        if block is None:
+            # A fresh block for each batch of runs: pages past the last
+            # run filled are never touched, and the previous block's pages
+            # have been returned rather than kept resident while it fills.
+            block = np.empty((2, capacity, *shape))
+        block[0, filled] = run
         filled += 1
-        if filled == len(block):
-            traces.append(_run_recursion(refs, config, block, 0.0, 0.0, reset_at)[0])
-            filled = 0
-    if block is None:
+        if filled == capacity:
+            cusum = _Cusum(config, (filled,))
+            traces.append(_run_recursion(refs, block, cusum, reset_at))
+            block, filled = None, 0
+    if shape is None:
         raise EmptyInputError("no runs")
     if filled:
-        rows = block[:filled]
-        traces.append(_run_recursion(refs, config, rows, 0.0, 0.0, reset_at)[0])
+        cusum = _Cusum(config, (filled,))
+        traces.append(_run_recursion(refs, block[:, :filled], cusum, reset_at))
+    # Released before the traces are joined, so that the join does not add
+    # to the peak.
+    block = None
     return np.concatenate(traces)

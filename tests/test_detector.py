@@ -86,9 +86,25 @@ def test_build_reference_sorts_and_validates():
         detector.build_reference([1.0, np.nan])
 
 
+def _cusum_step(w_plus, w_minus, log_hi, log_lo, allowance, top_r):
+    """One ``detector._Cusum.step`` from the given W+ and W- (shape ``(p,)``);
+    returns the new W+, W-, the two-sided statistics and V."""
+    cusum = detector._Cusum(detector.MonitorConfig(allowance, top_r, len(w_plus)))
+    cusum.w[0], cusum.w[1] = w_minus, w_plus
+    v = cusum.step(np.stack([log_lo, log_hi]))
+    return cusum.w[1], cusum.w[0], cusum.two_sided(), v
+
+
+def _top_r_sum(stats, top_r):
+    """V of one step whose log terms cancel the allowance exactly (-0.5
+    against 0.5, for values that are multiples of 0.5), from W+ = ``stats``."""
+    terms = np.full_like(stats, -0.5)
+    return _cusum_step(stats, np.zeros_like(stats), terms, terms, 0.5, top_r)[3]
+
+
 def _one_stream_step(w_plus, w_minus, mu, allowance):
-    """W+ and W- of one stream after one ``_cusum_step`` at CDF estimate mu."""
-    w_plus, w_minus, _, _ = detector._cusum_step(
+    """W+ and W- of one stream after one kernel step at CDF estimate mu."""
+    w_plus, w_minus, _, _ = _cusum_step(
         np.array([w_plus]), np.array([w_minus]),
         np.log([1.0 - mu]), np.log([mu]), allowance, 1,
     )
@@ -112,7 +128,7 @@ def test_two_sided():
     # Log terms of -0.5 against an allowance of 0.5 add exactly zero, so
     # W+ and W- stay as given and the step returns their maximum.
     for w_plus, w_minus, expected in ((0.0, 0.0, 0.0), (3.3, 0.0, 3.3), (1.2, 4.5, 4.5)):
-        _, _, two, _ = detector._cusum_step(
+        _, _, two, _ = _cusum_step(
             np.array([w_plus]), np.array([w_minus]),
             np.array([-0.5]), np.array([-0.5]), 0.5, 1,
         )
@@ -121,9 +137,9 @@ def test_two_sided():
 
 def test_global_statistic():
     stats = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
-    assert detector._top_r_sum(stats, 4) == 13.0
-    assert detector._top_r_sum(stats, 5) == pytest.approx(stats.sum())
-    assert detector._top_r_sum(np.zeros(2), 2) == 0.0
+    assert _top_r_sum(stats, 4) == 13.0
+    assert _top_r_sum(stats, 5) == pytest.approx(stats.sum())
+    assert _top_r_sum(np.zeros(2), 2) == 0.0
     with pytest.raises(BadRError):
         detector.MonitorConfig(1.3, 0, stats.size)
     with pytest.raises(BadRError):
@@ -451,3 +467,63 @@ def test_monitor_run_leaves_samples_unchanged():
     before = samples.copy()
     detector.Monitor(refs, detector.MonitorConfig(1.3, 1, 2)).run(samples)
     np.testing.assert_array_equal(samples.view(np.int64), before.view(np.int64))
+
+
+def test_state_is_not_aliased_across_steps_runs_and_reset():
+    # One monitor alternates k single steps and a batch run, is reset, and
+    # does both again. Both paths advance the same in-place state, so each
+    # part must match a fresh oracle run, and every MonitorOutput handed
+    # out earlier must keep the statistics it was given.
+    rng = np.random.default_rng(12)
+    p, top_r, k, chunk = 4, 2, 3, 10
+    refs = [detector.build_reference(rng.normal(size=25)) for _ in range(p)]
+    config = detector.MonitorConfig(0.3, top_r, p)
+    monitor = detector.Monitor(refs, config)
+    outputs, snapshots = [], []
+    for part in range(2):
+        if part:
+            monitor.reset()
+        data = rng.normal(size=(4 * (k + chunk), p)) * 1.5
+        v_expected, local_expected = naive_trace(refs, 0.3, top_r, data)
+        v = []
+        for lo in range(0, len(data), k + chunk):
+            for row in data[lo : lo + k]:
+                out = monitor.step(row)
+                assert out.time_index == len(v)
+                outputs.append((out, local_expected[len(v)]))
+                snapshots.append(out.local_stats.copy())
+                v.append(out.global_stat)
+            v.extend(monitor.run(data[lo + k : lo + k + chunk]).global_stats)
+        np.testing.assert_array_equal(np.array(v).view(np.int64), v_expected.view(np.int64))
+    # After every later step and run: each step's statistics are still the
+    # oracle's and the ones it returned.
+    for (out, expected), snapshot in zip(outputs, snapshots):
+        np.testing.assert_array_equal(out.local_stats.view(np.int64), expected.view(np.int64))
+        np.testing.assert_array_equal(out.local_stats.view(np.int64), snapshot.view(np.int64))
+
+
+@pytest.mark.parametrize("count", [1, 5])
+def test_run_many_reset_on_alarm_at_zero_and_infinite_threshold(count):
+    # One run is the false-alarm-rate call's shape; several share a block.
+    p = 3
+    refs = [detector.build_reference(np.arange(20.0)) for _ in range(p)]
+    runs = _shifted_runs(count, 30, p, seed=11)
+    config = detector.MonitorConfig(1.3, 2, p)
+    # At H = 0 every sample fires, so each V is one step from zeroed state.
+    every = detector.run_many(refs, config.with_threshold(0.0), runs, reset_on_alarm=True)
+    single = detector.run_many(refs, config, runs.reshape(-1, 1, p)).reshape(every.shape)
+    np.testing.assert_array_equal(every.view(np.int64), single.view(np.int64))
+    for r, run in enumerate(runs):
+        for t, row in enumerate(run):
+            one = naive_run(refs, 1.3, 2, row[np.newaxis])
+            assert every[r, t].view(np.int64) == one[0].view(np.int64)
+    # At H = inf nothing fires, so resets change nothing.
+    never = detector.run_many(refs, config, runs, reset_on_alarm=True)
+    plain = detector.run_many(refs, config, runs)
+    np.testing.assert_array_equal(never.view(np.int64), plain.view(np.int64))
+    for r, run in enumerate(runs):
+        np.testing.assert_array_equal(
+            never[r].view(np.int64), naive_run(refs, 1.3, 2, run).view(np.int64)
+        )
+    # The runs accumulate, so the resets at H = 0 did change the traces.
+    assert (every != plain).any()

@@ -149,6 +149,9 @@ _BAD_ROWS = {
 }
 
 
+# Warnings are errors, so that a numpy RuntimeWarning raised while
+# standardizing a row (the overflow case) fails the test.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", list(_BAD_ROWS))
 def test_online_monitor_rejects_bad_sample_after_good_ones(trained_bundle, case):
     stats = trained_bundle.stats
