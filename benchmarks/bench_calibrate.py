@@ -1,0 +1,58 @@
+"""Threshold calibration micro-benchmarks (pytest-benchmark).
+
+Run with ``python -m pytest benchmarks/bench_calibrate.py`` from the
+repository root, with faultmon installed or ``PYTHONPATH=src``. The file
+name does not match ``test_*.py``, so the unit-test run skips it. Record
+the BLAS thread setting (``OPENBLAS_NUM_THREADS``) with any numbers.
+
+Both cases search for ARL0 = 200 with 400 replications and the default
+cap of 4000 samples, at k = 1.3 and r = 4 on the 20-stream process of
+seed 0:
+
+- ``process``: the acceptance suite's criterion-4 point. References are
+  3000 in-control samples; the source simulates the process afresh.
+- ``bootstrap``: the default of ``faultmon train`` and ``faultmon
+  calibrate`` without a process spec. The benchmark corpus's 6000-row
+  in-control pool is split in half into references and a pool that the
+  source resamples.
+"""
+
+import numpy as np
+import pytest
+
+from faultmon import calibrate, detector, pipeline, simulate, standardize
+
+SPEC = calibrate.CalibrationSpec(target_arl0=200.0, replications=400)
+
+
+def _process_case():
+    process = simulate.default_process_spec(0)
+    pool = simulate.generate_in_control(process, 3000)
+    stats = standardize.fit_reference(pool)
+    z = standardize.apply(pool, stats)
+    source = calibrate.standardized_source(
+        simulate.in_control_source(process, run_offset=simulate.CALIBRATION_RUN_OFFSET),
+        stats,
+    )
+    return [z[:, i] for i in range(z.shape[1])], source
+
+
+def _bootstrap_case():
+    process = simulate.default_process_spec(0)
+    pool = simulate.generate_in_control(
+        process, 6000, run=simulate._IN_CONTROL_POOL_RUN
+    )
+    _, references, source = pipeline.prepare_reference_and_source(pool, None, 0)
+    return references, source
+
+
+@pytest.mark.parametrize("make_case", [_process_case, _bootstrap_case],
+                         ids=["process", "bootstrap"])
+def test_find_threshold(benchmark, make_case):
+    """One ``find_threshold`` call; the source is built outside the timing."""
+    references, source = make_case()
+    config = detector.MonitorConfig(1.3, 4, len(references))
+    result = benchmark.pedantic(
+        calibrate.find_threshold, args=(references, config, source, SPEC), rounds=3
+    )
+    assert np.isfinite(result.threshold)

@@ -9,7 +9,24 @@ A sample source is a callable ``source(replication, start, count)``
 returning ``count`` consecutive standardized in-control samples of shape
 ``(count, p)`` for one replication. Sources must be deterministic and
 addressable: the same arguments always return the same values regardless
-of call order, which makes every estimate here reproducible.
+of call order, which makes every estimate here reproducible. In
+particular ``source(r, 0, n)`` is the first n rows of ``source(r, 0, m)``
+for n <= m, so a run simulated to n samples is a prefix of the same run
+simulated further.
+
+Runs are simulated lazily, and the results are those of simulating every
+run to the cap. Each replication is first simulated to
+``min(cap, 4 * target_arl0)`` samples. At a threshold H a run's length is
+then exact if its trace crossed H, and otherwise lies between one past
+its simulated length and the cap. Every question the search asks of the
+mean run length is a comparison that is monotone in the mean, or an
+interval of it, and the exact mean lies between the means of the lower
+and upper bounds, so the question is settled once both bound means give
+the same answer. Until they do, the undecided runs are simulated again
+from t = 0 to twice their length, at most the cap. An estimate that is
+reported (``estimate_arl``, the chosen threshold's ``achieved_arl``, an
+error message) is exact: its runs are extended until each one has
+crossed or reached the cap.
 """
 
 from __future__ import annotations
@@ -46,6 +63,9 @@ _MAX_EXPANSIONS = 60
 # Initial (low, high) threshold bracket; doubled / halved until it
 # straddles the target.
 _H_BRACKET = (0.5, 32.0)
+# Every run is first simulated to this many target ARLs (at most the cap).
+# At ARL0 = 200 about e^-4, 2%, of in-control runs outlast it.
+_PREFIX_ARLS = 4
 
 
 @dataclass(frozen=True)
@@ -84,19 +104,47 @@ class CalibrationSpec:
 
 @dataclass(frozen=True)
 class ArlEstimate:
-    """Monte-Carlo ARL estimate at one threshold."""
+    """Monte-Carlo ARL estimate at one threshold.
+
+    Attributes:
+        mean_run_length: Mean of ``run_lengths``.
+        standard_error: Monte-Carlo standard error of that mean,
+            ``std(run_lengths, ddof=1) / sqrt(R)``; 0 for one replication.
+        censored_fraction: Share of runs that reached the cap.
+        run_lengths: Each replication's run length; a run that never
+            crossed counts as the cap.
+    """
 
     mean_run_length: float
+    standard_error: float
     censored_fraction: float
     run_lengths: np.ndarray
 
 
+def _estimate_from_lengths(lengths: np.ndarray, cap: int) -> ArlEstimate:
+    count = lengths.size
+    spread = float(np.std(lengths, ddof=1) / np.sqrt(count)) if count > 1 else 0.0
+    return ArlEstimate(
+        mean_run_length=float(lengths.mean()),
+        standard_error=spread,
+        censored_fraction=float(np.mean(lengths >= cap)),
+        run_lengths=lengths,
+    )
+
+
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Outcome of a threshold search."""
+    """Outcome of a threshold search.
+
+    ``achieved_arl``, ``standard_error`` and ``censored_fraction`` are the
+    exact :class:`ArlEstimate` at ``threshold``. The other thresholds the
+    search probed were decided from bounds on their mean run length, so
+    no exact ARL or error is known there.
+    """
 
     threshold: float
     achieved_arl: float
+    standard_error: float
     censored_fraction: float
     target_arl0: float
     replications: int
@@ -110,11 +158,11 @@ def _collect_traces(
     references,
     config: detector.MonitorConfig,
     source: SampleSource,
-    replications: int,
+    replications,
     run_length: int,
     reset_on_alarm: bool = False,
 ) -> np.ndarray:
-    """V traces for in-control replications, shape ``(R, run_length)``.
+    """V traces of the given replication indices, shape ``(R, run_length)``.
 
     Without ``reset_on_alarm`` trajectories do not depend on the threshold,
     so one pass supports every threshold probed during the search.
@@ -125,7 +173,7 @@ def _collect_traces(
     traces = detector.run_many(
         references,
         config,
-        (source(rep, 0, run_length) for rep in range(replications)),
+        (source(rep, 0, run_length) for rep in replications),
         reset_on_alarm=reset_on_alarm,
     )
     if traces.shape[1] != run_length:
@@ -136,23 +184,78 @@ def _collect_traces(
     return traces
 
 
-def _run_lengths_at(traces: np.ndarray, threshold: float, cap: int) -> np.ndarray:
-    crossed = traces >= threshold
-    first = crossed.argmax(axis=1)
-    never = ~crossed.any(axis=1)
-    # Run length counts samples, so index t crossing means length t + 1.
-    lengths = np.where(never, float(cap), first + 1.0)
-    return lengths
+class _LazyTraces:
+    """In-control V traces, each simulated only as far as a question needs.
 
+    Row r of ``_traces`` holds replication r's trace over its first
+    ``_simulated[r]`` samples and ``-inf`` after them, so the first
+    crossing of any threshold lies in the simulated part.
+    """
 
-def _estimate_from_traces(traces: np.ndarray, threshold: float, cap: int) -> ArlEstimate:
-    lengths = _run_lengths_at(traces, threshold, cap)
-    censored = float(np.mean(lengths >= cap))
-    return ArlEstimate(
-        mean_run_length=float(lengths.mean()),
-        censored_fraction=censored,
-        run_lengths=lengths,
-    )
+    def __init__(self, references, config, source: SampleSource, spec: CalibrationSpec):
+        self._draw = (references, config, source)
+        self._cap = spec.run_length_cap
+        prefix = min(self._cap, int(round(_PREFIX_ARLS * spec.target_arl0)))
+        self._traces = _collect_traces(
+            references, config, source, range(spec.replications), prefix
+        )
+        self._simulated = np.full(spec.replications, prefix)
+
+    def _bounds(self, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bounds on every run length at ``threshold``.
+
+        A run that crossed has its exact length, the crossing index + 1. A
+        run that did not lies in ``[simulated + 1, cap]``; either end is
+        the cap, and so exact, once it is simulated to ``cap - 1``.
+        """
+        crossed = self._traces >= threshold
+        hit = crossed.any(axis=1)
+        exact = crossed.argmax(axis=1) + 1.0
+        low = np.where(hit, exact, np.minimum(self._simulated + 1.0, self._cap))
+        high = np.where(hit, exact, float(self._cap))
+        return low, high
+
+    def _extend(self, runs: np.ndarray) -> None:
+        """Simulate ``runs`` again from t = 0, to twice their length or the cap."""
+        lengths = np.minimum(2 * self._simulated[runs], self._cap)
+        for length in np.unique(lengths).tolist():
+            group = runs[lengths == length]
+            block = _collect_traces(*self._draw, group.tolist(), length)
+            width = self._traces.shape[1]
+            if length > width:
+                self._traces = np.pad(
+                    self._traces, ((0, 0), (0, length - width)), constant_values=-np.inf
+                )
+            self._traces[group, :length] = block
+            self._simulated[group] = length
+
+    def _settle(self, threshold: float, settled) -> tuple[np.ndarray, np.ndarray]:
+        """Extend undecided runs until ``settled(low, high)`` holds."""
+        low, high = self._bounds(threshold)
+        while not settled(low, high):
+            self._extend(np.flatnonzero(low != high))
+            low, high = self._bounds(threshold)
+        return low, high
+
+    def decide(self, threshold: float, answer):
+        """``answer(m)`` for the exact mean run length m at ``threshold``.
+
+        ``answer`` must be constant on every interval of m where it takes
+        the same value at both ends: a monotone comparison, or which of a
+        band and its two sides m falls in. ``mean`` adds in an order fixed
+        by the run count, and float addition is monotone, so the exact
+        mean lies between the means of the bounds; its answer is theirs
+        once they agree.
+        """
+        low, _ = self._settle(
+            threshold, lambda lo, hi: answer(lo.mean()) == answer(hi.mean())
+        )
+        return answer(low.mean())
+
+    def estimate(self, threshold: float) -> ArlEstimate:
+        """The exact estimate: every run crossed or reached the cap."""
+        lengths, _ = self._settle(threshold, np.array_equal)
+        return _estimate_from_lengths(lengths, self._cap)
 
 
 def estimate_arl(
@@ -167,11 +270,15 @@ def estimate_arl(
     Runs are censored at ``spec.run_length_cap``; censored runs contribute
     the cap itself, so the estimate is biased low when censoring is heavy.
     Check ``censored_fraction`` before trusting the number.
+
+    Each run is simulated to ``min(cap, 4 * spec.target_arl0)`` samples,
+    then only the runs that have not crossed are simulated further, from
+    t = 0 to twice their length, until each crosses or reaches the cap.
+    The result equals simulating every run to the cap, given a source
+    whose shorter draws are prefixes of its longer ones (see the module
+    docstring).
     """
-    traces = _collect_traces(
-        references, config, source, spec.replications, spec.run_length_cap
-    )
-    return _estimate_from_traces(traces, threshold, spec.run_length_cap)
+    return _LazyTraces(references, config, source, spec).estimate(threshold)
 
 
 def find_threshold(
@@ -188,65 +295,77 @@ def find_threshold(
     bracket narrows below an absolute floor. Entirely deterministic for a
     deterministic source.
 
+    Every probe is decided lazily (module docstring): runs are simulated
+    to ``min(cap, 4 * target_arl0)`` samples and extended only while the
+    bounds on a probe's mean run length disagree on the comparison the
+    search makes there. The result, ``evaluations`` included, equals a
+    search over every run simulated to the cap. Only the chosen threshold
+    gets an exact estimate, and so a standard error.
+
     Raises:
         BracketError: The bracket cannot be expanded to straddle the
             target (for instance when the cap censors everything).
     """
     cap = spec.run_length_cap
-    if cap <= spec.target_arl0:
+    target = spec.target_arl0
+    if cap <= target:
         raise BracketError(
-            f"run length cap {cap} cannot resolve a target ARL of {spec.target_arl0}"
+            f"run length cap {cap} cannot resolve a target ARL of {target}"
         )
-    traces = _collect_traces(references, config, source, spec.replications, cap)
+    traces = _LazyTraces(references, config, source, spec)
     evaluations = 0
 
-    def arl_at(h: float) -> ArlEstimate:
+    def probe(h: float, answer):
         nonlocal evaluations
         evaluations += 1
-        return _estimate_from_traces(traces, h, cap)
+        return traces.decide(h, answer)
+
+    def side_of_band(mean: float) -> int:
+        # 0 inside the tolerance band, else -1 below it and 1 above it.
+        if abs(mean / target - 1.0) <= spec.tolerance:
+            return 0
+        return -1 if mean < target else 1
 
     low, high = _H_BRACKET
-    est_high = arl_at(high)
     expansions = 0
-    while est_high.mean_run_length <= spec.target_arl0:
+    while probe(high, lambda mean: mean <= target):
         high *= 2.0
         expansions += 1
         if expansions > _MAX_EXPANSIONS:
+            arl = traces.estimate(high / 2.0).mean_run_length
             raise BracketError(
-                f"ARL stays at {est_high.mean_run_length:.1f} below target "
-                f"{spec.target_arl0} even at H={high / 2.0}"
+                f"ARL stays at {arl:.1f} below target {target} even at H={high / 2.0}"
             )
-        est_high = arl_at(high)
-    est_low = arl_at(low)
     expansions = 0
-    while est_low.mean_run_length >= spec.target_arl0:
+    while probe(low, lambda mean: mean >= target):
         low /= 2.0
         expansions += 1
         if expansions > _MAX_EXPANSIONS:
+            arl = traces.estimate(low * 2.0).mean_run_length
             raise BracketError(
-                f"ARL is already {est_low.mean_run_length:.1f} above target "
-                f"{spec.target_arl0} at H={low * 2.0}"
+                f"ARL is already {arl:.1f} above target {target} at H={low * 2.0}"
             )
-        est_low = arl_at(low)
 
-    best_h, best_est = high, est_high
+    best_h = high
     while high - low >= _MIN_BRACKET_WIDTH:
         mid = 0.5 * (low + high)
-        est = arl_at(mid)
-        if abs(est.mean_run_length / spec.target_arl0 - 1.0) <= spec.tolerance:
-            best_h, best_est = mid, est
+        side = probe(mid, side_of_band)
+        if side == 0:
+            best_h = mid
             break
-        if est.mean_run_length < spec.target_arl0:
+        if side < 0:
             low = mid
         else:
             # Track the conservative (upper) end: its ARL is >= target.
-            high, best_h, best_est = mid, mid, est
+            high = best_h = mid
 
+    best = traces.estimate(best_h)
     return CalibrationResult(
         threshold=float(best_h),
-        achieved_arl=best_est.mean_run_length,
-        censored_fraction=best_est.censored_fraction,
-        target_arl0=spec.target_arl0,
+        achieved_arl=best.mean_run_length,
+        standard_error=best.standard_error,
+        censored_fraction=best.censored_fraction,
+        target_arl0=target,
         replications=spec.replications,
         evaluations=evaluations,
     )
@@ -276,7 +395,9 @@ def estimate_false_alarm_rate(
     if replications < 1 or run_length < 1:
         raise EmptyInputError("replications and run_length must be at least 1")
     cfg = config.with_threshold(threshold)
-    traces = _collect_traces(references, cfg, source, replications, run_length, True)
+    traces = _collect_traces(
+        references, cfg, source, range(replications), run_length, True
+    )
     return int(np.count_nonzero(traces >= threshold)) / (replications * run_length)
 
 

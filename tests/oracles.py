@@ -6,6 +6,9 @@ in bulk or only in one direction. None of them is part of the package.
 
 import numpy as np
 
+from faultmon import calibrate, detector
+from faultmon.errors import BracketError
+
 
 def rbf_kernel(x, y, gamma):
     """Gaussian kernel ``exp(-gamma * ||x - y||^2)`` for two vectors."""
@@ -111,3 +114,99 @@ def max_violating_pair_smo(kernel, labels, c_penalty, tol, alpha_tol=1e-8,
         lo = score[low_mask].min() if low_mask.any() else score.max()
         bias = float(0.5 * (hi + lo))
     return alphas, bias, iterations
+
+
+def _eager_estimate(traces, threshold, cap):
+    crossed = traces >= threshold
+    first = crossed.argmax(axis=1)
+    never = ~crossed.any(axis=1)
+    # Run length counts samples, so index t crossing means length t + 1.
+    lengths = np.where(never, float(cap), first + 1.0)
+    count = lengths.size
+    return calibrate.ArlEstimate(
+        mean_run_length=float(lengths.mean()),
+        standard_error=(
+            float(np.std(lengths, ddof=1) / np.sqrt(count)) if count > 1 else 0.0
+        ),
+        censored_fraction=float(np.mean(lengths >= cap)),
+        run_lengths=lengths,
+    )
+
+
+def _eager_traces(references, config, source, spec):
+    cap = spec.run_length_cap
+    return detector.run_many(
+        references, config, (source(rep, 0, cap) for rep in range(spec.replications))
+    )
+
+
+def eager_estimate_arl(threshold, references, config, source, spec):
+    """``calibrate.estimate_arl`` with every run simulated to the cap."""
+    traces = _eager_traces(references, config, source, spec)
+    return _eager_estimate(traces, threshold, spec.run_length_cap)
+
+
+def eager_find_threshold(references, config, source, spec):
+    """``calibrate.find_threshold`` with every run simulated to the cap.
+
+    Every probe gets an exact estimate from the full traces. The bracket,
+    expansion limit and bracket floor are read from ``calibrate``.
+    """
+    cap = spec.run_length_cap
+    if cap <= spec.target_arl0:
+        raise BracketError(
+            f"run length cap {cap} cannot resolve a target ARL of {spec.target_arl0}"
+        )
+    traces = _eager_traces(references, config, source, spec)
+    evaluations = 0
+
+    def arl_at(h):
+        nonlocal evaluations
+        evaluations += 1
+        return _eager_estimate(traces, h, cap)
+
+    low, high = calibrate._H_BRACKET
+    est_high = arl_at(high)
+    expansions = 0
+    while est_high.mean_run_length <= spec.target_arl0:
+        high *= 2.0
+        expansions += 1
+        if expansions > calibrate._MAX_EXPANSIONS:
+            raise BracketError(
+                f"ARL stays at {est_high.mean_run_length:.1f} below target "
+                f"{spec.target_arl0} even at H={high / 2.0}"
+            )
+        est_high = arl_at(high)
+    est_low = arl_at(low)
+    expansions = 0
+    while est_low.mean_run_length >= spec.target_arl0:
+        low /= 2.0
+        expansions += 1
+        if expansions > calibrate._MAX_EXPANSIONS:
+            raise BracketError(
+                f"ARL is already {est_low.mean_run_length:.1f} above target "
+                f"{spec.target_arl0} at H={low * 2.0}"
+            )
+        est_low = arl_at(low)
+
+    best_h, best_est = high, est_high
+    while high - low >= calibrate._MIN_BRACKET_WIDTH:
+        mid = 0.5 * (low + high)
+        est = arl_at(mid)
+        if abs(est.mean_run_length / spec.target_arl0 - 1.0) <= spec.tolerance:
+            best_h, best_est = mid, est
+            break
+        if est.mean_run_length < spec.target_arl0:
+            low = mid
+        else:
+            high, best_h, best_est = mid, mid, est
+
+    return calibrate.CalibrationResult(
+        threshold=float(best_h),
+        achieved_arl=best_est.mean_run_length,
+        standard_error=best_est.standard_error,
+        censored_fraction=best_est.censored_fraction,
+        target_arl0=spec.target_arl0,
+        replications=spec.replications,
+        evaluations=evaluations,
+    )

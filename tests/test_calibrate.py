@@ -2,19 +2,24 @@
 
 The deterministic source drives V up by a fixed increment per step, so
 run lengths, ARL values, and alarm times are exactly computable and the
-bisection can be checked against closed forms.
+bisection can be checked against closed forms. The lazy search and
+estimate are checked bitwise against ``oracles.eager_find_threshold`` and
+``oracles.eager_estimate_arl``, which simulate every run to the cap.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from faultmon import calibrate, detector, standardize
+from faultmon import calibrate, detector, simulate, standardize
 from faultmon.errors import (
     BracketError,
     DimensionMismatchError,
     DomainError,
     EmptyInputError,
 )
+from tests.oracles import eager_estimate_arl, eager_find_threshold
 
 # Reference [0, 1], online value 10 -> mu = 3/4 exactly, so W+ grows by
 # -log(1/4) - k per step and never clamps for k < log(4).
@@ -243,3 +248,193 @@ def test_standard_normal_calibration_round_trip():
     )
     assert est.censored_fraction < 0.05
     assert abs(est.mean_run_length / 200.0 - 1.0) <= 0.10
+
+
+# Reference [0, 1] and online value 0.5 give mu = 1/2 exactly: both log
+# increments are log(2) - 1.3 < 0, so V stays 0 and the run never alarms.
+def _stuck_every(period):
+    """Constant source whose replications r % period == 0 never alarm."""
+
+    def source(replication, start, count):
+        return np.full((count, 1), 0.5 if replication % period == 0 else 10.0)
+
+    return source
+
+
+def _gauss_case():
+    rng = np.random.default_rng(21)
+    refs = [detector.build_reference(rng.normal(size=200)) for _ in range(3)]
+
+    def source(replication, start, count):
+        src = np.random.default_rng(
+            np.random.SeedSequence(entropy=31, spawn_key=(replication,))
+        )
+        return src.normal(size=(start + count, 3))[start:]
+
+    return refs, detector.MonitorConfig(1.3, 2, 3), source
+
+
+def _bootstrap_case():
+    rng = np.random.default_rng(22)
+    pool = rng.normal(size=(500, 3))
+    refs = [detector.build_reference(pool[:200, i]) for i in range(3)]
+    source = calibrate.bootstrap_source(pool[200:], seed=6)
+    return refs, detector.MonitorConfig(1.3, 2, 3), source
+
+
+def _constant_case(source=_constant_source):
+    refs, config = _linear_refs_config()
+    return refs, config, source
+
+
+# (case, spec); the 4x prefix is 4 * target_arl0 samples.
+_ORACLE_CASES = {
+    "constant": (_constant_case, dict(target_arl0=200.0, replications=2)),
+    "gauss-conservative-end": (
+        _gauss_case, dict(target_arl0=50.0, replications=60, tolerance=1e-9)
+    ),
+    "gauss": (_gauss_case, dict(target_arl0=50.0, replications=60)),
+    "gauss-cap-at-prefix": (
+        _gauss_case, dict(target_arl0=50.0, replications=60, max_run_length=200)
+    ),
+    "gauss-cap-above-prefix": (
+        _gauss_case, dict(target_arl0=50.0, replications=60, max_run_length=210)
+    ),
+    "gauss-one-replication": (_gauss_case, dict(target_arl0=50.0, replications=1)),
+    "bootstrap": (_bootstrap_case, dict(target_arl0=50.0, replications=60)),
+    "heavy-censoring": (
+        lambda: _constant_case(_stuck_every(5)),
+        dict(target_arl0=100.0, replications=20, max_run_length=450),
+    ),
+}
+
+
+def _assert_bitwise_equal(got, expected):
+    assert type(got) is type(expected)
+    for field in dataclasses.fields(expected):
+        value, wanted = getattr(got, field.name), getattr(expected, field.name)
+        assert type(value) is type(wanted), field.name
+        if isinstance(wanted, np.ndarray):
+            assert value.dtype == wanted.dtype, field.name
+            np.testing.assert_array_equal(value.view(np.int64), wanted.view(np.int64))
+        else:
+            # A float's repr round-trips, so equal reprs are equal bits.
+            assert repr(value) == repr(wanted), field.name
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_CASES))
+def test_lazy_search_equals_eager_oracle(name):
+    make_case, fields = _ORACLE_CASES[name]
+    refs, config, source = make_case()
+    spec = calibrate.CalibrationSpec(**fields)
+    result = calibrate.find_threshold(refs, config, source, spec)
+    _assert_bitwise_equal(result, eager_find_threshold(refs, config, source, spec))
+    for h in (0.5 * result.threshold, result.threshold, 2.0 * result.threshold):
+        _assert_bitwise_equal(
+            calibrate.estimate_arl(h, refs, config, source, spec),
+            eager_estimate_arl(h, refs, config, source, spec),
+        )
+
+
+def test_lazy_estimate_equals_eager_oracle_under_heavy_censoring():
+    refs, config, source = _gauss_case()
+    spec = calibrate.CalibrationSpec(target_arl0=20.0, replications=30, max_run_length=400)
+    for h in (5.0, 20.0, 1e3):
+        est = calibrate.estimate_arl(h, refs, config, source, spec)
+        _assert_bitwise_equal(est, eager_estimate_arl(h, refs, config, source, spec))
+    assert est.censored_fraction == 1.0
+
+
+def _assert_same_bracket_error(refs, config, source, spec):
+    with pytest.raises(BracketError) as lazy:
+        calibrate.find_threshold(refs, config, source, spec)
+    with pytest.raises(BracketError) as eager:
+        eager_find_threshold(refs, config, source, spec)
+    assert type(lazy.value) is type(eager.value)
+    assert str(lazy.value) == str(eager.value)
+    return str(lazy.value)
+
+
+def test_bracket_errors_equal_eager_oracle(monkeypatch):
+    refs, config = _linear_refs_config()
+    spec = calibrate.CalibrationSpec(target_arl0=1000.0, replications=2, max_run_length=50)
+    _assert_same_bracket_error(refs, config, _constant_source, spec)
+    # Two of six runs never alarm: the ARL at the smallest H is
+    # (4 * 1 + 2 * 1000) / 6 = 334. The bounds decide it is above the
+    # target; the message gives the exact value.
+    spec = calibrate.CalibrationSpec(target_arl0=50.0, replications=6)
+    message = _assert_same_bracket_error(refs, config, _stuck_every(3), spec)
+    assert "ARL is already 334.0 above" in message
+    # One of ten runs never alarms and the rest alarm at
+    # ceil(32 / delta) = 371 at H = 32: the ARL (9 * 371 + 5000) / 10 is
+    # below the target, and with no expansion allowed the search stops.
+    monkeypatch.setattr(calibrate, "_MAX_EXPANSIONS", 0)
+    spec = calibrate.CalibrationSpec(
+        target_arl0=1000.0, replications=10, max_run_length=5000
+    )
+    message = _assert_same_bracket_error(refs, config, _stuck_every(10), spec)
+    assert "ARL stays at 833.9 below" in message
+
+
+@pytest.mark.parametrize("kind", ["process", "bootstrap"])
+def test_shorter_draws_give_trace_prefixes(kind):
+    # The lazy search recomputes a run from t = 0 when it extends it; that
+    # is exact only because a shorter draw is a prefix of a longer one.
+    process = simulate.default_process_spec(3)
+    pool = simulate.generate_in_control(process, 600)
+    stats = standardize.fit_reference(pool)
+    z = standardize.apply(pool, stats)
+    refs = [z[:300, i] for i in range(z.shape[1])]
+    config = detector.MonitorConfig(1.3, 4, z.shape[1])
+    if kind == "process":
+        source = calibrate.standardized_source(
+            simulate.in_control_source(
+                process, run_offset=simulate.CALIBRATION_RUN_OFFSET
+            ),
+            stats,
+        )
+    else:
+        source = calibrate.bootstrap_source(z[300:], seed=4)
+    short = detector.run_many(refs, config, (source(r, 0, 37) for r in range(4)))
+    full = detector.run_many(refs, config, (source(r, 0, 250) for r in range(4)))
+    np.testing.assert_array_equal(short.view(np.int64), full[:, :37].view(np.int64))
+
+
+def test_lazy_search_draws_few_rows_when_runs_cross_early():
+    refs, config, gauss = _gauss_case()
+    drawn = []
+
+    def counting(replication, start, count):
+        drawn.append(count)
+        return gauss(replication, start, count)
+
+    spec = calibrate.CalibrationSpec(target_arl0=50.0, replications=100)
+    calibrate.find_threshold(refs, config, counting, spec)
+    # Every run is drawn to 4 * 50 = 200 samples once; few are drawn again.
+    assert sum(drawn[:100]) == 100 * 200
+    assert sum(drawn) < 0.3 * spec.replications * spec.run_length_cap
+
+
+def test_every_extension_checks_the_draw_length():
+    refs, config, gauss = _gauss_case()
+
+    def short_after_prefix(replication, start, count):
+        return gauss(replication, start, min(count, 80))
+
+    spec = calibrate.CalibrationSpec(target_arl0=20.0, replications=5, max_run_length=400)
+    # The 80-sample prefix passes; the first extension draws 80 of 160.
+    with pytest.raises(DimensionMismatchError, match="returned 80 samples"):
+        calibrate.estimate_arl(1e6, refs, config, short_after_prefix, spec)
+
+
+def test_standard_error_at_the_chosen_threshold():
+    refs, config, source = _gauss_case()
+    spec = calibrate.CalibrationSpec(target_arl0=50.0, replications=60)
+    result = calibrate.find_threshold(refs, config, source, spec)
+    lengths = calibrate.estimate_arl(result.threshold, refs, config, source, spec).run_lengths
+    assert result.standard_error == np.std(lengths, ddof=1) / np.sqrt(60)
+    single = calibrate.estimate_arl(
+        result.threshold, refs, config, source,
+        dataclasses.replace(spec, replications=1),
+    )
+    assert single.standard_error == 0.0

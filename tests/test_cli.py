@@ -97,6 +97,7 @@ def test_calibrate_bootstrap(cli_workspace, tmp_path, capfd):
     assert file_payload["threshold"] > 0
     assert file_payload["target_arl0"] == 25.0
     assert abs(file_payload["achieved_arl"] / 25.0 - 1.0) <= 0.02
+    assert file_payload["standard_error"] > 0
 
 
 def test_calibrate_and_train_pick_the_same_threshold(

@@ -96,8 +96,8 @@ FIELDS = {
         "kind", "affected_streams", "onset", "magnitude", "drift_rate", "fault_id",
     ],
     calibrate.CalibrationResult: [
-        "threshold", "achieved_arl", "censored_fraction", "target_arl0",
-        "replications", "evaluations",
+        "threshold", "achieved_arl", "standard_error", "censored_fraction",
+        "target_arl0", "replications", "evaluations",
     ],
     features.TraceFeatures: [
         "mean", "stddev", "median", "variance", "value_range", "max_value",
@@ -115,5 +115,5 @@ def test_serialized_orders_follow_the_fields():
     assert list(features.FEATURE_NAMES) == FIELDS[features.TraceFeatures]
     fault = simulate.FaultSpec("step", (2, 0), 5, magnitude=1.0)
     assert list(fault.to_dict()) == FIELDS[simulate.FaultSpec]
-    result = calibrate.CalibrationResult(1.0, 2.0, 0.0, 2.0, 10, 3)
+    result = calibrate.CalibrationResult(1.0, 2.0, 0.5, 0.0, 2.0, 10, 3)
     assert list(result.to_dict()) == FIELDS[calibrate.CalibrationResult]
