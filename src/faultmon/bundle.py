@@ -19,7 +19,7 @@ import numpy as np
 
 from .detector import MonitorConfig
 from .errors import CorruptBundleError, DomainError, VersionMismatchError
-from .spd import METRIC_AFFINE, METRIC_LOG_EUCLIDEAN
+from .spd import METRIC_AFFINE
 from .standardize import ReferenceStats
 from .svm import BinaryModel, MulticlassModel
 
@@ -51,13 +51,13 @@ class ModelBundle:
         target_arl0: The in-control ARL the threshold was calibrated for.
         patience: Samples to wait after an alarm before classifying.
         window: Trailing window length (in samples) for the covariance.
-        karcher_base: Tangent-space base point (geometric mean of the
-            training covariances); identity-like for raw feature mode.
+        karcher_base: Tangent-space base point (affine-invariant
+            geometric mean of the training covariances); identity-like for
+            raw feature mode.
         classifier: Trained one-vs-one SVM over fault ids.
         feature_mode: ``tangent`` (manifold features) or ``raw``
             (vectorized covariance as-is).
         trace_features: Whether V(t) summary features are appended.
-        metric: Manifold metric the bundle was trained with.
         training_summary: Free-form JSON-safe diagnostics from training.
     """
 
@@ -71,13 +71,10 @@ class ModelBundle:
     classifier: MulticlassModel
     feature_mode: str = "tangent"
     trace_features: bool = False
-    metric: str = METRIC_AFFINE
     training_summary: dict = field(default_factory=dict)
 
     def __post_init__(self):
         _check_model_options(self.feature_mode, self.patience)
-        if self.metric not in (METRIC_AFFINE, METRIC_LOG_EUCLIDEAN):
-            raise DomainError(f"unknown metric {self.metric!r}")
         if self.window < 2:
             raise DomainError(f"window must be at least 2, got {self.window}")
         if len(self.references) != self.config.stream_count:
@@ -135,7 +132,7 @@ def _payload(bundle: ModelBundle) -> dict:
         },
         "feature_mode": bundle.feature_mode,
         "trace_features": bundle.trace_features,
-        "metric": bundle.metric,
+        "metric": METRIC_AFFINE,
         "training_summary": bundle.training_summary,
     }
 
@@ -180,6 +177,10 @@ def load_bundle(path) -> ModelBundle:
     if _checksum(payload) != document.get("checksum"):
         raise CorruptBundleError("bundle checksum does not match its payload")
     try:
+        if payload["metric"] != METRIC_AFFINE:
+            raise CorruptBundleError(
+                f"metric {payload['metric']!r} is not {METRIC_AFFINE!r}"
+            )
         classifier = MulticlassModel(
             class_labels=np.asarray(payload["classifier"]["class_labels"], dtype=int),
             pairs=[
@@ -216,7 +217,6 @@ def load_bundle(path) -> ModelBundle:
             classifier=classifier,
             feature_mode=payload["feature_mode"],
             trace_features=bool(payload["trace_features"]),
-            metric=payload["metric"],
             training_summary=payload.get("training_summary", {}),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -90,17 +90,18 @@ class CalibrationFailedError(FaultMonError, RuntimeError):
 
 
 class NoAlarmInTrainingError(FaultMonError, RuntimeError):
-    """A fault class lost all of its training runs.
+    """A fault class kept fewer than 2 usable training runs.
 
     Runs can be dropped because the detector never alarmed or because the
-    classification window did not fit inside the run.
+    classification window did not fit inside the run; ``run_ids`` names
+    the runs of that class that were dropped.
     """
 
     def __init__(self, fault_id, run_ids):
         self.fault_id = int(fault_id)
         self.run_ids = tuple(run_ids)
         super().__init__(
-            f"fault class {self.fault_id} has no usable training runs "
+            f"fault class {self.fault_id} has fewer than 2 usable training runs "
             f"(dropped: {list(self.run_ids)})"
         )
 

@@ -16,6 +16,11 @@ splits the in-control pool into references and calibration samples, and
 ``choose_threshold`` turns the training knobs into a detector config with
 its threshold; the CLI calls both too.
 
+Evaluation (``_score``) groups the faulty runs by fault id once and writes
+each per-fault rate of :class:`EvalReport` as its definition over that
+group; the false-alarm rate is taken once over every run's in-control
+segment, and one loop classifies the faulty runs that alarmed.
+
 Timing conventions (all indices 0-based):
     onset     first faulty sample of a run
     t_a       first alarm at or after the onset
@@ -31,7 +36,7 @@ typical run.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -50,7 +55,6 @@ from .errors import (
 )
 from .features import trace_features
 from .simulate import Run
-from .spd import METRIC_AFFINE
 
 __all__ = [
     "TrainConfig",
@@ -197,10 +201,10 @@ def _tangent_base(karcher_base, feature_mode: str):
     return spd._Base(karcher_base) if feature_mode == "tangent" else None
 
 
-def _feature_vector(cov, v_trace, tangent_base, metric: str, use_trace: bool):
+def _feature_vector(cov, v_trace, tangent_base, use_trace: bool):
     """Classifier input for one window covariance and its V trace."""
     if tangent_base is not None:
-        vec = spd.tangent_vectorize(spd.spd_log(tangent_base, cov, metric))
+        vec = spd.tangent_vectorize(spd.spd_log(tangent_base, cov))
     else:
         vec = spd.tangent_vectorize(cov)
     if use_trace:
@@ -208,12 +212,20 @@ def _feature_vector(cov, v_trace, tangent_base, metric: str, use_trace: bool):
     return vec
 
 
-def _check_class_coverage(labels, all_fault_ids, dropped):
-    counts = {fid: int(np.sum(labels == fid)) for fid in all_fault_ids}
-    flat_dropped = [rid for ids in dropped.values() for rid in ids]
-    for fid, count in counts.items():
-        if count < 2:
-            raise NoAlarmInTrainingError(fid, flat_dropped)
+def _check_class_coverage(detected: list[_DetectedRun], kept: list[bool]):
+    """Usable training runs per fault class, in ascending fault id.
+
+    Raises ``NoAlarmInTrainingError`` for the first class that kept fewer
+    than 2 runs, naming the runs that class lost.
+    """
+    counts = {}
+    for fid in sorted({d.run.fault_id for d in detected}):
+        own = [
+            (d.run.run_id, k) for d, k in zip(detected, kept) if d.run.fault_id == fid
+        ]
+        counts[fid] = sum(k for _, k in own)
+        if counts[fid] < 2:
+            raise NoAlarmInTrainingError(fid, [rid for rid, k in own if not k])
     return counts
 
 
@@ -314,18 +326,17 @@ def _fit(
 ) -> ModelBundle:
     """Window length, Karcher base and classifier from detected runs."""
     delays = [d.delay for d in detected if d.delay is not None]
-    if not delays:
-        raise NoAlarmInTrainingError(
-            detected[0].run.fault_id, [d.run.run_id for d in detected]
-        )
+    if not delays:  # no run alarmed: every class lost all of its runs
+        _check_class_coverage(detected, [False] * len(detected))
     window = _window_length(delays, config.patience)
 
-    covs, traces, labels = [], [], []
+    covs, traces, labels, kept = [], [], [], []
     dropped: dict[str, list[str]] = {}
     for item in detected:
         cov, trace, reason = _classification_window(
             item, setup.stats, config.patience, window, config.trace_features
         )
+        kept.append(reason is None)
         if reason is not None:
             dropped.setdefault(reason, []).append(item.run.run_id)
             continue
@@ -333,18 +344,15 @@ def _fit(
         traces.append(trace)
         labels.append(item.run.fault_id)
     labels = np.asarray(labels, dtype=int)
-    fault_ids = sorted({d.run.fault_id for d in detected})
-    class_counts = _check_class_coverage(labels, fault_ids, dropped)
+    class_counts = _check_class_coverage(detected, kept)
 
     if config.feature_mode == "tangent":
-        karcher_base = spd.karcher_mean(covs, METRIC_AFFINE)
+        karcher_base = spd.karcher_mean(covs)
     else:
         karcher_base = np.eye(setup.stats.stream_count)
     tangent_base = _tangent_base(karcher_base, config.feature_mode)
     feature_matrix = np.vstack([
-        _feature_vector(
-            cov, trace, tangent_base, METRIC_AFFINE, config.trace_features
-        )
+        _feature_vector(cov, trace, tangent_base, config.trace_features)
         for cov, trace in zip(covs, traces)
     ])
 
@@ -382,7 +390,6 @@ def _fit(
         classifier=classifier,
         feature_mode=config.feature_mode,
         trace_features=config.trace_features,
-        metric=METRIC_AFFINE,
         training_summary=summary,
     )
 
@@ -497,8 +504,7 @@ def _classify_buffer(bundle: ModelBundle, tangent_base, window_buffer, v_episode
     if reason is not None:
         return None, reason
     vec = _feature_vector(
-        spd.covariance(rows), v_episode, tangent_base, bundle.metric,
-        bundle.trace_features,
+        spd.covariance(rows), v_episode, tangent_base, bundle.trace_features
     )
     return int(bundle.classifier.predict(vec)), None
 
@@ -507,16 +513,36 @@ def _classify_buffer(bundle: ModelBundle, tangent_base, window_buffer, v_episode
 class EvalReport:
     """Detection and classification quality over a labeled corpus.
 
-    ``fdr_per_fault`` counts alarm-state samples after onset (the
-    non-resetting detector's per-sample state), pooled over that fault's
-    runs. ``fds_per_fault`` is the mean delay from onset to first alarm
-    over detected runs. ``far`` is the share of in-control samples
-    (held-out in-control runs plus pre-onset segments) whose
-    *non-resetting* V is at or above H. It is not alarms per sample: one
-    excursion above H counts every sample it lasts, so it is not
-    comparable with 1/ARL0; :func:`calibrate.estimate_false_alarm_rate`
-    gives that rate. ``overall_accuracy`` is over classified runs only;
-    denominators for everything are included.
+    The per-fault dicts are keyed by the fault ids of the corpus's faulty
+    runs, in ascending order. V is the non-resetting detector's trace, H
+    the bundle's threshold, and a run's alarm its first sample at or after
+    the onset with V >= H.
+
+    Attributes:
+        class_labels: The classifier's fault ids, the rows and columns of
+            ``confusion_matrix`` in this order.
+        detection_rate: Runs with an alarm / runs of that fault.
+        fdr_per_fault: Post-onset samples with V >= H / post-onset
+            samples, pooled over that fault's runs.
+        fds_per_fault: Sum of onset-to-alarm delays / runs with an alarm;
+            a fault none of whose runs alarmed has no entry.
+        undetected: Runs of that fault without an alarm.
+        total_runs: Runs of that fault.
+        far: In-control samples with V >= H / ``in_control_samples``
+            (0.0 without any). It is not alarms per sample: one
+            excursion above H counts every sample it lasts, so it is not
+            comparable with 1/ARL0; :func:`calibrate.estimate_false_alarm_rate`
+            gives that rate.
+        in_control_samples: Samples of the in-control runs plus the
+            pre-onset samples of the faulty runs.
+        confusion_matrix: Classified runs by true fault (row) and
+            predicted fault (column).
+        overall_accuracy: Runs classified as their own fault /
+            ``classified`` (0.0 without any).
+        classified: Runs with an alarm whose window, ``patience`` samples
+            after it, fits in the run.
+        unclassified: Runs with an alarm whose window does not fit, by
+            reason.
     """
 
     class_labels: list[int]
@@ -533,20 +559,12 @@ class EvalReport:
     unclassified: dict[str, int]
 
     def to_dict(self) -> dict:
-        return {
-            "class_labels": list(self.class_labels),
-            "detection_rate": {str(k): v for k, v in self.detection_rate.items()},
-            "fdr_per_fault": {str(k): v for k, v in self.fdr_per_fault.items()},
-            "fds_per_fault": {str(k): v for k, v in self.fds_per_fault.items()},
-            "undetected": {str(k): v for k, v in self.undetected.items()},
-            "total_runs": {str(k): v for k, v in self.total_runs.items()},
-            "far": self.far,
-            "in_control_samples": self.in_control_samples,
-            "confusion_matrix": self.confusion_matrix.tolist(),
-            "overall_accuracy": self.overall_accuracy,
-            "classified": self.classified,
-            "unclassified": dict(self.unclassified),
+        payload = {
+            name: {str(k): v for k, v in value.items()} if isinstance(value, dict)
+            else value
+            for name, value in asdict(self).items()
         }
+        return {**payload, "confusion_matrix": self.confusion_matrix.tolist()}
 
 
 def evaluate(bundle: ModelBundle, runs: list[Run]) -> EvalReport:
@@ -562,87 +580,68 @@ def evaluate(bundle: ModelBundle, runs: list[Run]) -> EvalReport:
     )
 
 
+def _at_or_above(traces, threshold) -> tuple[int, int]:
+    """Samples of ``traces`` at or above ``threshold``, and all samples."""
+    hits = sum(int(np.sum(v >= threshold)) for v in traces)
+    return hits, sum(v.size for v in traces)
+
+
 def _score(bundle: ModelBundle, detected: list[_DetectedRun]) -> EvalReport:
     """Detection and classification metrics of ``bundle`` on detected runs."""
     if not detected:
         raise EmptyInputError("no runs to evaluate")
-    labels_present = sorted(
-        {d.run.fault_id for d in detected if d.run.fault_id != 0}
+    h = bundle.config.threshold
+    by_fault: dict[int, list[_DetectedRun]] = {}
+    for item in sorted(detected, key=lambda d: d.run.fault_id):
+        if item.run.onset is not None:
+            by_fault.setdefault(item.run.fault_id, []).append(item)
+    delays = {
+        fid: [d.delay for d in items if d.delay is not None]
+        for fid, items in by_fault.items()
+    }
+    post_onset = {
+        fid: _at_or_above([d.v_trace[d.run.onset :] for d in items], h)
+        for fid, items in by_fault.items()
+    }
+    false_alarms, in_control_samples = _at_or_above(
+        [d.v_trace[: d.run.onset] for d in detected], h
     )
+
     class_labels = [int(c) for c in bundle.classifier.class_labels]
-    tangent_base = _tangent_base(bundle.karcher_base, bundle.feature_mode)
     label_index = {c: i for i, c in enumerate(class_labels)}
+    tangent_base = _tangent_base(bundle.karcher_base, bundle.feature_mode)
     confusion = np.zeros((len(class_labels), len(class_labels)), dtype=int)
-    per_class_total = {fid: 0 for fid in labels_present}
-    per_class_detected = {fid: 0 for fid in labels_present}
-    per_class_delays = {fid: [] for fid in labels_present}
-    per_class_tp = {fid: 0 for fid in labels_present}
-    per_class_post = {fid: 0 for fid in labels_present}
     unclassified: dict[str, int] = {}
-    false_alarm_samples = 0
-    in_control_samples = 0
-    correct = 0
-    classified = 0
+    classified = correct = 0
     for item in detected:
-        run = item.run
-        v = item.v_trace
-        onset = run.onset
-        if onset is None:
-            false_alarm_samples += int(np.sum(v >= bundle.config.threshold))
-            in_control_samples += v.size
+        if item.delay is None:  # an in-control run, or no alarm
             continue
-        false_alarm_samples += int(np.sum(v[:onset] >= bundle.config.threshold))
-        in_control_samples += onset
-        per_class_total[run.fault_id] += 1
-        per_class_tp[run.fault_id] += int(np.sum(v[onset:] >= bundle.config.threshold))
-        per_class_post[run.fault_id] += v.size - onset
-        if item.alarm_time is None:
-            continue
-        per_class_detected[run.fault_id] += 1
-        per_class_delays[run.fault_id].append(item.delay)
         cov, trace, reason = _classification_window(
             item, bundle.stats, bundle.patience, bundle.window, bundle.trace_features
         )
         if reason is not None:
             unclassified[reason] = unclassified.get(reason, 0) + 1
             continue
-        vec = _feature_vector(
-            cov, trace, tangent_base, bundle.metric, bundle.trace_features
-        )
+        vec = _feature_vector(cov, trace, tangent_base, bundle.trace_features)
         predicted = int(bundle.classifier.predict(vec))
+        actual = item.run.fault_id
         classified += 1
-        if run.fault_id in label_index:
-            confusion[label_index[run.fault_id], label_index[predicted]] += 1
-        if predicted == run.fault_id:
-            correct += 1
-    detection_rate = {
-        fid: per_class_detected[fid] / per_class_total[fid]
-        for fid in labels_present
-        if per_class_total[fid]
-    }
-    fdr_per_fault = {
-        fid: per_class_tp[fid] / per_class_post[fid]
-        for fid in labels_present
-        if per_class_post[fid]
-    }
-    fds_per_fault = {
-        fid: float(np.mean(per_class_delays[fid]))
-        for fid in labels_present
-        if per_class_delays[fid]
-    }
-    undetected = {
-        fid: per_class_total[fid] - per_class_detected[fid] for fid in labels_present
-    }
+        correct += predicted == actual
+        if actual in label_index:
+            confusion[label_index[actual], label_index[predicted]] += 1
+
     return EvalReport(
         class_labels=class_labels,
-        detection_rate=detection_rate,
-        fdr_per_fault=fdr_per_fault,
-        fds_per_fault=fds_per_fault,
-        undetected=undetected,
-        total_runs=per_class_total,
-        far=(
-            false_alarm_samples / in_control_samples if in_control_samples else 0.0
-        ),
+        detection_rate={
+            fid: len(delays[fid]) / len(items) for fid, items in by_fault.items()
+        },
+        fdr_per_fault={fid: hits / n for fid, (hits, n) in post_onset.items()},
+        fds_per_fault={fid: float(np.mean(ds)) for fid, ds in delays.items() if ds},
+        undetected={
+            fid: len(items) - len(delays[fid]) for fid, items in by_fault.items()
+        },
+        total_runs={fid: len(items) for fid, items in by_fault.items()},
+        far=false_alarms / in_control_samples if in_control_samples else 0.0,
         in_control_samples=in_control_samples,
         confusion_matrix=confusion,
         overall_accuracy=correct / classified if classified else 0.0,

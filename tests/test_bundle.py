@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from faultmon import pipeline
-from faultmon.bundle import FORMAT_VERSION, load_bundle, save_bundle
+from faultmon.bundle import FORMAT_VERSION, _checksum, load_bundle, save_bundle
 from faultmon.errors import CorruptBundleError, DomainError, VersionMismatchError
 
 
@@ -17,7 +17,6 @@ def test_round_trip_preserves_fields(trained_bundle, tmp_path):
     assert loaded.window == trained_bundle.window
     assert loaded.feature_mode == trained_bundle.feature_mode
     assert loaded.trace_features == trained_bundle.trace_features
-    assert loaded.metric == trained_bundle.metric
     assert loaded.config == trained_bundle.config
     np.testing.assert_array_equal(loaded.stats.means, trained_bundle.stats.means)
     np.testing.assert_array_equal(loaded.stats.stddevs, trained_bundle.stats.stddevs)
@@ -55,6 +54,20 @@ def test_corrupted_payload_rejected(trained_bundle, tmp_path):
         load_bundle(path)
 
 
+def test_other_metric_rejected(trained_bundle, tmp_path):
+    # Training fits the Karcher base affine-invariant; a checksummed payload
+    # that names another metric must not switch the maps around it.
+    path = tmp_path / "model.json"
+    save_bundle(trained_bundle, path)
+    blob = json.loads(path.read_text())
+    assert blob["payload"]["metric"] == "affine-invariant"
+    blob["payload"]["metric"] = "log-euclidean"
+    blob["checksum"] = _checksum(blob["payload"])
+    path.write_text(json.dumps(blob))
+    with pytest.raises(CorruptBundleError, match="log-euclidean"):
+        load_bundle(path)
+
+
 def test_truncated_file_rejected(trained_bundle, tmp_path):
     path = tmp_path / "model.json"
     save_bundle(trained_bundle, path)
@@ -87,8 +100,6 @@ def test_bundle_validation(trained_bundle):
         dataclasses.replace(trained_bundle, feature_mode="pca")
     with pytest.raises(DomainError):
         dataclasses.replace(trained_bundle, patience=-1)
-    with pytest.raises(DomainError):
-        dataclasses.replace(trained_bundle, metric="euclidean")
 
 
 def test_event_stream_identical_after_round_trip(trained_bundle, small_benchmark, tmp_path):

@@ -196,25 +196,96 @@ def test_evaluate_rejects_empty(trained_bundle):
         pipeline.evaluate(trained_bundle, [])
 
 
-def test_fdr_and_far_identities(trained_bundle, monkeypatch):
-    # Fabricated traces pin the metric arithmetic: alarms on exactly all
-    # post-onset samples give FDR 1 and FAR 0.
-    onset = 10
-    length = 30
+class _ScriptedClassifier:
+    """Answers ``predict`` from a script, in call order."""
+
+    def __init__(self, class_labels, answers):
+        self.class_labels = np.asarray(class_labels)
+        self._answers = iter(answers)
+
+    def predict(self, vec):
+        return next(self._answers)
+
+
+def _fabricated(run_id, fault_id, onset, length, hits, alarm_time, rng):
+    """A detected run whose V is H + 1 on the ``hits`` samples and 0 elsewhere."""
     labels = np.zeros(length, dtype=int)
-    labels[onset:] = 1
-    run = simulate.Run(
-        data=np.zeros((length, 20)), labels=labels, run_id="fabricated"
+    if onset is not None:
+        labels[onset:] = fault_id
+    run = simulate.Run(data=rng.normal(size=(length, 20)), labels=labels, run_id=run_id)
+    v = np.zeros(length)
+    v[list(hits)] = PINNED_H + 1.0
+    return pipeline._DetectedRun(run=run, v_trace=v, alarm_time=alarm_time)
+
+
+def test_fdr_and_far_identities(trained_bundle, monkeypatch):
+    # Every report field of a fabricated corpus, against counts by hand.
+    # Faulty runs are 20 samples with onset 10; patience 5 and window 4 put
+    # the classification at alarm + 5, which fits for alarms up to 14.
+    bundle = dataclasses.replace(
+        trained_bundle,
+        patience=5,
+        window=4,
+        trace_features=False,
+        classifier=_ScriptedClassifier([1, 2, 3], answers=[1, 2, 2]),
     )
-    h = trained_bundle.config.threshold
-    v = np.where(np.arange(length) >= onset, h + 1.0, 0.0)
-    fake = [pipeline._DetectedRun(run=run, v_trace=v, alarm_time=onset)]
+    assert bundle.config.threshold == PINNED_H
+    rng = np.random.default_rng(3)
+    fake = [
+        # Alarms at 16, too late to classify: delay 6, 4 post-onset hits.
+        _fabricated("f2a", 2, 10, 20, range(16, 20), 16, rng),
+        # Delay 2, 8 hits, classified 1.
+        _fabricated("f1a", 1, 10, 20, range(12, 20), 12, rng),
+        # In control, 30 samples, 3 at or above H; never classified.
+        _fabricated("ic", 0, None, 30, range(5, 8), 5, rng),
+        # 2 hits before the onset, then delay 4 with 3 hits, classified 2.
+        _fabricated("f1b", 1, 10, 20, [3, 4, 14, 15, 16], 14, rng),
+        # Delay 1, 3 hits, classified 2.
+        _fabricated("f2b", 2, 10, 20, range(11, 14), 11, rng),
+        # Never at or above H.
+        _fabricated("f1c", 1, 10, 20, [], None, rng),
+    ]
     monkeypatch.setattr(pipeline, "_detect_runs", lambda *args, **kw: fake)
-    report = pipeline.evaluate(trained_bundle, [run])
-    assert report.fdr_per_fault[1] == 1.0
-    assert report.far == 0.0
-    assert report.fds_per_fault[1] == 0.0
-    assert report.detection_rate[1] == 1.0
+    report = pipeline.evaluate(bundle, [item.run for item in fake])
+    assert report.to_dict() == {
+        "class_labels": [1, 2, 3],
+        "detection_rate": {"1": 2 / 3, "2": 2 / 2},
+        "fdr_per_fault": {"1": (8 + 3 + 0) / 30, "2": (4 + 3) / 20},
+        "fds_per_fault": {"1": (2 + 4) / 2, "2": (6 + 1) / 2},
+        "undetected": {"1": 1, "2": 0},
+        "total_runs": {"1": 3, "2": 2},
+        "far": (2 + 3) / (5 * 10 + 30),
+        "in_control_samples": 5 * 10 + 30,
+        "confusion_matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 0]],
+        "overall_accuracy": 2 / 3,
+        "classified": 3,
+        "unclassified": {"run_ends_before_classification": 1},
+    }
+    # Ascending fault ids, although a fault-2 run comes first.
+    assert list(report.total_runs) == [1, 2]
+
+
+def test_fit_names_the_class_short_of_runs_and_only_its_dropped_runs(
+    trained_bundle,
+):
+    # Fault 1 keeps two runs and drops one; fault 2 keeps one run, which
+    # is not enough to train on, and drops one.
+    rng = np.random.default_rng(4)
+    detected = [
+        _fabricated("f1-kept-a", 1, 10, 60, range(20, 60), 20, rng),
+        _fabricated("f1-dropped", 1, 10, 60, [], None, rng),
+        _fabricated("f2-kept", 2, 10, 60, range(20, 60), 20, rng),
+        _fabricated("f1-kept-b", 1, 10, 60, range(20, 60), 20, rng),
+        _fabricated("f2-dropped", 2, 10, 60, [], None, rng),
+    ]
+    setup = pipeline._Setup(
+        trained_bundle.stats, trained_bundle.references, trained_bundle.config, {}
+    )
+    with pytest.raises(NoAlarmInTrainingError) as excinfo:
+        pipeline._fit(setup, detected, pipeline.TrainConfig(patience=5))
+    assert excinfo.value.fault_id == 2
+    assert excinfo.value.run_ids == ("f2-dropped",)
+    assert "fewer than 2 usable training runs" in str(excinfo.value)
 
 
 def test_evaluate_reports_trace_too_short(trained_bundle, monkeypatch):

@@ -9,10 +9,11 @@ import dataclasses
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 import faultmon
-from faultmon import calibrate, errors, features, simulate
+from faultmon import calibrate, errors, features, pipeline, simulate
 
 PUBLIC = {
     "bundle": ["FEATURE_MODES", "FORMAT_VERSION", "ModelBundle", "load_bundle", "save_bundle"],
@@ -88,7 +89,7 @@ def test_error_types_are_pinned():
 
 
 # Records whose field order is a serialized key order (to_dict, and so the
-# JSON files), the positional order StreamSpec.from_dict builds with, or
+# JSON files and ``faultmon evaluate --out``), the positional order StreamSpec.from_dict builds with, or
 # the classifier's input order (TraceFeatures).
 FIELDS = {
     simulate.StreamSpec: ["kind", "p1", "p2"],
@@ -102,6 +103,11 @@ FIELDS = {
     features.TraceFeatures: [
         "mean", "stddev", "median", "variance", "value_range", "max_value",
         "peak_count", "auc",
+    ],
+    pipeline.EvalReport: [
+        "class_labels", "detection_rate", "fdr_per_fault", "fds_per_fault",
+        "undetected", "total_runs", "far", "in_control_samples",
+        "confusion_matrix", "overall_accuracy", "classified", "unclassified",
     ],
 }
 
@@ -117,3 +123,8 @@ def test_serialized_orders_follow_the_fields():
     assert list(fault.to_dict()) == FIELDS[simulate.FaultSpec]
     result = calibrate.CalibrationResult(1.0, 2.0, 0.5, 0.0, 2.0, 10, 3)
     assert list(result.to_dict()) == FIELDS[calibrate.CalibrationResult]
+    report = pipeline.EvalReport(
+        [1], {1: 1.0}, {1: 0.5}, {1: 3.0}, {1: 0}, {1: 1}, 0.0, 10,
+        np.ones((1, 1), dtype=int), 1.0, 1, {},
+    )
+    assert list(report.to_dict()) == FIELDS[pipeline.EvalReport]
