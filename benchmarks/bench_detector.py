@@ -11,7 +11,10 @@ values each. The ranking blocks are the three batch shapes that
 system: 142 runs of 3500 samples (a full block of training runs), 125
 replications of 4000 (a full threshold-calibration block) and one
 replication of 3000 (one false-alarm-rate call). ``run_many`` holds each
-block twice over, as the two halves of one ``(2, R, T, p)`` array.
+block twice over, as the two halves of one ``(2, R, T, p)`` array. A
+block of fewer than ``detector._LOCKSTEP_WIDTH`` runs, such as the
+false-alarm-rate run, advances as time chunks side by side; the
+``test_run_many`` cases time one such block and one wide block.
 """
 
 import itertools
@@ -71,6 +74,29 @@ def test_run_many_streamed(benchmark, references):
     config = detector.MonitorConfig(1.3, 4, STREAMS)
     benchmark.pedantic(
         lambda: detector.run_many(references, config, (run for run in runs)), rounds=3
+    )
+
+
+@pytest.mark.parametrize(
+    "shape, threshold",
+    [((1, 3000, STREAMS), 35.970703125), ((60, 3500, STREAMS), None)],
+    ids=["far-run-with-resets", "evaluate-block"],
+)
+def test_run_many(benchmark, references, shape, threshold):
+    """``run_many`` end to end on a narrow block and a wide one: the one
+    run of a false-alarm-rate call, reset after each alarm at the
+    calibrated threshold of the benchmark's acceptance point, and the
+    60 test runs of 3500 that ``evaluate`` scores on benchmark seed 0.
+    """
+    runs = np.random.default_rng(6).normal(size=shape)
+    config = detector.MonitorConfig(1.3, 4, STREAMS)
+    if threshold is not None:
+        config = config.with_threshold(threshold)
+    benchmark.pedantic(
+        lambda: detector.run_many(
+            references, config, runs, reset_on_alarm=threshold is not None
+        ),
+        rounds=20 if shape[0] == 1 else 3,
     )
 
 

@@ -387,7 +387,10 @@ def estimate_false_alarm_rate(
     Counting every above-threshold sample without resetting would instead
     inflate the rate by the mean excursion length. The detector applies
     the resets itself (``run_many(..., reset_on_alarm=True)``), so each
-    sample is ranked once.
+    sample is ranked once. A call of few replications, down to one, costs
+    far fewer kernel steps than samples: the detector cuts each run into
+    time chunks that advance side by side and repairs their entry states
+    exactly (see :mod:`faultmon.detector`).
 
     Returns:
         Total alarms divided by total samples inspected.

@@ -293,11 +293,19 @@ def _cmd_sweep(args) -> int:
         pool, train_runs, test_runs, grid, config,
         calibration_source=_process_source(args),
     )
-    rows = ["patience,window,test_accuracy,classified,truncated"]
+    rows = ["patience,window,test_accuracy,classified,truncated,short_class"]
     for point in points:
+        if point.short_class is not None:
+            rows.append(f"{point.patience},,,{point.classified},{point.truncated},"
+                        f"{point.short_class}")
+            print(
+                f"patience={point.patience}: unusable, fault class "
+                f"{point.short_class} has fewer than 2 usable training runs"
+            )
+            continue
         rows.append(
             f"{point.patience},{point.window},{point.test_accuracy:.6f},"
-            f"{point.classified},{point.truncated}"
+            f"{point.classified},{point.truncated},"
         )
         print(
             f"patience={point.patience}: window={point.window}, "

@@ -15,15 +15,34 @@ The monitor-wide statistic V is the sum of the r largest two-sided stream
 statistics; an alarm is raised when V reaches the threshold.
 
 One function, ``_Cusum.step``, applies this update: ``Monitor.step`` calls
-it per sample and the batch loop behind ``Monitor.run`` and ``run_many``
-per time step, so all three paths give bit-identical results. It works in
-place on one state array that holds W- and W+ as its two halves, shape
-``(2, ..., p)``, so each ufunc of the update runs once for both sides and
-allocates nothing; when a single run is advanced, as a false-alarm-rate
-check does, numpy's per-call overhead is most of the cost of a step. With
-``reset_on_alarm``, ``run_many`` zeroes a run's W+ and W- after each
-sample whose V reaches the threshold (the renewal convention), as calling
-``Monitor.reset`` after every alarm would.
+it per sample and the batch paths ``Monitor.run`` and ``run_many`` per
+time step of a block, so all three paths give bit-identical results. It
+works in place on one state array that holds W- and W+ as its two
+halves, shape ``(2, ..., p)``, so each ufunc of the update runs once for
+both sides and allocates nothing. With ``reset_on_alarm``, ``run_many``
+zeroes a run's W+ and W- after each sample whose V reaches the threshold
+(the renewal convention), as calling ``Monitor.reset`` after every alarm
+would; the step applies that reset too.
+
+A step's cost is mostly numpy's per-call overhead, so it costs about the
+same for one run as for 16. A narrow block, of fewer runs than
+``_LOCKSTEP_WIDTH`` (a false-alarm-rate check advances one), is therefore
+advanced as time chunks side by side (``_advance_chunks``), exactly:
+
+1. Speculate: every chunk runs from zeroed state, and its state after
+   each step is kept.
+2. Repair: each chunk whose true entry state (for a run's first chunk,
+   zero or the monitor's live state) differs from the entry it ran from
+   is re-run from the true one, in lockstep with the others, until its
+   state equals the kept state at the same step.
+3. Propagate: a repaired chunk's end state is its successor's true
+   entry; repeat until no entry changes, at most one round per chunk.
+
+A step's new state and V are a deterministic function of the old state
+and the step's log terms, resets included, so once a repaired state
+equals the speculative one every later V is equal too, bit for bit.
+The steps past the last whole chunk, and every wider block, advance one
+time step at a time.
 
 Ranking picks its method by the call. ``Monitor.step`` ranks its p values
 through one index of all references (``_StepIndex``): one vectorized
@@ -205,6 +224,19 @@ _RANK_SLICE_ROWS = 1 << 15
 # log(1 - mu). They are the only block-sized memory alive.
 _BLOCK_BYTES = 80_000_000
 
+# A block of R runs, R below ``_LOCKSTEP_WIDTH``, is cut into
+# ``min(_LOCKSTEP_WIDTH // R, T // _MIN_CHUNK)`` time chunks per run, which
+# advance side by side (``_advance_chunks``) if there are 2 or more: at
+# p = 20 one kernel step costs 7.5 us for one run and 11.3 us for 16, so a
+# run of 3000 steps takes about 190 steps of 16 chunks and some 100 steps
+# of repairs. Wide blocks, such as training's and evaluation's, gain
+# nothing from it and keep one step per time step. Speculation stores
+# each chunk's state after at most its first ``_STORED_STEPS`` steps, so
+# its memory does not grow with T.
+_LOCKSTEP_WIDTH = 16
+_MIN_CHUNK = 100
+_STORED_STEPS = 512
+
 
 def _cdf_estimates(references, samples: np.ndarray) -> np.ndarray:
     """Smoothed empirical CDF values for samples of shape ``(..., p)``,
@@ -297,12 +329,14 @@ class _Cusum:
     0-d arrays, built once, which numpy does not have to convert on every
     call, and the two-sided statistics go to one buffer that is sorted in
     place; its top-r slice is a view made once. ``step`` is the only code
-    that advances the recursion.
+    that advances the recursion, resets included; ``config`` lets the
+    batch path make more states like this one.
     """
 
-    __slots__ = ("w", "_minus", "_plus", "_allowance", "_zero", "_two", "_top")
+    __slots__ = ("config", "w", "_minus", "_plus", "_allowance", "_zero", "_two", "_top")
 
     def __init__(self, config: MonitorConfig, runs: tuple[int, ...] = ()):
+        self.config = config
         shape = (*runs, config.stream_count)
         self.w = np.zeros((2, *shape))
         self._minus, self._plus = self.w
@@ -311,12 +345,13 @@ class _Cusum:
         self._two = np.empty(shape)
         self._top = self._two[..., config.stream_count - config.top_r :]
 
-    def step(self, terms: np.ndarray):
+    def step(self, terms: np.ndarray, reset_at: float | None = None):
         """Advance by one sample per run and return V.
 
         Args:
             terms: ``log(mu)`` and ``log(1 - mu)`` stacked as ``w`` is,
                 shape ``(2, ..., p)``.
+            reset_at: If given, zero the state of each run whose V reaches it.
 
         Returns:
             V, the sum of the r largest two-sided statistics of each run,
@@ -328,7 +363,14 @@ class _Cusum:
         np.maximum(w, self._zero, out=w)
         np.maximum(self._plus, self._minus, out=self._two)
         self._two.sort()
-        return np.add.reduce(self._top, -1)
+        v = np.add.reduce(self._top, -1)
+        if reset_at is not None:
+            fired = v >= reset_at
+            # Few steps fire; count_nonzero tests that at a third of the
+            # per-call cost of fired.any().
+            if np.count_nonzero(fired):
+                w[:, fired] = 0.0
+        return v
 
     def two_sided(self) -> np.ndarray:
         """A fresh array of each stream's ``max(W+, W-)``, in stream order."""
@@ -339,6 +381,11 @@ def _run_recursion(
     references, block: np.ndarray, cusum: _Cusum, reset_at: float | None = None
 ) -> np.ndarray:
     """Rank samples and drive the CUSUM recursion over their time axis.
+
+    A block of fewer than ``_LOCKSTEP_WIDTH`` runs that is long enough is
+    advanced as time chunks side by side (:func:`_advance_chunks`); the
+    steps past its last whole chunk, and every other block, one time step
+    at a time. Both give the same bits.
 
     Args:
         block: Shape ``(2, ..., T, p)`` with samples in ``block[0]``, whose
@@ -357,17 +404,103 @@ def _run_recursion(
     np.log(block[1], out=block[1])
     np.log(mu, out=mu)
     v = np.empty(block.shape[1:-1])
+    steps, p = block.shape[-2:]
+    runs = v.size // steps
+    chunks = min(_LOCKSTEP_WIDTH // runs, steps // _MIN_CHUNK)
+    done = 0
+    if chunks >= 2:
+        done = _advance_chunks(
+            block.reshape(2, runs, steps, p, copy=False),
+            v.reshape(runs, steps, copy=False),
+            cusum,
+            chunks,
+            reset_at,
+        )
+    _advance(cusum, block[..., done:, :], v[..., done:], reset_at)
+    return v
+
+
+def _advance(cusum: _Cusum, terms: np.ndarray, v: np.ndarray, reset_at):
+    """Advance ``cusum`` one time step at a time through ``terms`` of shape
+    ``(2, ..., T, p)``, writing each step's V to ``v`` of shape ``(..., T)``."""
     # Indexing the time axis first costs less per step than ``v[..., t]``.
     v_at = np.moveaxis(v, -1, 0)
-    for t, terms in enumerate(np.moveaxis(block, -2, 0)):
-        v_at[t] = v_t = cusum.step(terms)
-        if reset_at is not None:
-            fired = v_t >= reset_at
-            # Few steps fire; count_nonzero tests that at a third of the
-            # per-call cost of fired.any().
-            if np.count_nonzero(fired):
-                cusum.w[:, fired] = 0.0
-    return v
+    for t, step_terms in enumerate(np.moveaxis(terms, -2, 0)):
+        v_at[t] = cusum.step(step_terms, reset_at)
+
+
+def _advance_chunks(
+    terms: np.ndarray, v: np.ndarray, cusum: _Cusum, chunks: int, reset_at
+) -> int:
+    """Advance R runs through their first ``chunks * L`` steps as R x chunks
+    time chunks of L steps, side by side, bit-identical to stepping them.
+
+    Args:
+        terms: Log terms of shape ``(2, R, T, p)``.
+        v: V of shape ``(R, T)``, written for the steps advanced.
+        cusum: The runs' entry state, holding ``(2, R, p)`` values; it is
+            left holding their true state after the steps advanced.
+        chunks: Chunks per run, from 2 to T.
+
+    Returns:
+        The number of steps advanced, ``chunks * L``.
+
+    Every chunk is first advanced from zeroed state (speculation), keeping
+    its state after each of its first ``_STORED_STEPS`` steps. A chunk
+    whose true entry state differs from the entry it last ran from is then
+    re-run from its true entry until its state equals the stored state at
+    the same step, or to its end; from there on it would repeat the
+    speculative trajectory bit for bit, since a step's new state and V
+    depend on nothing but the old state and the step's terms, resets
+    included. A repaired chunk's end state becomes its successor's entry,
+    and rounds repeat until no entry changes: round k fixes chunk k - 1
+    for good, so at most ``chunks`` rounds run.
+    """
+    _, runs, steps, p = terms.shape
+    length = steps // chunks
+    done = chunks * length
+    terms = terms[:, :, :done].reshape(2, runs, chunks, length, p, copy=False)
+    v = v[:, :done].reshape(runs, chunks, length, copy=False)
+    live = cusum.w.reshape(2, runs, p, copy=False)
+
+    speculative = _Cusum(cusum.config, (runs, chunks))
+    stored = min(length, _STORED_STEPS)
+    states = np.empty((stored, 2, runs, chunks, p))
+    for s in range(length):
+        v[..., s] = speculative.step(terms[..., s, :], reset_at)
+        if s < stored:
+            states[s] = speculative.w
+    # States are compared bit for bit, as integers.
+    state_bits = states.view(np.int64)
+
+    # Per chunk: the entry its V in ``v`` and its ``end`` state ran from,
+    # and how many of its first steps a repair has written to ``v``.
+    used = np.zeros((2, runs, chunks, p))
+    end = speculative.w.copy()
+    written = np.zeros((runs, chunks), dtype=np.intp)
+    while True:
+        entry = np.concatenate([live[:, :, np.newaxis], end[:, :, :-1]], axis=2)
+        redo = (entry.view(np.int64) != used.view(np.int64)).any(axis=(0, 3))
+        if not redo.any():
+            break
+        rows, cols = np.nonzero(redo)
+        repair = _Cusum(cusum.config, (rows.size,))
+        repair.w[...] = used[:, rows, cols] = entry[:, rows, cols]
+        # A chunk repaired before must overwrite every step it wrote then,
+        # even where it now meets its stored states sooner.
+        least = written[rows, cols].max()
+        for s in range(length):
+            v[rows, cols, s] = repair.step(terms[:, rows, cols, s], reset_at)
+            if least <= s + 1 <= stored and (
+                repair.w.view(np.int64) == state_bits[s][:, rows, cols]
+            ).all():
+                end[:, rows, cols] = speculative.w[:, rows, cols]
+                break
+        else:
+            end[:, rows, cols] = repair.w
+        written[rows, cols] = s + 1
+    live[...] = end[:, :, -1]
+    return done
 
 
 class Monitor:
@@ -431,7 +564,9 @@ def run_many(
     Runs are copied one at a time into a ``(2, R, T, p)`` block of at most
     ``_BLOCK_BYTES`` per half; each full block, and the last part-filled
     one, is ranked and advanced from zeroed state by :func:`_run_recursion`
-    and then released, so at most one block is alive.
+    and then released, so at most one block is alive. A block of fewer
+    than ``_LOCKSTEP_WIDTH`` runs, such as the one run of a false-alarm-rate
+    check, advances as time chunks side by side, with the same result.
 
     Args:
         references: In-control histories, one per stream.

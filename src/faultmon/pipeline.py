@@ -652,13 +652,21 @@ def _score(bundle: ModelBundle, detected: list[_DetectedRun]) -> EvalReport:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One patience setting's outcome."""
+    """One patience setting's outcome.
+
+    A patience that leaves some fault class with fewer than 2 usable
+    training runs builds no classifier. Its point is unusable:
+    ``short_class`` names the first such class, ``window`` and
+    ``test_accuracy`` are ``None``, and no test run is classified or
+    truncated.
+    """
 
     patience: int
-    window: int
-    test_accuracy: float
+    window: int | None
+    test_accuracy: float | None
     classified: int
     truncated: int
+    short_class: int | None = None
 
 
 def sweep_patience(
@@ -676,7 +684,9 @@ def sweep_patience(
     the window, features, classifier, and test accuracy are rebuilt. Use
     this to pick the smallest patience whose accuracy is acceptable: more
     patience usually helps until windows saturate or runs end before the
-    classification point.
+    classification point. A patience at which some class keeps fewer than
+    2 usable training runs gives an unusable point (see :class:`SweepPoint`)
+    instead of ending the sweep.
     """
     grid = sorted(int(tp) for tp in patience_grid)
     if not grid:
@@ -689,7 +699,11 @@ def sweep_patience(
     detected_test = _detect_runs(test_runs, references, run_config, stats)
     points = []
     for patience in grid:
-        bundle = _fit(setup, detected_train, replace(config, patience=patience))
+        try:
+            bundle = _fit(setup, detected_train, replace(config, patience=patience))
+        except NoAlarmInTrainingError as exc:
+            points.append(SweepPoint(patience, None, None, 0, 0, exc.fault_id))
+            continue
         report = _score(bundle, detected_test)
         points.append(
             SweepPoint(

@@ -256,15 +256,20 @@ def test_sweep_patience_cli(cli_workspace, tmp_path, capfd):
         "--in-control", str(cli_workspace / "in_control.csv"),
         "--train-runs", str(cli_workspace / "train"),
         "--test-runs", str(cli_workspace / "test"),
-        "--grid", "0,60", "--threshold", str(PINNED_H), "--seed", "0",
+        "--grid", "0,60,700", "--threshold", str(PINNED_H), "--seed", "0",
         "--out", str(out),
     ])
     assert code == 0
-    assert capfd.readouterr().out.count("patience=") == 2
+    printed = capfd.readouterr().out
+    assert printed.count("patience=") == 3
+    # At patience 700 fault 3 keeps fewer than 2 usable training runs.
+    assert "patience=700: unusable, fault class 3" in printed
     lines = out.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "patience,window,test_accuracy,classified,truncated"
-    assert len(lines) == 3
+    assert lines[0] == "patience,window,test_accuracy,classified,truncated,short_class"
+    assert len(lines) == 4
     assert lines[1].startswith("0,") and lines[2].startswith("60,")
+    assert lines[1].endswith(",") and lines[2].endswith(",")
+    assert lines[3] == "700,,,0,0,3"
 
 
 def test_errors_map_to_exit_code_2(cli_workspace, tmp_path, capfd):

@@ -6,9 +6,12 @@ evaluate the same expressions (np.log, ascending top-r sum), so equality
 is exact, not approximate.
 """
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faultmon import detector
@@ -367,14 +370,15 @@ def test_cdf_estimates_match_per_key_search_bitwise(case):
     np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
-def _step_with_resets(refs, config, run):
-    """Oracle: one Monitor stepped sample by sample, reset after every alarm."""
+def _step_with_resets(refs, config, run, reset_on_alarm=True):
+    """Oracle: one Monitor stepped sample by sample, reset after every alarm
+    unless ``reset_on_alarm`` is false."""
     monitor = detector.Monitor(refs, config)
     out = []
     for row in run:
         step = monitor.step(row)
         out.append(step.global_stat)
-        if step.alarm:
+        if step.alarm and reset_on_alarm:
             monitor.reset()
     return np.array(out)
 
@@ -527,3 +531,139 @@ def test_run_many_reset_on_alarm_at_zero_and_infinite_threshold(count):
         )
     # The runs accumulate, so the resets at H = 0 did change the traces.
     assert (every != plain).any()
+
+
+def _record_cusums(monkeypatch):
+    """The ``runs`` shape of every ``_Cusum`` the detector makes from now on."""
+    made = []
+    real = detector._Cusum
+
+    def recording(config, runs=()):
+        made.append(runs)
+        return real(config, runs)
+
+    monkeypatch.setattr(detector, "_Cusum", recording)
+    return made
+
+
+# One stream over the reference 0..19: a sample of 100 adds log(22) - k to
+# W+, and one of 9.5, mid-reference, drains both sides by k - log(2). Held
+# at 100, V climbs in equal steps and resets every few samples, a period
+# that does not divide the chunk length of 10; so each chunk's speculation
+# from zeroed state is out of phase, its repairs run to the chunk's end,
+# and a chunk's end can change from round to round. Each case is
+# (segments as (start, value), allowance, threshold, the chunks repaired
+# per round) over 40 samples cut into 4 chunks.
+_REPAIR_CASES = {
+    # Round 2 re-runs chunk 2 from zeroed state, where its speculation
+    # started, so it ends at its speculative end again; chunk 3 last ran
+    # from chunk 2's round-1 end, so it must be re-run all the same.
+    "redo-against-last-used-entry": ([(0, 9.5), (2, 100.0)], 1.3, 5.0, [3, 2, 1]),
+    # In round 2 both repaired chunks meet their stored states, yet chunk
+    # 2's end is no longer the entry chunk 3 ran from in that round.
+    "propagate-after-every-chunk-coalesces": (
+        [(0, 9.5), (3, 100.0), (28, 9.5)], 1.5, 12.0, [2, 2, 1],
+    ),
+    # Round 3 meets chunk 3's stored states within a few steps, but round
+    # 2 wrote all 10 of its steps from a wrong entry; they must be
+    # rewritten.
+    "overwrite-steps-an-earlier-round-wrote": (
+        [(0, 100.0), (27, 9.5)], 1.3, 20.0, [3, 2, 1],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REPAIR_CASES))
+def test_multi_round_chunk_repair_matches_stepping_with_resets(monkeypatch, case):
+    segments, allowance, threshold, rounds = _REPAIR_CASES[case]
+    run = np.empty((40, 1))
+    for (start, value), (stop, _) in zip(segments, [*segments[1:], (40, None)]):
+        run[start:stop] = value
+    refs = [detector.build_reference(np.arange(20.0))]
+    config = detector.MonitorConfig(allowance, 1, 1, threshold=threshold)
+    monkeypatch.setattr(detector, "_LOCKSTEP_WIDTH", 4)
+    monkeypatch.setattr(detector, "_MIN_CHUNK", 10)
+    made = _record_cusums(monkeypatch)
+    got = detector.run_many(refs, config, run[np.newaxis], reset_on_alarm=True)
+    # The block's state, the 1 x 4 speculation, then one state per round
+    # holding the chunks that round repaired.
+    assert made == [(1,), (1, 4), *[(count,) for count in rounds]]
+    expected = _step_with_resets(refs, config, run)
+    np.testing.assert_array_equal(got[0].view(np.int64), expected.view(np.int64))
+
+
+@st.composite
+def _chunked_cases(draw):
+    """Detector settings, the chunking constants and a data seed."""
+    p = draw(st.integers(1, 12))
+    return (
+        p,
+        draw(st.integers(1, p)),  # top_r
+        draw(st.integers(1, 70)),  # runs
+        draw(st.integers(1, 400)),  # samples per run
+        draw(st.sampled_from([0.05, 0.3, 1.3])),  # allowance
+        draw(st.sampled_from([0.0, 6.0, 25.0, math.inf])),  # threshold
+        draw(st.booleans()),  # reset_on_alarm
+        draw(st.integers(2, 160)),  # _LOCKSTEP_WIDTH
+        draw(st.integers(1, 40)),  # _MIN_CHUNK
+        draw(st.sampled_from([1, 5, 30, 512])),  # _STORED_STEPS
+        draw(st.integers(0, 2**32 - 1)),  # data seed
+    )
+
+
+@given(_chunked_cases())
+@example((12, 10, 3, 397, 0.05, 25.0, True, 16, 9, 512, 0))  # r >= 9, 397 = 5 * 79 + 2
+@example((12, 9, 1, 400, 0.3, 6.0, False, 16, 100, 512, 1))  # 4 chunks of 100
+@example((5, 2, 70, 250, 1.3, 0.0, True, 160, 40, 5, 2))  # 2 chunks of 125, 5 stored
+@example((3, 3, 2, 40, 1.3, math.inf, True, 64, 1, 512, 3))  # chunks of one step
+@settings(max_examples=40, deadline=None)
+def test_chunked_run_many_matches_stepping_bitwise(case):
+    p, top_r, runs, steps, allowance, threshold, reset, width, min_chunk, stored, seed = case
+    rng = np.random.default_rng(seed)
+    refs = [detector.build_reference(rng.normal(size=rng.integers(5, 30)))
+            for _ in range(p)]
+    data = rng.normal(size=(runs, steps, p)) * 1.5
+    # Each run holds some streams above their references for a stretch, as
+    # long as a chunk or longer, so that repairs run several rounds.
+    for run in data:
+        start = int(rng.integers(0, steps))
+        run[start : start + int(rng.integers(1, 200)), : int(rng.integers(1, p + 1))] += 3.0
+    config = detector.MonitorConfig(allowance, top_r, p, threshold=threshold)
+    with mock.patch.multiple(
+        detector, _LOCKSTEP_WIDTH=width, _MIN_CHUNK=min_chunk, _STORED_STEPS=stored
+    ):
+        got = detector.run_many(refs, config, data, reset_on_alarm=reset)
+    for r, run in enumerate(data):
+        expected = _step_with_resets(refs, config, run, reset_on_alarm=reset)
+        np.testing.assert_array_equal(got[r].view(np.int64), expected.view(np.int64))
+
+
+def test_chunked_monitor_run_enters_from_and_leaves_the_live_state(monkeypatch):
+    # As test_state_is_not_aliased_across_steps_runs_and_reset, with
+    # batches long enough to be cut into chunks: each batch's first chunk
+    # enters from the state the single steps left, and the steps after it
+    # start from the batch's true end state.
+    rng = np.random.default_rng(13)
+    p, top_r, k = 4, 2, 3
+    chunk = 2 * detector._MIN_CHUNK + 37
+    refs = [detector.build_reference(rng.normal(size=25)) for _ in range(p)]
+    config = detector.MonitorConfig(0.3, top_r, p)
+    monitor = detector.Monitor(refs, config)
+    made = _record_cusums(monkeypatch)
+    for part in range(2):
+        if part:
+            monitor.reset()
+        data = rng.normal(size=(3 * (k + chunk), p)) * 1.5
+        v_expected, local_expected = naive_trace(refs, 0.3, top_r, data)
+        v = []
+        for lo in range(0, len(data), k + chunk):
+            for row in data[lo : lo + k]:
+                out = monitor.step(row)
+                np.testing.assert_array_equal(
+                    out.local_stats.view(np.int64), local_expected[len(v)].view(np.int64)
+                )
+                v.append(out.global_stat)
+            v.extend(monitor.run(data[lo + k : lo + k + chunk]).global_stats)
+        np.testing.assert_array_equal(np.array(v).view(np.int64), v_expected.view(np.int64))
+    # Every batch ran as two chunks side by side.
+    assert made.count((1, 2)) == 6

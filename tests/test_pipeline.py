@@ -371,6 +371,34 @@ def test_sweep_patience_matches_separate_train_and_evaluate(
     assert points == expected
 
 
+def test_sweep_patience_reports_a_class_short_of_runs_as_an_unusable_point(
+    small_benchmark, small_config
+):
+    # At patience 700 every fault-3 training run ends before its
+    # classification point, so that point names fault 3 and builds no
+    # classifier; the other points are those of a sweep without it.
+    grid = [0, 20, 60, 200, 700]
+    points = pipeline.sweep_patience(
+        small_benchmark.in_control,
+        small_benchmark.train_runs,
+        small_benchmark.test_runs,
+        grid,
+        small_config,
+    )
+    assert points[-1] == pipeline.SweepPoint(700, None, None, 0, 0, short_class=3)
+    usable = pipeline.sweep_patience(
+        small_benchmark.in_control,
+        small_benchmark.train_runs,
+        small_benchmark.test_runs,
+        grid[:-1],
+        small_config,
+    )
+    assert points[:-1] == usable
+    assert [point.patience for point in usable] == grid[:-1]
+    assert all(point.short_class is None for point in usable)
+    assert all(point.test_accuracy is not None for point in usable)
+
+
 def test_sweep_patience_validates_grid(small_benchmark, small_config):
     with pytest.raises(EmptyInputError):
         pipeline.sweep_patience(

@@ -89,7 +89,8 @@ def test_error_types_are_pinned():
 
 
 # Records whose field order is a serialized key order (to_dict, and so the
-# JSON files and ``faultmon evaluate --out``), the positional order StreamSpec.from_dict builds with, or
+# JSON files and ``faultmon evaluate --out``), the positional order StreamSpec.from_dict builds with,
+# the column order of ``faultmon sweep-patience --out`` (SweepPoint), or
 # the classifier's input order (TraceFeatures).
 FIELDS = {
     simulate.StreamSpec: ["kind", "p1", "p2"],
@@ -103,6 +104,9 @@ FIELDS = {
     features.TraceFeatures: [
         "mean", "stddev", "median", "variance", "value_range", "max_value",
         "peak_count", "auc",
+    ],
+    pipeline.SweepPoint: [
+        "patience", "window", "test_accuracy", "classified", "truncated", "short_class",
     ],
     pipeline.EvalReport: [
         "class_labels", "detection_rate", "fdr_per_fault", "fds_per_fault",
