@@ -8,8 +8,9 @@ setting (``OPENBLAS_NUM_THREADS``) with any numbers.
 Sizes follow the benchmark corpus: 210 tangent features (p = 20 streams),
 five fault classes of 48 training runs each. The data are five overlapping
 Gaussian classes drawn from a fixed seed; the default grid search over them
-makes 600 binary fits and about 52k SMO iterations, close to training on
-benchmark seed 0.
+makes 600 binary fits, 52,072 SMO iterations in all and at most 268 in one
+fit, close to training on benchmark seed 0 (52,803 and 267). The search
+solves them in lockstep, one batch per gamma, in 455 rounds.
 """
 
 import numpy as np

@@ -12,11 +12,22 @@ kernel columns, not rows, because the expanded-distance kernel is not
 bitwise symmetric. Multiclass wraps one-vs-one voting over all label
 pairs. Features are z-scored once before any kernel is evaluated so a
 single gamma suits all coordinates.
+
+The grid search solves its cross-validation fits in lockstep
+(``_smo_lockstep``), one batch per gamma: each (C, fold, pair) fit is one
+row of the batch, every round makes one SMO iteration in every row still
+running, with the same floating-point operations ``train_binary`` makes,
+and a row leaves the batch when it stops. A pair's kernel is built once
+per gamma and fold and shared by the rows of every C. The duals, bias and
+iteration count of each row equal those of ``train_binary`` bit for bit,
+and a batch takes as many rounds as its longest fit has iterations, not
+the sum of all of them.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,11 +54,19 @@ __all__ = [
     "default_grids",
 ]
 
+logger = logging.getLogger(__name__)
+
 # Duals smaller than this are treated as zero when extracting support
 # vectors and detecting bound status.
 _ALPHA_TOL = 1e-8
 # Floor for the pair curvature K_ii + K_jj - 2 K_ij.
 _CURVATURE_FLOOR = 1e-12
+# SMO gives up after this many iterations per training row. Near-singular
+# kernels at a large C converge slowly. Of 14,760 fits of n <= 24 random
+# rows at C = 1e4, 72 needed more than 10,000 n iterations and 4, all of
+# points on a line, more than 100,000 n (the most 2.8 million n): this cap
+# lets all but those 4 converge.
+_SMO_CAP_PER_ROW = 100_000
 
 
 def _check_hyperparameter(name: str, value) -> None:
@@ -168,8 +187,8 @@ def train_binary(
         SingleClassError: Only one label present.
         DomainError: A label is not -1 or +1, or C or gamma is not finite
             and positive.
-        NoConvergenceError: ``100_000 * n`` iterations ran with the gap still
-            above ``tol``.
+        NoConvergenceError: ``_SMO_CAP_PER_ROW * n`` iterations ran with the
+            gap still above ``tol``.
     """
     x, y_raw = _check_training_inputs(features, labels)
     y = np.asarray(y_raw, dtype=float)
@@ -179,11 +198,7 @@ def train_binary(
         raise SingleClassError("training data contains a single class")
     _check_hyperparameter("c_penalty", c_penalty)
     n = x.shape[0]
-    # Near-singular kernels at a large C converge slowly. Of 14,760 fits of
-    # n <= 24 random rows at C = 1e4, 72 needed more than 10,000 n
-    # iterations and 4, all of points on a line, more than 100,000 n (the
-    # most 2.8 million n): this cap lets all but those 4 converge.
-    cap = 100_000 * n
+    cap = _SMO_CAP_PER_ROW * n
 
     kernel = rbf_kernel_matrix(x, x, gamma)
     # columns[k] is kernel[:, k]. The expanded-distance kernel is not
@@ -218,10 +233,7 @@ def train_binary(
         if gap <= tol:
             break
         if iterations >= cap:
-            raise NoConvergenceError(
-                f"SMO hit the iteration cap {cap} with KKT gap {gap:.3e}",
-                residual=float(gap),
-            )
+            raise _cap_error(cap, gap)
         curvature = kernel.item(i, i) + kernel.item(j, j) - 2.0 * kernel.item(i, j)
         step = gap / max(curvature, _CURVATURE_FLOOR)
         # The step moves alpha_i by +y_i * step and alpha_j by -y_j * step;
@@ -250,7 +262,22 @@ def train_binary(
             low_penalty[k] = 0.0 if low else -np.inf
         iterations += 1
 
-    alphas = np.array(alphas)
+    return _binary_model(x, y, np.array(alphas), score, c_penalty, gamma, iterations)
+
+
+def _cap_error(cap: int, gap: float) -> NoConvergenceError:
+    return NoConvergenceError(
+        f"SMO hit the iteration cap {cap} with KKT gap {gap:.3e}",
+        residual=float(gap),
+    )
+
+
+def _binary_model(x, y, alphas, score, c_penalty, gamma, iterations) -> BinaryModel:
+    """The model of a solved dual: its support vectors and its bias.
+
+    The bias is the mean of ``score = -y * grad`` over the free duals, or
+    the midpoint of the two working sets' extremes when no dual is free.
+    """
     free = (alphas > _ALPHA_TOL) & (alphas < c_penalty - _ALPHA_TOL)
     if free.any():
         bias = float(score[free].mean())
@@ -270,6 +297,123 @@ def train_binary(
         iterations=iterations,
         alphas=alphas,
     )
+
+
+def _smo_lockstep(columns, kernel_index, labels, c_penalties, tol: float = 1e-3):
+    """Solve a batch of binary duals side by side, each as ``train_binary`` would.
+
+    Problem b has the n_b labels ``labels[b, :n_b]`` (+-1, zero-padded to a
+    common width m), the box ``c_penalties[b]`` and the kernel
+    ``columns[kernel_index[b]]``, stored by columns: ``columns[k, c, r]`` is
+    K[r, c] for r, c < n_b and zero elsewhere. Problems may share a kernel.
+
+    Each round makes one iteration of ``train_binary``'s loop in every
+    problem still running, with the same floating-point operations: the
+    first maximal violating pair, the floored curvature, the clipped step,
+    the column update of ``-y * grad`` and the two moved duals' working-set
+    penalties. A problem leaves the batch on the round it stops, so its
+    duals, ``score`` and iteration count are bitwise those of
+    ``train_binary``. Padding carries -inf penalties and zero columns and is
+    never selected.
+
+    Returns:
+        One result per problem and the number of rounds run. A result is
+        ``(alphas, score, iterations)``, each array of the problem's own
+        length n_b, or the ``NoConvergenceError`` that ``train_binary``
+        raises once ``_SMO_CAP_PER_ROW * n_b`` iterations leave the gap
+        above ``tol``. Once a problem has failed, the problems after it in
+        batch order are dropped with result ``None``: solving the batch one
+        problem at a time would stop at that error before reaching them.
+    """
+    y = np.asarray(labels, dtype=float)
+    count, width = y.shape
+    # Row k * m + c is column c of kernel k.
+    column_rows = columns.reshape(-1, width)
+    problem = np.arange(count)
+    sizes = np.count_nonzero(y, axis=1)
+    caps = _SMO_CAP_PER_ROW * sizes
+    c = np.asarray(c_penalties, dtype=float)
+    first_column = np.asarray(kernel_index) * width
+    alphas = np.zeros((count, width))
+    score = y.copy()
+    up_mask, low_mask = _working_sets(y, alphas, c[:, np.newaxis])
+    up_penalty = np.where(up_mask, 0.0, -np.inf)
+    low_penalty = np.where(low_mask, 0.0, -np.inf)
+    up_score = np.empty((count, width))
+    low_score = np.empty((count, width))
+    results = [None] * count
+    first_failure = count
+
+    rounds = 0
+    resized = True
+    while True:
+        if resized:
+            live = problem.size
+            row_start = np.arange(0, live * width, width)
+            # The i entries of the moved duals come first, then the j entries.
+            c_moved = np.concatenate((c, c))
+            upper_moved = c_moved - _ALPHA_TOL
+            is_i = np.repeat([True, False], live)
+            min_cap = caps.min()
+            resized = False
+        np.add(score, up_penalty, out=up_score)
+        np.subtract(score, low_penalty, out=low_score)
+        i = up_score.argmax(axis=1)
+        j = low_score.argmin(axis=1)
+        at_i = row_start + i
+        at_j = row_start + j
+        # score + 0 and score - 0 are score (a zero's sign aside, which no
+        # gap above tol shows), and an empty working set makes the gap -inf.
+        gap = up_score.take(at_i) - low_score.take(at_j)
+        running = gap > tol
+        if rounds >= min_cap or not running.all():
+            # Every running problem has made `rounds` iterations.
+            capped = running & (rounds >= caps)
+            for row in np.flatnonzero(capped).tolist():
+                results[problem[row]] = _cap_error(int(caps[row]), float(gap[row]))
+                first_failure = min(first_failure, problem[row])
+            for row in np.flatnonzero(~running).tolist():
+                n = sizes[row]
+                results[problem[row]] = (
+                    alphas[row, :n].copy(), score[row, :n].copy(), rounds
+                )
+            keep = running & ~capped & (problem < first_failure)
+            if not keep.all():
+                problem, sizes, caps, c = problem[keep], sizes[keep], caps[keep], c[keep]
+                first_column, y, alphas = first_column[keep], y[keep], alphas[keep]
+                score, up_penalty, low_penalty = score[keep], up_penalty[keep], low_penalty[keep]
+                up_score, low_score = up_score[: problem.size], low_score[: problem.size]
+                if not problem.size:
+                    break
+                # Select again on the smaller batch: the same pairs.
+                resized = True
+                continue
+        column_i = column_rows.take(first_column + i, axis=0)
+        column_j = column_rows.take(first_column + j, axis=0)
+        curvature = column_i.take(at_i) + column_j.take(at_j) - 2.0 * column_j.take(at_i)
+        step = gap / np.maximum(curvature, _CURVATURE_FLOOR)
+        moved = np.concatenate((at_i, at_j))
+        sign = y.take(moved)
+        alpha = alphas.take(moved)
+        positive = sign > 0
+        # The step moves alpha_i by +y_i * step and alpha_j by -y_j * step,
+        # so the room before the box clips it is C - alpha for a dual that
+        # rises and alpha for one that falls. The step is positive
+        # (gap > tol >= 0), so np.minimum picks what min() picks.
+        room = np.where(positive == is_i, c_moved - alpha, alpha)
+        step = np.minimum(np.minimum(step, room[:live]), room[live:])
+        alpha[:live] += sign[:live] * step
+        alpha[live:] -= sign[live:] * step
+        alphas.put(moved, alpha)
+        np.subtract(column_i, column_j, out=column_i)
+        column_i *= step[:, np.newaxis]
+        score -= column_i
+        below_c = alpha < upper_moved
+        above_0 = alpha > _ALPHA_TOL
+        up_penalty.put(moved, np.where(np.where(positive, below_c, above_0), 0.0, -np.inf))
+        low_penalty.put(moved, np.where(np.where(positive, above_0, below_c), 0.0, -np.inf))
+        rounds += 1
+    return results, rounds
 
 
 @dataclass
@@ -341,6 +485,27 @@ def train_multiclass(
     Raises:
         SingleClassError: Fewer than two distinct labels.
     """
+    class_labels, means, stds, scaled, problems = _one_vs_one(features, labels)
+    pairs = [
+        (label_a, label_b, train_binary(scaled[mask], pair_y, c_penalty, gamma))
+        for label_a, label_b, mask, pair_y in problems
+    ]
+    return MulticlassModel(
+        class_labels=class_labels,
+        pairs=pairs,
+        feature_means=means,
+        feature_stds=stds,
+    )
+
+
+def _one_vs_one(features, labels):
+    """A training set z-scored, and its one-vs-one binary problems.
+
+    Returns the class labels, the scaling means and stddevs (zeros replaced
+    by one), the scaled rows and, per label pair ``a < b``,
+    ``(a, b, mask, pair_labels)``: the pair's rows as a mask and their
+    labels, +1 for ``a`` and -1 for ``b``.
+    """
     x, y = _check_training_inputs(features, labels)
     y = y.astype(int)
     class_labels = np.unique(y)
@@ -350,18 +515,12 @@ def train_multiclass(
     stds = x.std(axis=0)
     stds = np.where(stds == 0.0, 1.0, stds)
     scaled = (x - means) / stds
-    pairs = []
+    problems = []
     for label_a, label_b in itertools.combinations(class_labels.tolist(), 2):
         mask = (y == label_a) | (y == label_b)
         pair_y = np.where(y[mask] == label_a, 1.0, -1.0)
-        model = train_binary(scaled[mask], pair_y, c_penalty, gamma)
-        pairs.append((int(label_a), int(label_b), model))
-    return MulticlassModel(
-        class_labels=class_labels,
-        pairs=pairs,
-        feature_means=means,
-        feature_stds=stds,
-    )
+        problems.append((int(label_a), int(label_b), mask, pair_y))
+    return class_labels, means, stds, scaled, problems
 
 
 @dataclass(frozen=True)
@@ -422,9 +581,18 @@ def grid_search(
     Accuracy ties are broken toward the smaller C, then the smaller gamma
     (the least complex model).
 
+    Each fold is scaled once and each (gamma, fold, pair) kernel is built
+    once, for all C. The fits of one gamma, every C, fold and pair, are then
+    solved as one ``_smo_lockstep`` batch, and each fold's model is
+    assembled from its pairs' solutions. The table equals that of fitting
+    every model with ``train_multiclass`` in grid order bit for bit.
+
     Raises:
         EmptyInputError: A grid is empty.
         DomainError: A grid value is not finite and positive.
+        SingleClassError: Fewer than two distinct labels.
+        NoConvergenceError: A fit hit its SMO iteration cap; the error is
+            that of the first such fit in grid order.
     """
     x, y = _check_training_inputs(features, labels)
     y = y.astype(int)
@@ -439,15 +607,72 @@ def grid_search(
         for value in grid:
             _check_hyperparameter(name, value)
     fold_indices = stratified_folds(y, folds, seed)
+    fits = []
+    for fold in fold_indices:
+        train_mask = np.ones(y.size, dtype=bool)
+        train_mask[fold] = False
+        fits.append(_one_vs_one(x[train_mask], y[train_mask]))
+
+    pair_rows = [
+        (scaled, mask, pair_y)
+        for *_, scaled, problems in fits
+        for _, _, mask, pair_y in problems
+    ]
+    kernels = len(pair_rows)
+    width = max(pair_y.size for _, _, pair_y in pair_rows)
+    padded = np.zeros((kernels, width))
+    for k, (_, _, pair_y) in enumerate(pair_rows):
+        padded[k, : pair_y.size] = pair_y
+    # A gamma's batch holds its problems in (C, fold, pair) order; problem
+    # (C, fold, pair) reads kernel (fold, pair).
+    batch = (
+        np.tile(np.arange(kernels), len(c_grid)),
+        np.tile(padded, (len(c_grid), 1)),
+        np.repeat(np.asarray(c_grid, dtype=float), kernels),
+    )
+    # One batch per gamma keeps one gamma's kernels alive at a time. Each is
+    # built once, written by columns into the stack and shared by every C.
+    columns = np.zeros((kernels, width, width))
+    batches = []
+    rounds = 0
+    for gamma in gamma_grid:
+        for k, (scaled, mask, pair_y) in enumerate(pair_rows):
+            rows = scaled[mask]
+            columns[k, : pair_y.size, : pair_y.size] = rbf_kernel_matrix(
+                rows, rows, gamma
+            ).T
+        results, batch_rounds = _smo_lockstep(columns, *batch)
+        batches.append(results)
+        rounds += batch_rounds
+    iterations = [r[2] for results in batches for r in results if isinstance(r, tuple)]
+    logger.debug(
+        "grid search: %d SMO problems solved in %d lockstep rounds, %d iterations, "
+        "at most %d in one problem",
+        len(iterations), rounds, sum(iterations), max(iterations, default=0),
+    )
+
     table = []
     best = None
-    for c_penalty in c_grid:
-        for gamma in gamma_grid:
+    for index, c_penalty in enumerate(c_grid):
+        for gamma, results in zip(gamma_grid, batches):
+            solutions = iter(results[index * kernels : (index + 1) * kernels])
             correct = 0
-            for fold in fold_indices:
-                train_mask = np.ones(y.size, dtype=bool)
-                train_mask[fold] = False
-                model = train_multiclass(x[train_mask], y[train_mask], c_penalty, gamma)
+            for fold, (class_labels, means, stds, scaled, problems) in zip(
+                fold_indices, fits
+            ):
+                pairs = []
+                for label_a, label_b, mask, pair_y in problems:
+                    solution = next(solutions)
+                    # The first failure in grid order, as fitting one by one
+                    # would raise it; a dropped problem (None) only follows one.
+                    if isinstance(solution, NoConvergenceError):
+                        raise solution
+                    alphas, score, count = solution
+                    binary = _binary_model(
+                        scaled[mask], pair_y, alphas, score, c_penalty, gamma, count
+                    )
+                    pairs.append((label_a, label_b, binary))
+                model = MulticlassModel(class_labels, pairs, means, stds)
                 correct += int(np.sum(model.predict(x[fold]) == y[fold]))
             accuracy = correct / y.size
             table.append((float(c_penalty), float(gamma), accuracy))

@@ -6,7 +6,7 @@ in bulk or only in one direction. None of them is part of the package.
 
 import numpy as np
 
-from faultmon import calibrate, detector
+from faultmon import calibrate, detector, svm
 from faultmon.errors import BracketError
 
 
@@ -114,6 +114,42 @@ def max_violating_pair_smo(kernel, labels, c_penalty, tol, alpha_tol=1e-8,
         lo = score[low_mask].min() if low_mask.any() else score.max()
         bias = float(0.5 * (hi + lo))
     return alphas, bias, iterations
+
+
+def sequential_grid_search(features, labels, c_grid=None, gamma_grid=None, *,
+                           folds=5, seed=0):
+    """``svm.grid_search`` with every model fitted by ``svm.train_multiclass``.
+
+    The search as one loop over C, gamma and fold, fitting each fold's
+    one-vs-one pairs one by one with ``svm.train_binary``. Ties go to the
+    smaller C, then the smaller gamma.
+    """
+    x = np.asarray(features, dtype=float)
+    y = np.asarray(labels).astype(int)
+    default_c, default_gamma = svm.default_grids(x.shape[1])
+    c_grid = sorted(default_c if c_grid is None else c_grid)
+    gamma_grid = sorted(default_gamma if gamma_grid is None else gamma_grid)
+    fold_indices = svm.stratified_folds(y, folds, seed)
+    table = []
+    best = None
+    for c_penalty in c_grid:
+        for gamma in gamma_grid:
+            correct = 0
+            for fold in fold_indices:
+                train_mask = np.ones(y.size, dtype=bool)
+                train_mask[fold] = False
+                model = svm.train_multiclass(x[train_mask], y[train_mask], c_penalty, gamma)
+                correct += int(np.sum(model.predict(x[fold]) == y[fold]))
+            accuracy = correct / y.size
+            table.append((float(c_penalty), float(gamma), accuracy))
+            if best is None or accuracy > best[2]:
+                best = (float(c_penalty), float(gamma), accuracy)
+    return svm.GridSearchResult(
+        c_penalty=best[0],
+        gamma=best[1],
+        cv_accuracy=best[2],
+        table=tuple(table),
+    )
 
 
 def _eager_estimate(traces, threshold, cap):

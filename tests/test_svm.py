@@ -2,9 +2,10 @@
 
 The dual oracle is an accelerated projected-gradient solver, vectorized
 across instances: maximize sum(a) - 0.5 (ay)' K (ay) subject to the box
-and the equality constraint, with the projection computed by bisection
-on the constraint multiplier. It shares no code with the SMO path. The
-bitwise test compares the SMO loop with ``oracles.max_violating_pair_smo``,
+and the equality constraint, with the exact projection found by a
+breakpoint search on the constraint multiplier. It shares no code with
+the SMO path. The bitwise test compares ``train_binary``'s loop and the
+grid search's lockstep solver with ``oracles.max_violating_pair_smo``,
 which makes the same arithmetic one recomputed mask at a time.
 """
 
@@ -18,23 +19,46 @@ from faultmon.errors import (
     DimensionMismatchError,
     DomainError,
     EmptyInputError,
+    NoConvergenceError,
     SingleClassError,
     TooFewPerClassError,
 )
-from tests.oracles import max_violating_pair_smo, one_vs_one_vote, rbf_kernel
+from tests.oracles import (
+    max_violating_pair_smo,
+    one_vs_one_vote,
+    rbf_kernel,
+    sequential_grid_search,
+)
 
 
 def _project(v, y, caps):
-    """Batched projection onto {0 <= a <= caps, sum(y*a) = 0}."""
-    lo = np.full(v.shape[0], -(np.abs(v).max() + caps.max() + 1.0))
-    hi = -lo
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        a = np.clip(v - mid[:, None] * y, 0.0, caps)
-        h = np.sum(y * a, axis=1)
-        lo = np.where(h > 0, mid, lo)
-        hi = np.where(h > 0, hi, mid)
-    return np.clip(v - (0.5 * (lo + hi))[:, None] * y, 0.0, caps)
+    """Batched projection onto {0 <= a <= caps, sum(y*a) = 0}.
+
+    The projection is clip(v - lam * y, 0, caps) at the root lam of
+    h(lam) = sum(y * clip(v - lam * y, 0, caps)), the continuous quadratic
+    knapsack. Entry i moves h linearly, with slope -1, between two
+    breakpoints s_i and s_i + caps_i, so h = P - g with
+    g(lam) = sum(clip(lam - s, 0, caps)) and P the caps of the +1 labels.
+    Sorting the 2n breakpoints and summing the slope changes gives g at
+    each one; the root lies on the first segment where g reaches P, by
+    linear interpolation (breakpoint search, Kiwiel 2008). A tie sorts a
+    start before an end, so no slope is negative. Padding (label and cap
+    zero) adds nothing.
+    """
+    u = y * v
+    start = np.where(y > 0, u - caps, u)
+    points = np.concatenate([start, start + caps], axis=1)
+    changes = np.concatenate([np.ones_like(v), -np.ones_like(v)], axis=1)
+    order = np.argsort(points, axis=1, kind="stable")
+    points = np.take_along_axis(points, order, axis=1)
+    slopes = np.take_along_axis(changes, order, axis=1).cumsum(axis=1)
+    g = np.zeros_like(points)
+    np.cumsum(slopes[:, :-1] * np.diff(points, axis=1), axis=1, out=g[:, 1:])
+    target = np.where(y > 0, caps, 0.0).sum(axis=1)
+    last = (g < target[:, None]).sum(axis=1) - 1
+    rows = np.arange(v.shape[0])
+    lam = points[rows, last] + (target - g[rows, last]) / slopes[rows, last]
+    return np.clip(v - lam[:, None] * y, 0.0, caps)
 
 
 def _pg_oracle(kernels, labels, caps, iters=6000):
@@ -167,9 +191,47 @@ def test_smo_matches_mask_oracle_bitwise(n, d, seed, duplicates, minority,
     else:
         y = rng.choice([-1.0, 1.0], size=n)
         y[rng.permutation(n)[:2]] = (1.0, -1.0)
-    model = svm.train_binary(x, y, c_penalty, gamma, tol=tol)
+    oracle = _mask_oracle(x, y, c_penalty, gamma, tol)
+    _assert_bitwise(svm.train_binary(x, y, c_penalty, gamma, tol=tol), x, y, oracle)
+    # The same case inside one lockstep batch, between problems of other n
+    # and C, one of them on its own kernel.
+    rows = [rng.normal(size=(n + 3, d)), x, rng.normal(size=(max(2, n // 2), d))]
+    labels = [rng.choice([-1.0, 1.0], size=len(r)) for r in rows]
+    for extra in (labels[0], labels[2]):
+        extra[:2] = (1.0, -1.0)
+    labels[1] = y
+    batch = [(0, 5.0), (1, c_penalty), (1, 0.5), (2, 0.5)]
+    models = _lockstep_models(rows, labels, batch, gamma, tol)
+    for b, ((k, c), model) in enumerate(zip(batch, models)):
+        expected = oracle if b == 1 else _mask_oracle(rows[k], labels[k], c, gamma, tol)
+        _assert_bitwise(model, rows[k], labels[k], expected)
+
+
+def _lockstep_models(rows, labels, batch, gamma, tol):
+    """Models of ``(k, C)`` problems on ``rows[k]``, solved as one lockstep batch."""
+    width = max(len(x) for x in rows)
+    columns = np.zeros((len(rows), width, width))
+    for k, x in enumerate(rows):
+        columns[k, : len(x), : len(x)] = svm.rbf_kernel_matrix(x, x, gamma).T
+    padded = np.zeros((len(batch), width))
+    for b, (k, _) in enumerate(batch):
+        padded[b, : len(rows[k])] = labels[k]
+    results, _ = svm._smo_lockstep(
+        columns, [k for k, _ in batch], padded, [c for _, c in batch], tol
+    )
+    return [
+        svm._binary_model(rows[k], labels[k], alphas, score, c, gamma, iterations)
+        for (k, c), (alphas, score, iterations) in zip(batch, results)
+    ]
+
+
+def _mask_oracle(x, y, c_penalty, gamma, tol):
     kernel = svm.rbf_kernel_matrix(x, x, gamma)
-    alphas, bias, iterations = max_violating_pair_smo(kernel, y, c_penalty, tol)
+    return max_violating_pair_smo(kernel, y, c_penalty, tol)
+
+
+def _assert_bitwise(model, x, y, oracle):
+    alphas, bias, iterations = oracle
     np.testing.assert_array_equal(_bits(model.alphas), _bits(alphas))
     assert _bits(model.bias) == _bits(bias)
     assert model.iterations == iterations
@@ -360,6 +422,49 @@ def test_grid_search_deterministic_and_tie_breaks_small():
     assert result.cv_accuracy == 1.0
     assert (result.c_penalty, result.gamma) == (1.0, 0.5)
     assert (again.c_penalty, again.gamma) == (result.c_penalty, result.gamma)
+
+
+def _uneven_classes(seed, dims=3):
+    """Four overlapping classes of 7 to 16 rows, with one constant feature."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(7, 17, size=4)
+    y = np.repeat(np.arange(1, 5), sizes)
+    x = rng.normal(scale=0.9, size=(y.size, dims)) + 0.6 * y[:, None]
+    return np.column_stack([x, np.full(y.size, 2.5)]), y
+
+
+@pytest.mark.parametrize("x, y, c_grid, gamma_grid, folds, seed", [
+    (*_uneven_classes(70), [10.0, 0.1, 1.0], [2.0, 0.05, 0.5], 2, 0),
+    (*_uneven_classes(71), [100.0, 3.0], [0.3, 1.5, 0.02], 3, 4),
+    (*_uneven_classes(72, dims=6), None, None, 4, 1),
+    (*_uneven_classes(73), [0.5, 50.0], [1.0], 5, 2),
+    # Every grid point scores 1.0: the tie-break case.
+    (*_blobs(np.random.default_rng(51), [(1, (0, 0)), (2, (6, 6))], per_class=10),
+     [10.0, 1.0], [2.0, 0.5], 2, 0),
+])
+def test_grid_search_matches_sequential_oracle_bitwise(x, y, c_grid, gamma_grid, folds,
+                                                       seed):
+    got = svm.grid_search(x, y, c_grid, gamma_grid, folds=folds, seed=seed)
+    want = sequential_grid_search(x, y, c_grid, gamma_grid, folds=folds, seed=seed)
+    np.testing.assert_array_equal(_bits(got.table), _bits(want.table))
+    assert got == want
+
+
+def test_grid_search_raises_the_first_cap_error_in_grid_order(monkeypatch):
+    # Points on a line at C = 1e4 need thousands of iterations per row. With
+    # a cap of 40 n, fits of several sizes fail on different rounds, and the
+    # first fit in grid order to fail is not the first to reach its cap.
+    monkeypatch.setattr(svm, "_SMO_CAP_PER_ROW", 40)
+    rng = np.random.default_rng(63)
+    y = np.repeat([1, 2, 3], [14, 5, 9])
+    x = rng.normal(size=(y.size, 1))
+    args = (x, y, [1e4, 1.0], [0.7])
+    with pytest.raises(NoConvergenceError) as want:
+        sequential_grid_search(*args, folds=2, seed=3)
+    with pytest.raises(NoConvergenceError) as got:
+        svm.grid_search(*args, folds=2, seed=3)
+    assert str(got.value) == str(want.value)
+    assert _bits(got.value.residual) == _bits(want.value.residual)
 
 
 def test_stratified_folds_balanced():
