@@ -10,7 +10,8 @@ five fault classes of 48 training runs each. The data are five overlapping
 Gaussian classes drawn from a fixed seed; the default grid search over them
 makes 600 binary fits, 52,072 SMO iterations in all and at most 268 in one
 fit, close to training on benchmark seed 0 (52,803 and 267). The search
-solves them in lockstep, one batch per gamma, in 455 rounds.
+solves them in lockstep, one batch per gamma, in 450 rounds; the last
+problem of each batch finishes alone in ``train_binary``'s scalar loop.
 """
 
 import numpy as np

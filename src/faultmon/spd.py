@@ -91,14 +91,22 @@ def _check_symmetric(mat, name: str) -> np.ndarray:
 
 
 def _eigh(mat: np.ndarray, name: str, *, positive: bool = False):
-    """Ascending eigenpairs of a symmetric matrix; ``positive`` demands SPD."""
+    """Ascending eigenpairs of a symmetric matrix, or of each matrix of a
+    stack ``(N, p, p)``; ``positive`` demands that every one be SPD."""
     try:
         eigvals, eigvecs = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise EigenFailureError(f"eigendecomposition of {name} failed: {exc}") from exc
-    if positive and eigvals[0] <= 0.0:
-        raise NotSpdError(f"{name} has non-positive eigenvalue {eigvals[0]:.3e}")
+    if positive:
+        lowest = eigvals[..., 0].min()
+        if lowest <= 0.0:
+            raise NotSpdError(f"{name} has non-positive eigenvalue {lowest:.3e}")
     return eigvals, eigvecs
+
+
+def _symmetrize(mat: np.ndarray) -> np.ndarray:
+    """``(M + M^T) / 2`` of a matrix or of each matrix of a stack."""
+    return 0.5 * (mat + mat.swapaxes(-1, -2))
 
 
 def _checked_spd(mat, name: str):
@@ -113,9 +121,10 @@ def check_spd(mat, name: str = "matrix") -> np.ndarray:
 
 
 def _eig_map(eigvals: np.ndarray, eigvecs: np.ndarray, func) -> np.ndarray:
-    """Apply a scalar function to a symmetric matrix through its eigenpairs."""
-    transformed = (eigvecs * func(eigvals)) @ eigvecs.T
-    return 0.5 * (transformed + transformed.T)
+    """Apply a scalar function to a symmetric matrix, or to each matrix of a
+    stack, through its eigenpairs."""
+    scaled = eigvecs * func(eigvals)[..., np.newaxis, :]
+    return _symmetrize(scaled @ eigvecs.swapaxes(-1, -2))
 
 
 def _roots(eigvals: np.ndarray, eigvecs: np.ndarray):
@@ -124,14 +133,18 @@ def _roots(eigvals: np.ndarray, eigvecs: np.ndarray):
     return (eigvecs * root) @ eigvecs.T, (eigvecs * (1.0 / root)) @ eigvecs.T
 
 
-def _affine_map(roots, mat, func, name: str, *, positive: bool = False) -> np.ndarray:
-    """``B^(1/2) func(B^(-1/2) M B^(-1/2)) B^(1/2)``: Log_B with log, Exp_B with exp."""
+def _affine_map(roots, mats, func, name: str, *, positive: bool = False) -> np.ndarray:
+    """``B^(1/2) func(B^(-1/2) M B^(-1/2)) B^(1/2)`` for each M of a stack
+    ``(N, p, p)``: Log_B with log, Exp_B with exp.
+
+    Each product, decomposition and reconstruction runs once over the
+    stack; numpy applies it to each matrix as to that matrix alone, so
+    every map equals the one of a stack of one bit for bit.
+    """
     half, inv_half = roots
-    inner = inv_half @ mat @ inv_half
-    inner = 0.5 * (inner + inner.T)
+    inner = _symmetrize(inv_half @ mats @ inv_half)
     mapped = _eig_map(*_eigh(inner, name, positive=positive), func)
-    out = half @ mapped @ half
-    return 0.5 * (out + out.T)
+    return _symmetrize(half @ mapped @ half)
 
 
 def covariance(window) -> np.ndarray:
@@ -219,7 +232,7 @@ def spd_log(base, point, metric: str = METRIC_AFFINE) -> np.ndarray:
         )
     if metric == METRIC_LOG_EUCLIDEAN:
         return _eig_map(x_vals, x_vecs, np.log) - b.log
-    return _affine_map(b.roots, x, np.log, "whitened point", positive=True)
+    return _affine_map(b.roots, x[np.newaxis], np.log, "whitened point", positive=True)[0]
 
 
 def spd_exp(base, tangent, metric: str = METRIC_AFFINE) -> np.ndarray:
@@ -234,7 +247,7 @@ def spd_exp(base, tangent, metric: str = METRIC_AFFINE) -> np.ndarray:
     if metric == METRIC_LOG_EUCLIDEAN:
         log_sum = _eig_map(b_vals, b_vecs, np.log) + s
         return _eig_map(*_eigh(log_sum, "log sum"), np.exp)
-    return _affine_map(_roots(b_vals, b_vecs), s, np.exp, "whitened tangent")
+    return _affine_map(_roots(b_vals, b_vecs), s[np.newaxis], np.exp, "whitened tangent")[0]
 
 
 def spd_distance(a, b, metric: str = METRIC_AFFINE) -> float:
@@ -293,13 +306,13 @@ def karcher_mean(matrices, metric: str = METRIC_AFFINE) -> np.ndarray:
         logs = [_eig_map(vals, vecs, np.log) for _, vals, vecs in checked]
         return _eig_map(*_eigh(np.mean(logs, axis=0), "mean log"), np.exp)
 
-    mean = 0.5 * (np.mean(mats, axis=0) + np.mean(mats, axis=0).T)
+    stack = np.array(mats)
+    mean = _symmetrize(np.mean(stack, axis=0))
     residual = np.inf
     step = 1.0
     for iteration in range(1, _KARCHER_MAX_ITER + 1):
         roots = _roots(*_checked_spd(mean, "base")[1:])
-        logs = [_affine_map(roots, m, np.log, "whitened point", positive=True)
-                for m in mats]
+        logs = _affine_map(roots, stack, np.log, "whitened point", positive=True)
         tangent = np.mean(logs, axis=0)
         previous, residual = residual, float(np.linalg.norm(tangent, "fro"))
         if residual < _KARCHER_TOL * p:

@@ -204,20 +204,41 @@ def train_binary(
     # columns[k] is kernel[:, k]. The expanded-distance kernel is not
     # bitwise symmetric, so its rows would not reproduce the same sums.
     columns = np.ascontiguousarray(kernel.T)
-    signs = y.tolist()
-    alphas = [0.0] * n
-    upper = c_penalty - _ALPHA_TOL
-    # score = -y * grad for the gradient grad = Q a - 1 of the minimized
-    # form; its spread over the working sets measures KKT violation.
-    score = y.copy()
     # The working sets as additive penalties: 0 inside, -inf outside.
     up_mask, low_mask = _working_sets(y, np.zeros(n), c_penalty)
-    up_penalty = np.where(up_mask, 0.0, -np.inf)
-    low_penalty = np.where(low_mask, 0.0, -np.inf)
+    # score = -y * grad for the gradient grad = Q a - 1 of the minimized
+    # form; its spread over the working sets measures KKT violation.
+    alphas, score, iterations = _smo_scalar(
+        columns, y, c_penalty, tol, cap, np.zeros(n), y.copy(),
+        np.where(up_mask, 0.0, -np.inf), np.where(low_mask, 0.0, -np.inf), 0,
+    )
+    return _binary_model(x, y, alphas, score, c_penalty, gamma, iterations)
+
+
+def _smo_scalar(columns, y, c_penalty, tol, cap, alphas, score, up_penalty,
+                low_penalty, iterations):
+    """Run ``train_binary``'s SMO loop from the given state to its end.
+
+    Args:
+        columns: The kernel by columns, ``columns[k, r]`` = K[r, k], n x n.
+        y: The n labels, +-1.
+        alphas, iterations: The duals and the iterations made so far.
+        score: ``-y * grad`` at ``alphas``, updated in place.
+        up_penalty, low_penalty: The working sets at ``alphas`` as 0/-inf
+            penalties, updated in place.
+
+    Returns:
+        ``(alphas, score, iterations)`` at the stop.
+
+    Raises:
+        NoConvergenceError: ``cap`` iterations ran with the gap above ``tol``.
+    """
+    n = y.size
+    signs = y.tolist()
+    alphas = alphas.tolist()
+    upper = c_penalty - _ALPHA_TOL
     buffer = np.empty(n)
     diff = np.empty(n)
-
-    iterations = 0
     while True:
         # argmax/argmin take the first extremum, as over the masked scores;
         # a working set is empty when its extremum is infinite.
@@ -234,7 +255,7 @@ def train_binary(
             break
         if iterations >= cap:
             raise _cap_error(cap, gap)
-        curvature = kernel.item(i, i) + kernel.item(j, j) - 2.0 * kernel.item(i, j)
+        curvature = columns.item(i, i) + columns.item(j, j) - 2.0 * columns.item(j, i)
         step = gap / max(curvature, _CURVATURE_FLOOR)
         # The step moves alpha_i by +y_i * step and alpha_j by -y_j * step;
         # clip it so both duals stay inside the box.
@@ -261,8 +282,7 @@ def train_binary(
             up_penalty[k] = 0.0 if up else -np.inf
             low_penalty[k] = 0.0 if low else -np.inf
         iterations += 1
-
-    return _binary_model(x, y, np.array(alphas), score, c_penalty, gamma, iterations)
+    return np.array(alphas), score, iterations
 
 
 def _cap_error(cap: int, gap: float) -> NoConvergenceError:
@@ -314,14 +334,16 @@ def _smo_lockstep(columns, kernel_index, labels, c_penalties, tol: float = 1e-3)
     penalties. A problem leaves the batch on the round it stops, so its
     duals, ``score`` and iteration count are bitwise those of
     ``train_binary``. Padding carries -inf penalties and zero columns and is
-    never selected.
+    never selected. Once one problem is left, it continues from its state
+    in ``train_binary``'s own loop (:func:`_smo_scalar`), which makes the
+    same iterations at a fraction of a round's cost.
 
     Returns:
-        One result per problem and the number of rounds run. A result is
-        ``(alphas, score, iterations)``, each array of the problem's own
-        length n_b, or the ``NoConvergenceError`` that ``train_binary``
-        raises once ``_SMO_CAP_PER_ROW * n_b`` iterations leave the gap
-        above ``tol``. Once a problem has failed, the problems after it in
+        One result per problem and the number of lockstep rounds run. A
+        result is ``(alphas, score, iterations)``, each array of the
+        problem's own length n_b, or the ``NoConvergenceError`` that
+        ``train_binary`` raises once ``_SMO_CAP_PER_ROW * n_b`` iterations
+        leave the gap above ``tol``. Once a problem has failed, the problems after it in
         batch order are dropped with result ``None``: solving the batch one
         problem at a time would stop at that error before reaching them.
     """
@@ -347,6 +369,19 @@ def _smo_lockstep(columns, kernel_index, labels, c_penalties, tol: float = 1e-3)
     rounds = 0
     resized = True
     while True:
+        if resized and problem.size == 1:
+            # A round costs ~45 numpy calls, several times an iteration of
+            # the scalar loop, so a lone problem finishes there.
+            n, at = sizes[0], first_column[0]
+            try:
+                results[problem[0]] = _smo_scalar(
+                    column_rows[at : at + n, :n], y[0, :n], float(c[0]), tol, int(caps[0]),
+                    alphas[0, :n], score[0, :n].copy(), up_penalty[0, :n].copy(),
+                    low_penalty[0, :n].copy(), rounds,
+                )
+            except NoConvergenceError as error:
+                results[problem[0]] = error
+            break
         if resized:
             live = problem.size
             row_start = np.arange(0, live * width, width)

@@ -7,6 +7,7 @@ is exact, not approximate.
 """
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -365,9 +366,58 @@ def test_cdf_estimates_match_per_key_search_bitwise(case):
     for i, ref in enumerate(refs):
         counts = np.searchsorted(ref, keys[..., i], side="left")
         expected[..., i] = (counts + 1.0) / (ref.size + 2.0)
-    got = detector._cdf_estimates(refs, keys)
+    got = detector._cdf_estimates([detector._RankIndex(ref) for ref in refs], keys)
     assert got.shape == keys.shape
     np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+# Values a reference or key may take besides random draws: both zeros, the
+# float extremes, subnormals and the largest finite magnitudes.
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                1.0, -1.0, 1e308, -1e308, np.finfo(float).max, -np.finfo(float).max]
+
+
+@st.composite
+def _bucket_cases(draw):
+    """A sorted reference of 1 to 3000 values and keys to rank against it.
+
+    The reference is drawn from a small pool (duplicates; a constant one
+    when the pool holds one value), or spread around a centre by a width
+    from subnormal to 1e308 (ranges that overflow, scales that overflow).
+    The keys hold every reference value, its ``np.nextafter`` neighbours
+    on both sides, the edge values and the pool.
+    """
+    size = draw(st.one_of(st.integers(1, 8), st.integers(1, 3000)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(st.one_of(st.sampled_from(_EDGE_VALUES), finite),
+                         min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = rng.choice(pool, size=size)
+    else:
+        centre = draw(st.one_of(st.sampled_from(_EDGE_VALUES), finite))
+        width = draw(st.sampled_from([5e-324, 1e-320, 1e-310, 1e-300, 1e-8, 1.0, 1e300, 1e308]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = centre + rng.uniform(-1.0, 1.0, size=size) * width
+        values[~np.isfinite(values)] = pool[0]
+    ref = detector.build_reference(values)
+    with np.errstate(over="ignore"):
+        neighbours = [np.nextafter(ref, -np.inf), np.nextafter(ref, np.inf)]
+    keys = np.concatenate([ref, *neighbours, _EDGE_VALUES, pool])
+    return ref, keys[np.isfinite(keys)]
+
+
+@given(_bucket_cases())
+@settings(max_examples=300, deadline=None)
+def test_rank_index_counts_equal_searchsorted(case):
+    # Exact counts, and no overflow or invalid-value warning on the way.
+    ref, keys = case
+    counts = np.searchsorted(ref, keys, side="left")
+    expected = (counts + 1.0) / (ref.size + 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = detector._cdf_estimates([detector._RankIndex(ref)], keys[:, np.newaxis].copy())
+    np.testing.assert_array_equal(got[:, 0].view(np.int64), expected.view(np.int64))
 
 
 def _step_with_resets(refs, config, run, reset_on_alarm=True):
