@@ -13,8 +13,11 @@ replications of 4000 (a full threshold-calibration block) and one
 replication of 3000 (one false-alarm-rate call). ``run_many`` holds each
 block twice over, as the two halves of one ``(2, R, T, p)`` array. A
 block of fewer than ``detector._LOCKSTEP_WIDTH`` runs, such as the
-false-alarm-rate run, advances as time chunks side by side; the
-``test_run_many`` cases time one such block and one wide block.
+false-alarm-rate run, advances as time chunks side by side in three
+fixed passes; the ``test_run_many`` cases time one such block and one
+wide block. ``test_run_many_shifted_run`` times the chunks' worst case, a
+run whose chunks never meet their speculation, against stepping the
+same run one time step at a time.
 """
 
 import itertools
@@ -105,6 +108,21 @@ def test_run_many(benchmark, references, shape, threshold):
         ),
         rounds=20 if shape[0] == 1 else 3,
     )
+
+
+@pytest.mark.parametrize("width", [detector._LOCKSTEP_WIDTH, 1], ids=["chunks", "stepping"])
+def test_run_many_shifted_run(benchmark, references, monkeypatch, width):
+    """``run_many`` on the narrow block whose time chunks never meet their
+    speculation: one run of 3500 with 3 of the 20 streams shifted by +1
+    from t = 500 and no resets, as a faulty run would be. ``chunks`` is the
+    detector as it is; ``stepping`` advances the same run one time step at
+    a time (``_LOCKSTEP_WIDTH`` = 1), the cost the chunks are held to.
+    """
+    runs = np.random.default_rng(7).normal(size=(1, 3500, STREAMS))
+    runs[:, 500:, :3] += 1.0
+    config = detector.MonitorConfig(1.3, 4, STREAMS)
+    monkeypatch.setattr(detector, "_LOCKSTEP_WIDTH", width)
+    benchmark.pedantic(lambda: detector.run_many(references, config, runs), rounds=20)
 
 
 @pytest.mark.parametrize(

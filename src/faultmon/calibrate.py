@@ -389,8 +389,8 @@ def estimate_false_alarm_rate(
     the resets itself (``run_many(..., reset_on_alarm=True)``), so each
     sample is ranked once. A call of few replications, down to one, costs
     far fewer kernel steps than samples: the detector cuts each run into
-    time chunks that advance side by side and repairs their entry states
-    exactly (see :mod:`faultmon.detector`).
+    time chunks that advance side by side in three fixed passes, exactly
+    (see :mod:`faultmon.detector`).
 
     Returns:
         Total alarms divided by total samples inspected.

@@ -27,22 +27,20 @@ would; the step applies that reset too.
 A step's cost is mostly numpy's per-call overhead, so it costs about the
 same for one run as for 16. A narrow block, of fewer runs than
 ``_LOCKSTEP_WIDTH`` (a false-alarm-rate check advances one), is therefore
-advanced as time chunks side by side (``_advance_chunks``), exactly:
+advanced as time chunks side by side (``_advance_chunks``), exactly, in
+three passes:
 
-1. Speculate: every chunk runs from zeroed state, and its state after
-   each step is kept.
-2. Repair: each chunk whose true entry state (for a run's first chunk,
-   zero or the monitor's live state) differs from the entry it ran from
-   is re-run from the true one, in lockstep with the others, until its
-   state equals the kept state at the same step.
-3. Propagate: a repaired chunk's end state is its successor's true
-   entry; repeat until no entry changes, at most one round per chunk.
+1. Every chunk runs from zeroed state, keeping its first states.
+2. Every chunk runs again from its predecessor's pass-1 end state (a
+   run's first chunk from the live state) until all meet their kept ones.
+3. In chunk order, a chunk whose predecessor's true end state is not its
+   pass-2 entry is re-run from that true end.
 
-A step's new state and V are a deterministic function of the old state
-and the step's log terms, resets included, so once a repaired state
-equals the speculative one every later V is equal too, bit for bit.
-The steps past the last whole chunk, and every wider block, advance one
-time step at a time.
+A step's new state and V depend only on the old state and the step's log
+terms, resets included, so the passes give the bits of stepping, and no
+chunk advances more than three times: a lone run whose chunks never meet
+their kept states costs about 1.1 times stepping it. The steps past the
+last whole chunk, and every wider block, advance one time step at a time.
 
 Ranking picks its method by the call. ``Monitor.step`` ranks its p values
 through one index of all references (``_StepIndex``): one vectorized
@@ -235,12 +233,15 @@ _BLOCK_BYTES = 80_000_000
 # A block of R runs, R below ``_LOCKSTEP_WIDTH``, is cut into
 # ``min(_LOCKSTEP_WIDTH // R, T // _MIN_CHUNK)`` time chunks per run, which
 # advance side by side (``_advance_chunks``) if there are 2 or more: at
-# p = 20 one kernel step costs 7.5 us for one run and 11.3 us for 16, so a
-# run of 3000 steps takes about 190 steps of 16 chunks and some 100 steps
-# of repairs. Wide blocks, such as training's and evaluation's, gain
-# nothing from it and keep one step per time step. Speculation stores
-# each chunk's state after at most its first ``_STORED_STEPS`` steps, so
-# its memory does not grow with T.
+# p = 20 one kernel step costs 7.5 us for one run and 11.3 us for 16, so an
+# in-control run of 3000 steps takes 187 steps of 16 chunks, then a second
+# pass of 16 chunks that stops after some 80 steps, and 8 single steps past
+# the last chunk. A lone run whose chunks never meet their speculation
+# costs about 1.1 times stepping it. Wide
+# blocks, such as training's and evaluation's, gain nothing from it and
+# keep one step per time step. Speculation stores each chunk's state after
+# at most its first ``_STORED_STEPS`` steps, so its memory does not grow
+# with T.
 _LOCKSTEP_WIDTH = 16
 _MIN_CHUNK = 100
 _STORED_STEPS = 512
@@ -511,7 +512,7 @@ def _advance_chunks(
     terms: np.ndarray, v: np.ndarray, cusum: _Cusum, chunks: int, reset_at
 ) -> int:
     """Advance R runs through their first ``chunks * L`` steps as R x chunks
-    time chunks of L steps, side by side, bit-identical to stepping them.
+    time chunks of L steps, bit-identical to stepping them, in three passes.
 
     Args:
         terms: Log terms of shape ``(2, R, T, p)``.
@@ -523,16 +524,19 @@ def _advance_chunks(
     Returns:
         The number of steps advanced, ``chunks * L``.
 
-    Every chunk is first advanced from zeroed state (speculation), keeping
-    its state after each of its first ``_STORED_STEPS`` steps. A chunk
-    whose true entry state differs from the entry it last ran from is then
-    re-run from its true entry until its state equals the stored state at
-    the same step, or to its end; from there on it would repeat the
-    speculative trajectory bit for bit, since a step's new state and V
-    depend on nothing but the old state and the step's terms, resets
-    included. A repaired chunk's end state becomes its successor's entry,
-    and rounds repeat until no entry changes: round k fixes chunk k - 1
-    for good, so at most ``chunks`` rounds run.
+    1. Every chunk runs from zeroed state, keeping its state after each of
+       its first ``_STORED_STEPS`` steps.
+    2. Every chunk runs from its predecessor's pass-1 end state (a run's
+       first chunk from the live state) until every chunk's state equals
+       its stored state at the same step, or to the chunks' end.
+    3. In chunk order, a chunk whose predecessor's true end state differs
+       from its pass-2 entry is re-run from that true end to its own end,
+       rewriting every V pass 2 wrote for it.
+
+    A step's new state and V depend only on the old state and the step's
+    terms, resets included. So a run's first chunk is exact after pass 2,
+    where a chunk that met its stored state keeps pass 1's later V and end
+    state; by induction, each later chunk is exact after pass 3.
     """
     _, runs, steps, p = terms.shape
     length = steps // chunks
@@ -541,43 +545,38 @@ def _advance_chunks(
     v = v[:, :done].reshape(runs, chunks, length, copy=False)
     live = cusum.w.reshape(2, runs, p, copy=False)
 
-    speculative = _Cusum(cusum.config, (runs, chunks))
+    # Pass 1.
+    side_by_side = _Cusum(cusum.config, (runs, chunks))
     stored = min(length, _STORED_STEPS)
     states = np.empty((stored, 2, runs, chunks, p))
     for s in range(length):
-        v[..., s] = speculative.step(terms[..., s, :], reset_at)
+        v[..., s] = side_by_side.step(terms[..., s, :], reset_at)
         if s < stored:
-            states[s] = speculative.w
+            states[s] = side_by_side.w
     # States are compared bit for bit, as integers.
     state_bits = states.view(np.int64)
 
-    # Per chunk: the entry its V in ``v`` and its ``end`` state ran from,
-    # and how many of its first steps a repair has written to ``v``.
-    used = np.zeros((2, runs, chunks, p))
-    end = speculative.w.copy()
-    written = np.zeros((runs, chunks), dtype=np.intp)
-    while True:
-        entry = np.concatenate([live[:, :, np.newaxis], end[:, :, :-1]], axis=2)
-        redo = (entry.view(np.int64) != used.view(np.int64)).any(axis=(0, 3))
-        if not redo.any():
+    # Pass 2, after which ``end`` holds each chunk's end state from its
+    # pass-2 entry.
+    end = side_by_side.w.copy()
+    entry = np.concatenate([live[:, :, np.newaxis], end[:, :, :-1]], axis=2)
+    side_by_side.w[...] = entry
+    for s in range(length):
+        v[..., s] = side_by_side.step(terms[..., s, :], reset_at)
+        if s < stored and (side_by_side.w.view(np.int64) == state_bits[s]).all():
             break
-        rows, cols = np.nonzero(redo)
-        repair = _Cusum(cusum.config, (rows.size,))
-        repair.w[...] = used[:, rows, cols] = entry[:, rows, cols]
-        # A chunk repaired before must overwrite every step it wrote then,
-        # even where it now meets its stored states sooner.
-        least = written[rows, cols].max()
-        for s in range(length):
-            v[rows, cols, s] = repair.step(terms[:, rows, cols, s], reset_at)
-            if least <= s + 1 <= stored and (
-                repair.w.view(np.int64) == state_bits[s][:, rows, cols]
-            ).all():
-                end[:, rows, cols] = speculative.w[:, rows, cols]
-                break
+    else:
+        end = side_by_side.w
+
+    # Pass 3; ``true`` carries each chunk's true end state to the next.
+    true = _Cusum(cusum.config, (runs,))
+    true.w[...] = end[:, :, 0]
+    for c in range(1, chunks):
+        if (true.w.view(np.int64) == entry[:, :, c].view(np.int64)).all():
+            true.w[...] = end[:, :, c]
         else:
-            end[:, rows, cols] = repair.w
-        written[rows, cols] = s + 1
-    live[...] = end[:, :, -1]
+            _advance(true, terms[:, :, c], v[:, c], reset_at)
+    live[...] = true.w
     return done
 
 

@@ -381,7 +381,7 @@ def _fit(
     }
     return ModelBundle(
         stats=setup.stats,
-        references=[np.sort(np.asarray(r, dtype=float)) for r in setup.references],
+        references=[detector.build_reference(r) for r in setup.references],
         config=setup.config,
         target_arl0=config.target_arl0,
         patience=config.patience,

@@ -584,48 +584,62 @@ def test_run_many_reset_on_alarm_at_zero_and_infinite_threshold(count):
 
 
 def _record_cusums(monkeypatch):
-    """The ``runs`` shape of every ``_Cusum`` the detector makes from now on."""
-    made = []
+    """The ``runs`` shape of every ``_Cusum`` the detector makes from now
+    on, and for each, the data address of the terms of every step it takes."""
+    made, addresses = [], []
     real = detector._Cusum
 
-    def recording(config, runs=()):
-        made.append(runs)
-        return real(config, runs)
+    class Recording(real):
+        def __init__(self, config, runs=()):
+            super().__init__(config, runs)
+            made.append(runs)
+            self.addresses = []
+            addresses.append(self.addresses)
 
-    monkeypatch.setattr(detector, "_Cusum", recording)
-    return made
+        def step(self, terms, reset_at=None):
+            self.addresses.append(terms.ctypes.data)
+            return super().step(terms, reset_at)
+
+    monkeypatch.setattr(detector, "_Cusum", Recording)
+    return made, addresses
 
 
 # One stream over the reference 0..19: a sample of 100 adds log(22) - k to
 # W+, and one of 9.5, mid-reference, drains both sides by k - log(2). Held
 # at 100, V climbs in equal steps and resets every few samples, a period
 # that does not divide the chunk length of 10; so each chunk's speculation
-# from zeroed state is out of phase, its repairs run to the chunk's end,
-# and a chunk's end can change from round to round. Each case is
-# (segments as (start, value), allowance, threshold, the chunks repaired
-# per round) over 40 samples cut into 4 chunks.
+# from zeroed state is out of phase and pass 2 never stops early. Each case
+# is (segments as (start, value), allowance, threshold, the chunks pass 3
+# re-runs) over 40 samples cut into 4 chunks.
 _REPAIR_CASES = {
-    # Round 2 re-runs chunk 2 from zeroed state, where its speculation
-    # started, so it ends at its speculative end again; chunk 3 last ran
-    # from chunk 2's round-1 end, so it must be re-run all the same.
-    "redo-against-last-used-entry": ([(0, 9.5), (2, 100.0)], 1.3, 5.0, [3, 2, 1]),
-    # In round 2 both repaired chunks meet their stored states, yet chunk
-    # 2's end is no longer the entry chunk 3 ran from in that round.
+    # Chunk 2 enters pass 2 from chunk 1's speculative end, not its true
+    # one, so pass 3 re-runs it; from its true entry it ends where its
+    # speculation ended, which is the entry pass 2 gave chunk 3, so chunk 3
+    # is kept though its predecessor was re-run.
+    "redo-against-last-used-entry": ([(0, 9.5), (2, 100.0)], 1.3, 5.0, [2]),
+    # Chunk 2 is re-run from a true entry that differs from its pass-2 one,
+    # yet ends in the zeroed state its speculation ended in; so chunk 3,
+    # whose pass-2 entry is that zeroed state, is kept.
     "propagate-after-every-chunk-coalesces": (
-        [(0, 9.5), (3, 100.0), (28, 9.5)], 1.5, 12.0, [2, 2, 1],
+        [(0, 9.5), (3, 100.0), (28, 9.5)], 1.5, 12.0, [2],
     ),
-    # Round 3 meets chunk 3's stored states within a few steps, but round
-    # 2 wrote all 10 of its steps from a wrong entry; they must be
-    # rewritten.
+    # Pass 2 ran chunk 3 from an entry too high to drain within the chunk,
+    # so all 10 of the V it wrote are wrong. Chunk 3's true state meets its
+    # stored states within a few steps, but pass 3 must rewrite every V
+    # pass 2 wrote, so it re-runs the chunk to its end.
     "overwrite-steps-an-earlier-round-wrote": (
-        [(0, 100.0), (27, 9.5)], 1.3, 20.0, [3, 2, 1],
+        [(0, 100.0), (27, 9.5)], 1.3, 20.0, [2, 3],
     ),
+    # A sustained shift without resets: no chunk after the first ever meets
+    # its speculation, so pass 2 runs to the chunks' end and pass 3 re-runs
+    # every chunk after the second.
+    "never-meets-speculation": ([(0, 100.0)], 1.3, math.inf, [2, 3]),
 }
 
 
 @pytest.mark.parametrize("case", list(_REPAIR_CASES))
 def test_multi_round_chunk_repair_matches_stepping_with_resets(monkeypatch, case):
-    segments, allowance, threshold, rounds = _REPAIR_CASES[case]
+    segments, allowance, threshold, rerun = _REPAIR_CASES[case]
     run = np.empty((40, 1))
     for (start, value), (stop, _) in zip(segments, [*segments[1:], (40, None)]):
         run[start:stop] = value
@@ -633,11 +647,17 @@ def test_multi_round_chunk_repair_matches_stepping_with_resets(monkeypatch, case
     config = detector.MonitorConfig(allowance, 1, 1, threshold=threshold)
     monkeypatch.setattr(detector, "_LOCKSTEP_WIDTH", 4)
     monkeypatch.setattr(detector, "_MIN_CHUNK", 10)
-    made = _record_cusums(monkeypatch)
+    made, addresses = _record_cusums(monkeypatch)
     got = detector.run_many(refs, config, run[np.newaxis], reset_on_alarm=True)
-    # The block's state, the 1 x 4 speculation, then one state per round
-    # holding the chunks that round repaired.
-    assert made == [(1,), (1, 4), *[(count,) for count in rounds]]
+    # The block's state, the 1 x 4 state of passes 1 and 2, and the one
+    # run's state that pass 3 walks the chunks with.
+    assert made == [(1,), (1, 4), (1,)]
+    assert len(addresses[1]) == 2 * 10
+    # Pass 1's first step reads the run's first sample; a chunk of the one
+    # stream spans 10 samples of 8 bytes.
+    first = addresses[1][0]
+    assert sorted({(at - first) // 80 for at in addresses[2]}) == rerun
+    assert len(addresses[2]) == 10 * len(rerun)
     expected = _step_with_resets(refs, config, run)
     np.testing.assert_array_equal(got[0].view(np.int64), expected.view(np.int64))
 
@@ -674,7 +694,8 @@ def test_chunked_run_many_matches_stepping_bitwise(case):
             for _ in range(p)]
     data = rng.normal(size=(runs, steps, p)) * 1.5
     # Each run holds some streams above their references for a stretch, as
-    # long as a chunk or longer, so that repairs run several rounds.
+    # long as a chunk or longer, so that chunks often miss their
+    # speculation and pass 3 re-runs some of them.
     for run in data:
         start = int(rng.integers(0, steps))
         run[start : start + int(rng.integers(1, 200)), : int(rng.integers(1, p + 1))] += 3.0
@@ -699,7 +720,7 @@ def test_chunked_monitor_run_enters_from_and_leaves_the_live_state(monkeypatch):
     refs = [detector.build_reference(rng.normal(size=25)) for _ in range(p)]
     config = detector.MonitorConfig(0.3, top_r, p)
     monitor = detector.Monitor(refs, config)
-    made = _record_cusums(monkeypatch)
+    made, _ = _record_cusums(monkeypatch)
     for part in range(2):
         if part:
             monitor.reset()
