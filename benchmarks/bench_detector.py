@@ -137,8 +137,8 @@ def test_run_recursion(benchmark, rank_index, shape, threshold):
     calibration block without resets.
 
     Subtract ``test_cdf_estimates_block`` at the same shape for the
-    recursion alone. Each round starts from a fresh copy of the samples
-    and zeroed state, both made outside the timing.
+    recursion alone. Each round ranks a fresh copy of the samples, made
+    outside the timing; the recursion makes the block's zeroed state.
     """
     samples = np.random.default_rng(5).normal(size=shape)
     config = detector.MonitorConfig(1.3, 4, STREAMS)
@@ -146,7 +146,7 @@ def test_run_recursion(benchmark, rank_index, shape, threshold):
     def setup():
         block = np.empty((2, *shape))
         block[0] = samples
-        return (rank_index, block, detector._Cusum(config, shape[:1]), threshold), {}
+        return (rank_index, block, config, threshold), {}
 
     benchmark.pedantic(detector._run_recursion, setup=setup, rounds=5 if shape[0] == 1 else 2)
 

@@ -11,7 +11,7 @@ Gaussian classes drawn from a fixed seed; the default grid search over them
 makes 600 binary fits, 52,072 SMO iterations in all and at most 268 in one
 fit, close to training on benchmark seed 0 (52,803 and 267). The search
 solves them in lockstep, one batch per gamma, in 450 rounds; the last
-problem of each batch finishes alone in ``train_binary``'s scalar loop.
+problem of each batch finishes alone in the scalar loop (``_smo_scalar``).
 """
 
 import numpy as np

@@ -10,6 +10,7 @@ stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
@@ -197,16 +198,16 @@ def _cmd_train(args) -> int:
 def _cmd_monitor(args) -> int:
     bundle = load_bundle(args.bundle)
     samples = _read_samples(args.input)
-    events_path = Path(args.events) if args.events else None
-    handle = events_path.open("w", encoding="utf-8") if events_path else None
-    trace_handle = None
-    if args.v_trace:
-        trace_handle = Path(args.v_trace).open("w", encoding="utf-8")
-        trace_handle.write("t,V,alarm\n")
     sample_count = 0
     alarms = 0
     classifications = 0
-    try:
+    with contextlib.ExitStack() as files:
+        handle = trace_handle = None
+        if args.events:
+            handle = files.enter_context(Path(args.events).open("w", encoding="utf-8"))
+        if args.v_trace:
+            trace_handle = files.enter_context(Path(args.v_trace).open("w", encoding="utf-8"))
+            trace_handle.write("t,V,alarm\n")
         for event in pipeline.online_monitor(bundle, samples):
             if event.kind == "sample":
                 sample_count += 1
@@ -229,11 +230,6 @@ def _cmd_monitor(args) -> int:
                 trace_handle.write(
                     f"{event.time_index},{event.global_stat:.17g},{int(crossed)}\n"
                 )
-    finally:
-        if handle:
-            handle.close()
-        if trace_handle:
-            trace_handle.close()
     print(f"{sample_count} samples: {alarms} alarms, {classifications} classifications")
     return 0
 

@@ -14,9 +14,9 @@ where ``k`` is the allowance that drains the statistics while in control.
 The monitor-wide statistic V is the sum of the r largest two-sided stream
 statistics; an alarm is raised when V reaches the threshold.
 
-One function, ``_Cusum.step``, applies this update: ``Monitor.step`` calls
-it per sample and the batch paths ``Monitor.run`` and ``run_many`` per
-time step of a block, so all three paths give bit-identical results. It
+One function, ``_Cusum.step``, applies this update: ``Monitor.step`` and
+``Monitor.run`` call it per sample and the batch path ``run_many`` per
+time step of a block, so every path gives bit-identical results. It
 works in place on one state array that holds W- and W+ as its two
 halves, shape ``(2, ..., p)``, so each ufunc of the update runs once for
 both sides and allocates nothing. With ``reset_on_alarm``, ``run_many``
@@ -32,7 +32,7 @@ three passes:
 
 1. Every chunk runs from zeroed state, keeping its first states.
 2. Every chunk runs again from its predecessor's pass-1 end state (a
-   run's first chunk from the live state) until all meet their kept ones.
+   run's first chunk from zeroed state) until all meet their kept ones.
 3. In chunk order, a chunk whose predecessor's true end state is not its
    pass-2 entry is re-run from that true end.
 
@@ -42,8 +42,8 @@ chunk advances more than three times: a lone run whose chunks never meet
 their kept states costs about 1.1 times stepping it. The steps past the
 last whole chunk, and every wider block, advance one time step at a time.
 
-Ranking picks its method by the call. ``Monitor.step`` ranks its p values
-through one index of all references (``_StepIndex``): one vectorized
+Ranking picks its method by the path. A monitor ranks each sample's p
+values through one index of all references (``_StepIndex``): one vectorized
 search per sample instead of p separate ones, whose per-call overhead
 dominates when each searches a single key. Each stream's reference values
 are complex keys ``stream + value j``, and the sample's value for stream i
@@ -56,29 +56,28 @@ dividing and taking two logs per sample. The tables hold the logs of the
 same estimate ``(c + 1.0) / (s + 2.0)``, so the step stays bit-identical
 to the batch path, which takes the logs of a whole block at once.
 
-``Monitor.run`` and ``run_many`` rank a batch through one bucket index
-per stream (``_RankIndex``), built once per ``run_many`` call, or at a
-monitor's first ``run``, and shared by all its blocks. A uniform grid over
-the reference narrows each key to the few reference values of its bucket,
-and a fixed-width branchless search counts those below the key, a few
-whole-array steps per stream instead of a binary search per value, whose
-mispredicted branches dominate when a stream has thousands of keys. The
-grid map is monotone, so the count is the exact number of reference
-values strictly below each observation, as in ``step``, and both paths
-stay bit-identical.
+``run_many`` ranks a batch through one bucket index per stream
+(``_RankIndex``), built once per call and shared by all its blocks. A
+uniform grid over the reference narrows each key to the few reference
+values of its bucket, and a fixed-width branchless search counts those
+below the key, a few whole-array steps per stream instead of a binary
+search per value, whose mispredicted branches dominate when a stream has
+thousands of keys. The grid map is monotone, so the count is the exact
+number of reference values strictly below each observation, as in
+``step``, and both paths stay bit-identical.
 
-``run_many`` owns the lockstep block: it checks runs as it copies them,
-one at a time, into the first half of a ``(2, R, T, p)`` array of at most
-``_BLOCK_BYTES`` per half and ranks that half in place, so callers may
-pass generators and keep no corpus. The logs of the estimates then fill
-both halves, stacked as the state is, and the recursion reads one time
-step of both as a single view.
+``run_many`` is the only batch path, and it owns the lockstep block: it
+checks runs as it copies them, one at a time, into the first half of a
+``(2, R, T, p)`` array of at most ``_BLOCK_BYTES`` per half, so callers
+may pass generators and keep no corpus. ``_run_recursion`` ranks that
+half in place; the logs of the estimates then fill both halves, stacked
+as the state is, and the recursion advances the block from zeroed state,
+reading one time step of both halves as a single view.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
@@ -274,7 +273,8 @@ class _RankIndex:
     table of ``first`` covers, as it covers every bucket up to ``hi``'s).
     A constant reference, a range that overflows, or one so narrow that
     its scale overflows, gets the single bucket of ``lo = hi = scale = 0``,
-    and the search then spans the whole reference. Memory is O(s).
+    and the search then spans the whole reference. Memory is O(s);
+    ``run_many`` builds one per stream per call.
     """
 
     __slots__ = ("_lo", "_hi", "_scale", "_first", "_padded", "_halves", "_mu")
@@ -325,7 +325,7 @@ def _cdf_estimates(rank_index: list[_RankIndex], samples: np.ndarray) -> np.ndar
     written over ``samples`` (a C-contiguous float array), which is returned.
 
     ``rank_index`` holds one :class:`_RankIndex` per stream, built once per
-    call of ``run_many`` or per monitor and shared by all its blocks.
+    call of ``run_many`` and shared by all its blocks.
     """
     p = samples.shape[-1]
     rows = samples.reshape(-1, p, copy=False)
@@ -405,14 +405,12 @@ class _Cusum:
     0-d arrays, built once, which numpy does not have to convert on every
     call, and the two-sided statistics go to one buffer that is sorted in
     place; its top-r slice is a view made once. ``step`` is the only code
-    that advances the recursion, resets included; ``config`` lets the
-    batch path make more states like this one.
+    that advances the recursion, resets included.
     """
 
-    __slots__ = ("config", "w", "_minus", "_plus", "_allowance", "_zero", "_two", "_top")
+    __slots__ = ("w", "_minus", "_plus", "_allowance", "_zero", "_two", "_top")
 
     def __init__(self, config: MonitorConfig, runs: tuple[int, ...] = ()):
-        self.config = config
         shape = (*runs, config.stream_count)
         self.w = np.zeros((2, *shape))
         self._minus, self._plus = self.w
@@ -456,10 +454,11 @@ class _Cusum:
 def _run_recursion(
     rank_index: list[_RankIndex],
     block: np.ndarray,
-    cusum: _Cusum,
+    config: MonitorConfig,
     reset_at: float | None = None,
 ) -> np.ndarray:
-    """Rank samples and drive the CUSUM recursion over their time axis.
+    """Rank a block of runs and drive the CUSUM recursion over their time
+    axis, every run from zeroed state.
 
     A block of fewer than ``_LOCKSTEP_WIDTH`` runs that is long enough is
     advanced as time chunks side by side (:func:`_advance_chunks`); the
@@ -467,35 +466,32 @@ def _run_recursion(
     at a time. Both give the same bits.
 
     Args:
-        block: Shape ``(2, ..., T, p)`` with samples in ``block[0]``, whose
+        block: Shape ``(2, R, T, p)`` with samples in ``block[0]``, whose
             two halves are each C-contiguous. Ranking writes mu over
             ``block[0]``; then ``log(1 - mu)`` goes to ``block[1]`` and
             ``log(mu)`` over ``block[0]``, so the log terms of one time
-            step are ``block[:, ..., t, :]``, stacked as ``cusum.w`` is.
-        cusum: Entry state of shape ``(2, ..., p)``, advanced in place.
+            step are ``block[:, :, t]``, stacked as a ``_Cusum`` state is.
+        config: Detection parameters.
         reset_at: If given, zero the state of each run whose V reaches it.
 
     Returns:
-        V of shape ``(..., T)``.
+        V of shape ``(R, T)``.
     """
     mu = _cdf_estimates(rank_index, block[0])
     np.subtract(1.0, mu, out=block[1])
     np.log(block[1], out=block[1])
     np.log(mu, out=mu)
-    v = np.empty(block.shape[1:-1])
-    steps, p = block.shape[-2:]
-    runs = v.size // steps
+    runs, steps = block.shape[1:3]
+    v = np.empty((runs, steps))
+    cusum = _Cusum(config, (runs,))
     chunks = min(_LOCKSTEP_WIDTH // runs, steps // _MIN_CHUNK)
     done = 0
     if chunks >= 2:
-        done = _advance_chunks(
-            block.reshape(2, runs, steps, p, copy=False),
-            v.reshape(runs, steps, copy=False),
-            cusum,
-            chunks,
-            reset_at,
+        done = chunks * (steps // chunks)
+        cusum.w[...] = _advance_chunks(
+            block[:, :, :done], v[:, :done], config, chunks, reset_at
         )
-    _advance(cusum, block[..., done:, :], v[..., done:], reset_at)
+    _advance(cusum, block[:, :, done:], v[:, done:], reset_at)
     return v
 
 
@@ -509,26 +505,26 @@ def _advance(cusum: _Cusum, terms: np.ndarray, v: np.ndarray, reset_at):
 
 
 def _advance_chunks(
-    terms: np.ndarray, v: np.ndarray, cusum: _Cusum, chunks: int, reset_at
-) -> int:
-    """Advance R runs through their first ``chunks * L`` steps as R x chunks
-    time chunks of L steps, bit-identical to stepping them, in three passes.
+    terms: np.ndarray, v: np.ndarray, config: MonitorConfig, chunks: int, reset_at
+) -> np.ndarray:
+    """Advance R runs from zeroed state through their T steps as R x chunks
+    time chunks of L = T / chunks steps, bit-identical to stepping them, in
+    three passes.
 
     Args:
         terms: Log terms of shape ``(2, R, T, p)``.
-        v: V of shape ``(R, T)``, written for the steps advanced.
-        cusum: The runs' entry state, holding ``(2, R, p)`` values; it is
-            left holding their true state after the steps advanced.
-        chunks: Chunks per run, from 2 to T.
+        v: V of shape ``(R, T)``, written for every step.
+        config: Detection parameters.
+        chunks: Chunks per run, from 2 to T, dividing T.
 
     Returns:
-        The number of steps advanced, ``chunks * L``.
+        The runs' state after their last step, of shape ``(2, R, p)``.
 
     1. Every chunk runs from zeroed state, keeping its state after each of
        its first ``_STORED_STEPS`` steps.
     2. Every chunk runs from its predecessor's pass-1 end state (a run's
-       first chunk from the live state) until every chunk's state equals
-       its stored state at the same step, or to the chunks' end.
+       first chunk from zeroed state) until every chunk's state equals its
+       stored state at the same step, or to the chunks' end.
     3. In chunk order, a chunk whose predecessor's true end state differs
        from its pass-2 entry is re-run from that true end to its own end,
        rewriting every V pass 2 wrote for it.
@@ -540,13 +536,11 @@ def _advance_chunks(
     """
     _, runs, steps, p = terms.shape
     length = steps // chunks
-    done = chunks * length
-    terms = terms[:, :, :done].reshape(2, runs, chunks, length, p, copy=False)
-    v = v[:, :done].reshape(runs, chunks, length, copy=False)
-    live = cusum.w.reshape(2, runs, p, copy=False)
+    terms = terms.reshape(2, runs, chunks, length, p, copy=False)
+    v = v.reshape(runs, chunks, length, copy=False)
 
     # Pass 1.
-    side_by_side = _Cusum(cusum.config, (runs, chunks))
+    side_by_side = _Cusum(config, (runs, chunks))
     stored = min(length, _STORED_STEPS)
     states = np.empty((stored, 2, runs, chunks, p))
     for s in range(length):
@@ -559,7 +553,8 @@ def _advance_chunks(
     # Pass 2, after which ``end`` holds each chunk's end state from its
     # pass-2 entry.
     end = side_by_side.w.copy()
-    entry = np.concatenate([live[:, :, np.newaxis], end[:, :, :-1]], axis=2)
+    entry = np.zeros_like(end)
+    entry[:, :, 1:] = end[:, :, :-1]
     side_by_side.w[...] = entry
     for s in range(length):
         v[..., s] = side_by_side.step(terms[..., s, :], reset_at)
@@ -569,23 +564,25 @@ def _advance_chunks(
         end = side_by_side.w
 
     # Pass 3; ``true`` carries each chunk's true end state to the next.
-    true = _Cusum(cusum.config, (runs,))
+    true = _Cusum(config, (runs,))
     true.w[...] = end[:, :, 0]
     for c in range(1, chunks):
         if (true.w.view(np.int64) == entry[:, :, c].view(np.int64)).all():
             true.w[...] = end[:, :, c]
         else:
             _advance(true, terms[:, :, c], v[:, c], reset_at)
-    live[...] = true.w
-    return done
+    return true.w
 
 
 class Monitor:
     """Streaming detector over p standardized streams.
 
-    A monitor owns sorted references, the per-stream CUSUM state, and a
-    sample counter. ``step`` consumes one sample; ``run`` consumes a batch
-    and is bit-identical to the equivalent sequence of ``step`` calls.
+    A monitor owns the step index of its sorted references, the per-stream
+    CUSUM state, and a sample counter. ``step`` consumes one sample; ``run``
+    consumes a batch through the same step kernel, one row at a time, so it
+    is bit-identical to the equivalent sequence of ``step`` calls. Batches
+    replayed from zeroed state, many runs at a time, go through
+    :func:`run_many`.
 
     Time indices are 0-based: the first sample consumed after construction
     (or :meth:`reset`) has ``time_index == 0``.
@@ -598,16 +595,9 @@ class Monitor:
 
     def __init__(self, references, config: MonitorConfig):
         self.config = config
-        self._references = _validate_references(references, config.stream_count)
-        self._index = _StepIndex(self._references)
+        self._index = _StepIndex(_validate_references(references, config.stream_count))
         self._cusum = _Cusum(config)
         self._time = 0
-
-    @functools.cached_property
-    def _rank_index(self) -> list[_RankIndex]:
-        """The batch path's index, built at the first ``run``: a monitor
-        that only steps never pays for it."""
-        return [_RankIndex(ref) for ref in self._references]
 
     def reset(self) -> None:
         """Zero the CUSUM state and the sample counter."""
@@ -631,10 +621,7 @@ class Monitor:
     def run(self, samples) -> MonitorTrace:
         """Consume a batch of shape ``(T, p)``; equivalent to T ``step`` calls."""
         arr = _check_samples(samples, self.config.stream_count, 2)
-        # A private copy, because ranking writes mu over its input.
-        block = np.empty((2, *arr.shape))
-        block[0] = arr
-        v = _run_recursion(self._rank_index, block, self._cusum)
+        v = np.array([self._cusum.step(self._index.log_terms(row)) for row in arr])
         self._time += arr.shape[0]
         return MonitorTrace(global_stats=v, alarms=v >= self.config.threshold)
 
@@ -689,14 +676,12 @@ def run_many(
         block[0, filled] = run
         filled += 1
         if filled == capacity:
-            cusum = _Cusum(config, (filled,))
-            traces.append(_run_recursion(rank_index, block, cusum, reset_at))
+            traces.append(_run_recursion(rank_index, block, config, reset_at))
             block, filled = None, 0
     if shape is None:
         raise EmptyInputError("no runs")
     if filled:
-        cusum = _Cusum(config, (filled,))
-        traces.append(_run_recursion(rank_index, block[:, :filled], cusum, reset_at))
+        traces.append(_run_recursion(rank_index, block[:, :filled], config, reset_at))
     # Released before the traces are joined, so that the join does not add
     # to the peak.
     block = None

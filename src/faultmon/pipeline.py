@@ -106,6 +106,8 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_model_options(self.feature_mode, self.patience)
+        if self.folds < 2:
+            raise DomainError(f"need at least 2 folds, got {self.folds}")
 
 
 @dataclass(frozen=True)

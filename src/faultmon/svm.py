@@ -13,15 +13,15 @@ bitwise symmetric. Multiclass wraps one-vs-one voting over all label
 pairs. Features are z-scored once before any kernel is evaluated so a
 single gamma suits all coordinates.
 
-The grid search solves its cross-validation fits in lockstep
-(``_smo_lockstep``), one batch per gamma: each (C, fold, pair) fit is one
-row of the batch, every round makes one SMO iteration in every row still
-running, with the same floating-point operations ``train_binary`` makes,
-and a row leaves the batch when it stops. A pair's kernel is built once
-per gamma and fold and shared by the rows of every C. The duals, bias and
-iteration count of each row equal those of ``train_binary`` bit for bit,
-and a batch takes as many rounds as its longest fit has iterations, not
-the sum of all of them.
+Every fit goes through ``_smo_lockstep``, which solves a batch of duals
+side by side: each round makes one SMO iteration in every row still
+running, and a row leaves when it stops; the last row finishes in the
+scalar loop ``_smo_scalar``, with the same floating-point operations.
+``train_binary`` solves a batch of one. The grid search solves one batch
+per gamma, one row per (C, fold, pair) fit, and builds a pair's kernel
+once per gamma and fold for the rows of every C. Each row's duals, bias
+and iterations equal ``train_binary``'s bit for bit, and a batch takes as
+many rounds as its longest fit has iterations, not the sum of them all.
 """
 
 from __future__ import annotations
@@ -174,7 +174,8 @@ def train_binary(
     working sets as 0/-inf penalty vectors of which only the two moved
     duals' entries change; the scalar step and clipping run on Python
     floats. The gradient update reads kernel columns because the kernel is
-    not bitwise symmetric. Ties go to the lowest index.
+    not bitwise symmetric. Ties go to the lowest index. The fit is a
+    one-problem :func:`_smo_lockstep` batch.
 
     Args:
         features: ``(n, d)`` matrix, already scaled.
@@ -197,27 +198,18 @@ def train_binary(
     if np.unique(y).size < 2:
         raise SingleClassError("training data contains a single class")
     _check_hyperparameter("c_penalty", c_penalty)
-    n = x.shape[0]
-    cap = _SMO_CAP_PER_ROW * n
-
-    kernel = rbf_kernel_matrix(x, x, gamma)
-    # columns[k] is kernel[:, k]. The expanded-distance kernel is not
-    # bitwise symmetric, so its rows would not reproduce the same sums.
-    columns = np.ascontiguousarray(kernel.T)
-    # The working sets as additive penalties: 0 inside, -inf outside.
-    up_mask, low_mask = _working_sets(y, np.zeros(n), c_penalty)
-    # score = -y * grad for the gradient grad = Q a - 1 of the minimized
-    # form; its spread over the working sets measures KKT violation.
-    alphas, score, iterations = _smo_scalar(
-        columns, y, c_penalty, tol, cap, np.zeros(n), y.copy(),
-        np.where(up_mask, 0.0, -np.inf), np.where(low_mask, 0.0, -np.inf), 0,
+    [result], _ = _smo_lockstep(
+        rbf_kernel_matrix(x, x, gamma).T[np.newaxis], [0], y[np.newaxis], [c_penalty], tol
     )
+    if isinstance(result, NoConvergenceError):
+        raise result
+    alphas, score, iterations = result
     return _binary_model(x, y, alphas, score, c_penalty, gamma, iterations)
 
 
 def _smo_scalar(columns, y, c_penalty, tol, cap, alphas, score, up_penalty,
                 low_penalty, iterations):
-    """Run ``train_binary``'s SMO loop from the given state to its end.
+    """Run one problem's SMO loop from the given state to its end.
 
     Args:
         columns: The kernel by columns, ``columns[k, r]`` = K[r, k], n x n.
@@ -320,32 +312,31 @@ def _binary_model(x, y, alphas, score, c_penalty, gamma, iterations) -> BinaryMo
 
 
 def _smo_lockstep(columns, kernel_index, labels, c_penalties, tol: float = 1e-3):
-    """Solve a batch of binary duals side by side, each as ``train_binary`` would.
+    """Solve a batch of binary duals side by side, each as if alone.
 
     Problem b has the n_b labels ``labels[b, :n_b]`` (+-1, zero-padded to a
     common width m), the box ``c_penalties[b]`` and the kernel
     ``columns[kernel_index[b]]``, stored by columns: ``columns[k, c, r]`` is
     K[r, c] for r, c < n_b and zero elsewhere. Problems may share a kernel.
 
-    Each round makes one iteration of ``train_binary``'s loop in every
-    problem still running, with the same floating-point operations: the
-    first maximal violating pair, the floored curvature, the clipped step,
-    the column update of ``-y * grad`` and the two moved duals' working-set
-    penalties. A problem leaves the batch on the round it stops, so its
-    duals, ``score`` and iteration count are bitwise those of
-    ``train_binary``. Padding carries -inf penalties and zero columns and is
-    never selected. Once one problem is left, it continues from its state
-    in ``train_binary``'s own loop (:func:`_smo_scalar`), which makes the
-    same iterations at a fraction of a round's cost.
+    Each round makes one iteration of the scalar loop (:func:`_smo_scalar`)
+    in every problem still running, with the same floating-point
+    operations: the first maximal violating pair, the floored curvature,
+    the clipped step, the column update of ``-y * grad`` and the two moved
+    duals' working-set penalties. A problem leaves the batch on the round
+    it stops, so its duals, ``score`` and iteration count are bitwise those
+    of solving it alone. Padding carries -inf penalties and zero columns
+    and is never selected. The last problem left, or a lone one, continues
+    in the scalar loop itself, at a fraction of a round's cost.
 
     Returns:
         One result per problem and the number of lockstep rounds run. A
         result is ``(alphas, score, iterations)``, each array of the
-        problem's own length n_b, or the ``NoConvergenceError`` that
-        ``train_binary`` raises once ``_SMO_CAP_PER_ROW * n_b`` iterations
-        leave the gap above ``tol``. Once a problem has failed, the problems after it in
-        batch order are dropped with result ``None``: solving the batch one
-        problem at a time would stop at that error before reaching them.
+        problem's own length n_b, or the ``NoConvergenceError`` raised once
+        ``_SMO_CAP_PER_ROW * n_b`` iterations leave the gap above ``tol``.
+        Once a problem has failed, the problems after it in batch order are
+        dropped with result ``None``: solving the batch one problem at a
+        time would stop at that error before reaching them.
     """
     y = np.asarray(labels, dtype=float)
     count, width = y.shape
@@ -357,6 +348,8 @@ def _smo_lockstep(columns, kernel_index, labels, c_penalties, tol: float = 1e-3)
     c = np.asarray(c_penalties, dtype=float)
     first_column = np.asarray(kernel_index) * width
     alphas = np.zeros((count, width))
+    # score = -y * grad for the gradient grad = Q a - 1 of the minimized
+    # form; its spread over the working sets measures KKT violation.
     score = y.copy()
     up_mask, low_mask = _working_sets(y, alphas, c[:, np.newaxis])
     up_penalty = np.where(up_mask, 0.0, -np.inf)

@@ -5,8 +5,10 @@ module; assertions cover exit codes, file artifacts, and agreement with
 the library calls the commands wrap.
 """
 
+import gc
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -155,7 +157,7 @@ def test_monitor_trace_and_events(cli_bundle, cli_workspace, small_benchmark,
     # written V values must match a plain batched run bit for bit.
     bundle = load_bundle(cli_bundle)
     z = standardize.apply(run.data, bundle.stats)
-    v_batch = detector.Monitor(bundle.references, bundle.config).run(z).global_stats
+    v_batch = detector.run_many(bundle.references, bundle.config, [z])[0]
     v_written = np.array([float(r[1]) for r in rows])
     alarms = np.array([int(r[2]) for r in rows])
     first = int(np.argmax(v_written >= bundle.config.threshold))
@@ -167,6 +169,22 @@ def test_monitor_trace_and_events(cli_bundle, cli_workspace, small_benchmark,
     kinds = {e["kind"] for e in events}
     assert "sample" not in kinds  # omitted without --keep-samples
     assert "alarm_raised" in kinds
+
+
+def test_monitor_closes_events_file_when_v_trace_cannot_open(
+    cli_bundle, cli_workspace, tmp_path
+):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([
+            "monitor", "--bundle", str(cli_bundle),
+            "--input", str(cli_workspace / "in_control.csv"),
+            "--events", str(tmp_path / "ev.jsonl"),
+            "--v-trace", str(tmp_path / "missing" / "v.csv"),
+        ])
+        gc.collect()
+    assert code == 2
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_monitor_reads_stdin(cli_bundle, small_benchmark, monkeypatch, capfd):

@@ -189,7 +189,7 @@ def test_step_ranks_ties_like_naive_oracle_and_run():
         stepper = detector.Monitor(refs, config)
         stepped = np.array([stepper.step(row).global_stat for row in data])
         np.testing.assert_array_equal(stepped, naive_run(refs, 0.05, top_r, data))
-        batch = detector.Monitor(refs, config).run(data).global_stats
+        batch = detector.run_many(refs, config, [data])[0]
         np.testing.assert_array_equal(stepped, batch)
 
 
@@ -225,7 +225,7 @@ def test_step_log_tables_match_oracle_bitwise_across_reset():
             np.testing.assert_array_equal(
                 local[part].view(np.int64), local_expected.view(np.int64)
             )
-            batch = detector.Monitor(refs, config).run(data[part]).global_stats
+            batch = detector.run_many(refs, config, [data[part]])[0]
             np.testing.assert_array_equal(stepped[part].view(np.int64), batch.view(np.int64))
 
 
@@ -707,34 +707,3 @@ def test_chunked_run_many_matches_stepping_bitwise(case):
     for r, run in enumerate(data):
         expected = _step_with_resets(refs, config, run, reset_on_alarm=reset)
         np.testing.assert_array_equal(got[r].view(np.int64), expected.view(np.int64))
-
-
-def test_chunked_monitor_run_enters_from_and_leaves_the_live_state(monkeypatch):
-    # As test_state_is_not_aliased_across_steps_runs_and_reset, with
-    # batches long enough to be cut into chunks: each batch's first chunk
-    # enters from the state the single steps left, and the steps after it
-    # start from the batch's true end state.
-    rng = np.random.default_rng(13)
-    p, top_r, k = 4, 2, 3
-    chunk = 2 * detector._MIN_CHUNK + 37
-    refs = [detector.build_reference(rng.normal(size=25)) for _ in range(p)]
-    config = detector.MonitorConfig(0.3, top_r, p)
-    monitor = detector.Monitor(refs, config)
-    made, _ = _record_cusums(monkeypatch)
-    for part in range(2):
-        if part:
-            monitor.reset()
-        data = rng.normal(size=(3 * (k + chunk), p)) * 1.5
-        v_expected, local_expected = naive_trace(refs, 0.3, top_r, data)
-        v = []
-        for lo in range(0, len(data), k + chunk):
-            for row in data[lo : lo + k]:
-                out = monitor.step(row)
-                np.testing.assert_array_equal(
-                    out.local_stats.view(np.int64), local_expected[len(v)].view(np.int64)
-                )
-                v.append(out.global_stat)
-            v.extend(monitor.run(data[lo + k : lo + k + chunk]).global_stats)
-        np.testing.assert_array_equal(np.array(v).view(np.int64), v_expected.view(np.int64))
-    # Every batch ran as two chunks side by side.
-    assert made.count((1, 2)) == 6

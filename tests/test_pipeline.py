@@ -423,3 +423,11 @@ def test_train_config_validation():
         pipeline.TrainConfig(feature_mode="pca")
     with pytest.raises(DomainError):
         pipeline.TrainConfig(patience=-1)
+
+
+@pytest.mark.parametrize("folds", [1, 0, -2])
+def test_train_config_rejects_fewer_than_two_folds(folds):
+    # Rejected when the config is built, not after calibration and
+    # detection have run.
+    with pytest.raises(DomainError, match="need at least 2 folds"):
+        pipeline.TrainConfig(folds=folds)

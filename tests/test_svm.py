@@ -4,8 +4,9 @@ The dual oracle is an accelerated projected-gradient solver, vectorized
 across instances: maximize sum(a) - 0.5 (ay)' K (ay) subject to the box
 and the equality constraint, with the exact projection found by a
 breakpoint search on the constraint multiplier. It shares no code with
-the SMO path. The bitwise test compares ``train_binary``'s loop and the
-grid search's lockstep solver with ``oracles.max_violating_pair_smo``,
+the SMO path. The bitwise test compares ``train_binary`` (a lockstep
+batch of one, solved by the scalar loop) and the grid search's lockstep
+solver with ``oracles.max_violating_pair_smo``,
 which makes the same arithmetic one recomputed mask at a time.
 """
 
