@@ -14,15 +14,16 @@ where ``k`` is the allowance that drains the statistics while in control.
 The monitor-wide statistic V is the sum of the r largest two-sided stream
 statistics; an alarm is raised when V reaches the threshold.
 
-One function, ``_Cusum.step``, applies this update: ``Monitor.step`` and
-``Monitor.run`` call it per sample and the batch path ``run_many`` per
-time step of a block, so every path gives bit-identical results. It
-works in place on one state array that holds W- and W+ as its two
-halves, shape ``(2, ..., p)``, so each ufunc of the update runs once for
-both sides and allocates nothing. With ``reset_on_alarm``, ``run_many``
-zeroes a run's W+ and W- after each sample whose V reaches the threshold
-(the renewal convention), as calling ``Monitor.reset`` after every alarm
-would; the step applies that reset too.
+One function, ``_Cusum.step``, applies this update: the monitor's
+per-sample kernel ``Monitor._advance`` calls it per sample and the batch
+path ``run_many`` per time step of a block, so every path gives
+bit-identical results. It works in place on one state array that holds
+W- and W+ as its two halves, shape ``(2, ..., p)``, so each ufunc of the
+update runs once for both sides and allocates nothing. With
+``reset_on_alarm``, ``run_many`` zeroes a run's W+ and W- after each
+sample whose V reaches the threshold (the renewal convention), as calling
+``Monitor.reset`` after every alarm would; the step applies that reset
+too.
 
 A step's cost is mostly numpy's per-call overhead, so it costs about the
 same for one run as for 16. A narrow block, of fewer runs than
@@ -49,12 +50,19 @@ dominates when each searches a single key. Each stream's reference values
 are complex keys ``stream + value j``, and the sample's value for stream i
 is searched as ``i + z_i j``; numpy orders complex numbers by real part,
 then imaginary part, so that one search ranks every stream within its own
-block. Its result is the sample's position in two tables, built once per
-monitor, that hold ``log(mu)`` and ``log(1 - mu)`` for every count c in
-0..s of every stream: ``step`` gathers its log terms there instead of
-dividing and taking two logs per sample. The tables hold the logs of the
-same estimate ``(c + 1.0) / (s + 2.0)``, so the step stays bit-identical
-to the batch path, which takes the logs of a whole block at once.
+block. Its result is the sample's column in one two-row table, built
+once per monitor, whose rows hold ``log(mu)`` and ``log(1 - mu)`` for every
+count c in 0..s of every stream: a step gathers both log terms there with
+one ``take`` instead of dividing and taking two logs per sample. The table
+holds the logs of the same estimate ``(c + 1.0) / (s + 2.0)``, so the step
+stays bit-identical to the batch path, which takes the logs of a whole
+block at once.
+
+``Monitor._advance`` is the whole per-sample kernel: rank, gather, CUSUM
+step, V as a Python float. ``Monitor.step`` checks its sample, advances and
+wraps V in a ``MonitorOutput``; ``Monitor.run`` checks its batch once and
+advances row by row; ``pipeline.online_monitor``, which checks each row as
+it standardizes it, advances and builds nothing else per sample.
 
 ``run_many`` ranks a batch through one bucket index per stream
 (``_RankIndex``), built once per call and shared by all its blocks. A
@@ -64,7 +72,7 @@ below the key, a few whole-array steps per stream instead of a binary
 search per value, whose mispredicted branches dominate when a stream has
 thousands of keys. The grid map is monotone, so the count is the exact
 number of reference values strictly below each observation, as in
-``step``, and both paths stay bit-identical.
+``_StepIndex``, and both paths stay bit-identical.
 
 ``run_many`` is the only batch path, and it owns the lockstep block: it
 checks runs as it copies them, one at a time, into the first half of a
@@ -353,7 +361,7 @@ def _cdf_estimates(rank_index: list[_RankIndex], samples: np.ndarray) -> np.ndar
 
 class _StepIndex:
     """Ranks one value per stream against all p references in one search
-    and reads the CUSUM's log terms for those ranks from two tables.
+    and gathers the CUSUM's log terms for those ranks from one table.
 
     Stream i's reference values r become the complex keys ``i + r j``,
     followed by one closing key ``i + inf j``, and the p streams' keys are
@@ -363,10 +371,12 @@ class _StepIndex:
     closing keys included, then stream i's reference values strictly below
     ``z_i``, with ties and ``-0.0 == 0.0`` counted as ``ref.searchsorted``
     counts them; its closing key is never below a finite ``z_i``. The
-    search thus returns ``offset_i + i + c_i``, the position of count
-    ``c_i`` in stream i's block of two tables that hold ``log(mu)`` and
-    ``log(1 - mu)`` at ``mu = (c + 1.0) / (s_i + 2.0)`` for every c in
-    0..s_i. Memory is O(N + p) for N reference values in all.
+    search thus returns ``offset_i + i + c_i``, the column of count
+    ``c_i`` in stream i's block of a ``(2, N + p)`` table whose rows hold
+    ``log(mu)`` and ``log(1 - mu)`` at ``mu = (c + 1.0) / (s_i + 2.0)`` for
+    every c in 0..s_i, so one ``take`` along the columns gathers both log
+    terms of all p streams, stacked as ``_Cusum.w`` is. Memory is O(N + p)
+    for N reference values in all.
     """
 
     def __init__(self, references: list[np.ndarray]):
@@ -379,8 +389,9 @@ class _StepIndex:
         self._query = np.arange(sizes.size, dtype=complex)
         counts = np.concatenate([np.arange(size + 1) for size in sizes])
         mu = (counts + 1.0) / np.repeat(sizes + 2.0, sizes + 1)
-        self._log_hi = np.log(1.0 - mu)
-        self._log_lo = np.log(mu)
+        self._logs = np.empty((2, mu.size))
+        np.log(mu, out=self._logs[0])
+        np.log(1.0 - mu, out=self._logs[1])
         # The sample's log terms, stacked as ``_Cusum.w`` is; each step
         # overwrites them.
         self._terms = np.empty((2, sizes.size))
@@ -390,10 +401,9 @@ class _StepIndex:
         ``(p,)``, as one ``(2, p)`` array that the next call overwrites."""
         self._query.imag = sample
         at = self._keys.searchsorted(self._query)
-        terms = self._terms
-        terms[0] = self._log_lo[at]
-        terms[1] = self._log_hi[at]
-        return terms
+        # Every column searched is in range, so mode="clip" changes none; it
+        # spares take the bounds check and output copy of mode="raise".
+        return self._logs.take(at, axis=1, out=self._terms, mode="clip")
 
 
 class _Cusum:
@@ -491,11 +501,11 @@ def _run_recursion(
         cusum.w[...] = _advance_chunks(
             block[:, :, :done], v[:, :done], config, chunks, reset_at
         )
-    _advance(cusum, block[:, :, done:], v[:, done:], reset_at)
+    _advance_steps(cusum, block[:, :, done:], v[:, done:], reset_at)
     return v
 
 
-def _advance(cusum: _Cusum, terms: np.ndarray, v: np.ndarray, reset_at):
+def _advance_steps(cusum: _Cusum, terms: np.ndarray, v: np.ndarray, reset_at):
     """Advance ``cusum`` one time step at a time through ``terms`` of shape
     ``(2, ..., T, p)``, writing each step's V to ``v`` of shape ``(..., T)``."""
     # Indexing the time axis first costs less per step than ``v[..., t]``.
@@ -570,7 +580,7 @@ def _advance_chunks(
         if (true.w.view(np.int64) == entry[:, :, c].view(np.int64)).all():
             true.w[...] = end[:, :, c]
         else:
-            _advance(true, terms[:, :, c], v[:, c], reset_at)
+            _advance_steps(true, terms[:, :, c], v[:, c], reset_at)
     return true.w
 
 
@@ -578,20 +588,18 @@ class Monitor:
     """Streaming detector over p standardized streams.
 
     A monitor owns the step index of its sorted references, the per-stream
-    CUSUM state, and a sample counter. ``step`` consumes one sample; ``run``
-    consumes a batch through the same step kernel, one row at a time, so it
-    is bit-identical to the equivalent sequence of ``step`` calls. Batches
+    CUSUM state, and a sample counter. One private kernel, ``_advance``,
+    consumes one checked sample and returns V as a float: it ranks the
+    sample, gathers its log terms from one table and steps the CUSUM.
+    ``step`` checks one sample, advances and reports the result; ``run``
+    checks a batch once and advances it one row at a time, so it is
+    bit-identical to the equivalent sequence of ``step`` calls. Batches
     replayed from zeroed state, many runs at a time, go through
     :func:`run_many`.
 
     Time indices are 0-based: the first sample consumed after construction
     (or :meth:`reset`) has ``time_index == 0``.
     """
-
-    # Whether ``step`` checks its sample. ``pipeline.online_monitor`` turns
-    # it off on the monitor it owns, which only ever sees rows it has
-    # checked itself: a 1-D float array of p finite values.
-    _checks_samples = True
 
     def __init__(self, references, config: MonitorConfig):
         self.config = config
@@ -604,11 +612,14 @@ class Monitor:
         self._cusum.w.fill(0.0)
         self._time = 0
 
+    def _advance(self, sample: np.ndarray) -> float:
+        """Advance the CUSUM by one checked sample, a 1-D float array of p
+        finite values, and return V; the sample counter is left as is."""
+        return float(self._cusum.step(self._index.log_terms(sample)))
+
     def step(self, sample) -> MonitorOutput:
         """Consume one standardized sample of shape ``(p,)``."""
-        if self._checks_samples:
-            sample = _check_samples(sample, self.config.stream_count, 1)
-        v = float(self._cusum.step(self._index.log_terms(sample)))
+        v = self._advance(_check_samples(sample, self.config.stream_count, 1))
         out = MonitorOutput(
             time_index=self._time,
             global_stat=v,
@@ -621,7 +632,7 @@ class Monitor:
     def run(self, samples) -> MonitorTrace:
         """Consume a batch of shape ``(T, p)``; equivalent to T ``step`` calls."""
         arr = _check_samples(samples, self.config.stream_count, 2)
-        v = np.array([self._cusum.step(self._index.log_terms(row)) for row in arr])
+        v = np.array([self._advance(row) for row in arr])
         self._time += arr.shape[0]
         return MonitorTrace(global_stats=v, alarms=v >= self.config.threshold)
 

@@ -446,23 +446,21 @@ def online_monitor(bundle: ModelBundle, samples: Iterable) -> Iterator[MonitorEv
         :class:`MonitorEvent` in time order.
     """
     monitor = detector.Monitor(bundle.references, bundle.config)
-    monitor._checks_samples = False  # _standardized_row checks each sample
+    threshold = bundle.config.threshold
     tangent_base = _tangent_base(bundle.karcher_base, bundle.feature_mode)
     window_buffer: deque = deque(maxlen=bundle.window)
     v_episode: list[float] = []
     alarm_at: int | None = None
-    time_index = -1
-    last_stat = 0.0
     for time_index, sample in enumerate(samples):
         z = _standardized_row(sample, bundle.stats)
-        out = monitor.step(z)
+        # The monitor's own kernel: z is checked, and only V is needed.
+        v = monitor._advance(z)
         window_buffer.append(z)
-        v_episode.append(out.global_stat)
-        last_stat = out.global_stat
-        yield MonitorEvent("sample", time_index, out.global_stat)
-        if alarm_at is None and out.alarm:
+        v_episode.append(v)
+        yield MonitorEvent("sample", time_index, v)
+        if alarm_at is None and v >= threshold:
             alarm_at = time_index
-            yield MonitorEvent("alarm_raised", time_index, out.global_stat)
+            yield MonitorEvent("alarm_raised", time_index, v)
         if alarm_at is not None and time_index == alarm_at + bundle.patience:
             predicted, error = _classify_buffer(
                 bundle, tangent_base, window_buffer, v_episode
@@ -470,27 +468,33 @@ def online_monitor(bundle: ModelBundle, samples: Iterable) -> Iterator[MonitorEv
             yield MonitorEvent(
                 "classification",
                 time_index,
-                out.global_stat,
+                v,
                 predicted_fault=predicted,
                 error=error,
             )
             monitor.reset()
             alarm_at = None
             v_episode = []
+    # An alarm is pending only after a sample, so time_index and v are set.
     if alarm_at is not None:
-        yield MonitorEvent("episode_incomplete", time_index, last_stat)
+        yield MonitorEvent("episode_incomplete", time_index, v)
 
 
 def _standardized_row(sample, stats: standardize.ReferenceStats) -> np.ndarray:
     """One raw sample, standardized and checked once: p finite values, 1-D.
 
-    ``standardize.apply`` checks the stream count and that its result is
-    finite; a sample of more than one axis is refused here. A finite one
-    is refused before it is standardized, so it fails for its shape even
-    where standardizing it would overflow, while one holding a NaN or an
-    infinity fails in ``apply`` for that.
+    A row of shape ``(p,)`` is standardized and returned if every value is
+    finite. Any other row gets the errors of ``standardize.apply``: a
+    finite sample of more than one axis is refused here for its shape,
+    even where standardizing it would overflow; every other one fails in
+    ``apply``, for its stream count or for a NaN, an infinity or an
+    overflow.
     """
     arr = np.asarray(sample, dtype=float)
+    if arr.shape == stats.means.shape:
+        out = standardize._standardized(arr, stats.means, stats.stddevs)
+        if np.isfinite(out).all():
+            return out
     if arr.ndim > 1 and np.isfinite(arr).all():
         raise DimensionMismatchError(
             f"expected one sample of {stats.stream_count} streams, got shape {arr.shape}"

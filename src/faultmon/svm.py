@@ -263,7 +263,9 @@ def _smo_scalar(columns, y, c_penalty, tol, cap, alphas, score, up_penalty,
         alphas[i] += y_i * step
         alphas[j] -= y_j * step
         # y is +-1 and rounding is symmetric under negation, so this is
-        # bitwise the update grad += y * step * (K[:, i] - K[:, j]).
+        # the update grad += y * step * (K[:, i] - K[:, j]) bit for bit,
+        # except at zero: where y = +1, x - x gives +0.0 but -(x - x) gives
+        # -0.0. ``_binary_model`` restores that sign.
         np.subtract(columns[i], columns[j], out=diff)
         diff *= step
         score -= diff
@@ -289,7 +291,11 @@ def _binary_model(x, y, alphas, score, c_penalty, gamma, iterations) -> BinaryMo
 
     The bias is the mean of ``score = -y * grad`` over the free duals, or
     the midpoint of the two working sets' extremes when no dual is free.
+    The solvers keep ``score`` by subtraction, so its zeros are all +0.0,
+    while ``-y * grad`` is -0.0 there for y = +1, ``grad`` being zero only
+    as +0.0; zero scores get the sign of ``-y * (+0.0)``.
     """
+    score = np.where(score == 0.0, -y * 0.0, score)
     free = (alphas > _ALPHA_TOL) & (alphas < c_penalty - _ALPHA_TOL)
     if free.any():
         bias = float(score[free].mean())

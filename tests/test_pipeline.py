@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from faultmon import pipeline, simulate, standardize
+from faultmon import detector, pipeline, simulate, standardize
 from faultmon.errors import (
     DimensionMismatchError,
     DomainError,
@@ -126,6 +126,57 @@ def test_online_monitor_matches_offline_evaluate(trained_bundle, small_benchmark
     assert compared >= 1
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_online_monitor_v_matches_a_step_loop_bitwise(trained_bundle, small_benchmark):
+    # Every sample event's V against Monitor.step over the standardized
+    # rows, resetting after each classification as online_monitor does;
+    # and, episode by episode, against Monitor.run after a reset.
+    config = trained_bundle.config
+    episodes = []
+    for run in small_benchmark.test_runs + small_benchmark.in_control_runs:
+        events = list(pipeline.online_monitor(trained_bundle, run.data))
+        resets = [e.time_index for e in events if e.kind == "classification"]
+        rows = standardize.apply(run.data, trained_bundle.stats)
+        stepper = detector.Monitor(trained_bundle.references, config)
+        outputs = []
+        for t, row in enumerate(rows):
+            outputs.append(stepper.step(row))
+            if t in resets:
+                stepper.reset()
+        expected = _bits([out.global_stat for out in outputs])
+        np.testing.assert_array_equal(
+            _bits([e.global_stat for e in events if e.kind == "sample"]), expected
+        )
+        batch = detector.Monitor(trained_bundle.references, config)
+        for start, stop in zip([0] + [t + 1 for t in resets], resets + [len(rows) - 1]):
+            if start > stop:
+                continue
+            assert [out.time_index for out in outputs[start : stop + 1]] == list(
+                range(stop + 1 - start)
+            )
+            batch.reset()
+            trace = batch.run(rows[start : stop + 1])
+            np.testing.assert_array_equal(_bits(trace.global_stats), expected[start : stop + 1])
+        episodes.append(len(resets))
+    assert max(episodes) >= 2
+
+
+def test_online_monitor_accepts_list_rows(trained_bundle, small_benchmark):
+    data = small_benchmark.test_runs[0].data[:50]
+    from_lists = list(pipeline.online_monitor(trained_bundle, data.tolist()))
+    from_array = list(pipeline.online_monitor(trained_bundle, data))
+    assert [(e.kind, e.time_index) for e in from_lists] == [
+        (e.kind, e.time_index) for e in from_array
+    ]
+    np.testing.assert_array_equal(
+        _bits([e.global_stat for e in from_lists]),
+        _bits([e.global_stat for e in from_array]),
+    )
+
+
 def _with_value(row, stream, value):
     row = row.copy()
     row[stream] = value
@@ -146,6 +197,8 @@ _BAD_ROWS = {
     ),
     "(1, p) nan": (lambda m: _with_value(m, 3, np.nan)[np.newaxis], NonFiniteValueError),
     "(p + 1,)": (lambda m: np.append(m, 0.0), DimensionMismatchError),
+    "(p - 1,)": (lambda m: m[:-1], DimensionMismatchError),
+    "0-d": (lambda m: np.array(m[0]), DimensionMismatchError),
 }
 
 

@@ -155,8 +155,10 @@ def _bits(values):
 
 # Explicit cases: duplicated rows (argmax ties), C so small that every dual
 # ends at a bound (bias from the working sets), a large C, one minority
-# label, n = 2, both tolerances, and points on a line at C = 1e4, which
-# take 206,909 SMO iterations (about 11,500 n).
+# label, n = 2, both tolerances, points on a line at C = 1e4, which take
+# 206,909 SMO iterations (about 11,500 n), and duplicated rows whose batch
+# problem at C = 0.5 ends with a zero score on a y = +1 dual, the bias
+# -0.0.
 @given(
     n=st.integers(2, 24),
     d=st.integers(1, 5),
@@ -179,6 +181,8 @@ def _bits(values):
          gamma=0.05, tol=1e-6)
 @example(n=18, d=1, seed=124, duplicates=False, minority=False, c_penalty=1e4,
          gamma=0.7, tol=1e-3)
+@example(n=12, d=5, seed=1012, duplicates=True, minority=False, c_penalty=1e-4,
+         gamma=4.0, tol=1e-3)
 @settings(max_examples=150, deadline=None)
 def test_smo_matches_mask_oracle_bitwise(n, d, seed, duplicates, minority,
                                          c_penalty, gamma, tol):
