@@ -61,8 +61,8 @@ block at once.
 ``Monitor._advance`` is the whole per-sample kernel: rank, gather, CUSUM
 step, V as a Python float. ``Monitor.step`` checks its sample, advances and
 wraps V in a ``MonitorOutput``; ``Monitor.run`` checks its batch once and
-advances row by row; ``pipeline.online_monitor``, which checks each row as
-it standardizes it, advances and builds nothing else per sample.
+advances row by row. ``pipeline.online_monitor`` steps each row it has
+standardized and checked itself, so its monitor skips the check.
 
 ``run_many`` ranks a batch through one bucket index per stream
 (``_RankIndex``), built once per call and shared by all its blocks. A
@@ -385,8 +385,10 @@ class _StepIndex:
         keys.real = np.repeat(np.arange(sizes.size), sizes + 1)
         keys.imag = np.concatenate([np.append(ref, np.inf) for ref in references])
         self._keys = keys
-        # One sample's keys; step writes z into the imaginary parts.
+        # One sample's keys; step writes z into the imaginary parts through
+        # a view made once.
         self._query = np.arange(sizes.size, dtype=complex)
+        self._query_imag = self._query.imag
         counts = np.concatenate([np.arange(size + 1) for size in sizes])
         mu = (counts + 1.0) / np.repeat(sizes + 2.0, sizes + 1)
         self._logs = np.empty((2, mu.size))
@@ -399,7 +401,7 @@ class _StepIndex:
     def log_terms(self, sample: np.ndarray) -> np.ndarray:
         """``log(mu)`` and ``log(1 - mu)`` for one finite sample of shape
         ``(p,)``, as one ``(2, p)`` array that the next call overwrites."""
-        self._query.imag = sample
+        self._query_imag[...] = sample
         at = self._keys.searchsorted(self._query)
         # Every column searched is in range, so mode="clip" changes none; it
         # spares take the bounds check and output copy of mode="raise".
@@ -601,6 +603,11 @@ class Monitor:
     (or :meth:`reset`) has ``time_index == 0``.
     """
 
+    # Whether ``step`` checks its sample. ``pipeline.online_monitor`` turns
+    # it off on the monitor it owns, which only ever sees rows it has
+    # checked itself: a 1-D float array of p finite values.
+    _checks_samples = True
+
     def __init__(self, references, config: MonitorConfig):
         self.config = config
         self._index = _StepIndex(_validate_references(references, config.stream_count))
@@ -619,7 +626,9 @@ class Monitor:
 
     def step(self, sample) -> MonitorOutput:
         """Consume one standardized sample of shape ``(p,)``."""
-        v = self._advance(_check_samples(sample, self.config.stream_count, 1))
+        if self._checks_samples:
+            sample = _check_samples(sample, self.config.stream_count, 1)
+        v = self._advance(sample)
         out = MonitorOutput(
             time_index=self._time,
             global_stat=v,

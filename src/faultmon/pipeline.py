@@ -446,19 +446,19 @@ def online_monitor(bundle: ModelBundle, samples: Iterable) -> Iterator[MonitorEv
         :class:`MonitorEvent` in time order.
     """
     monitor = detector.Monitor(bundle.references, bundle.config)
-    threshold = bundle.config.threshold
+    monitor._checks_samples = False  # _standardized_row checks each sample
     tangent_base = _tangent_base(bundle.karcher_base, bundle.feature_mode)
     window_buffer: deque = deque(maxlen=bundle.window)
     v_episode: list[float] = []
     alarm_at: int | None = None
     for time_index, sample in enumerate(samples):
         z = _standardized_row(sample, bundle.stats)
-        # The monitor's own kernel: z is checked, and only V is needed.
-        v = monitor._advance(z)
+        out = monitor.step(z)
+        v = out.global_stat
         window_buffer.append(z)
         v_episode.append(v)
         yield MonitorEvent("sample", time_index, v)
-        if alarm_at is None and v >= threshold:
+        if alarm_at is None and out.alarm:
             alarm_at = time_index
             yield MonitorEvent("alarm_raised", time_index, v)
         if alarm_at is not None and time_index == alarm_at + bundle.patience:
@@ -483,18 +483,13 @@ def online_monitor(bundle: ModelBundle, samples: Iterable) -> Iterator[MonitorEv
 def _standardized_row(sample, stats: standardize.ReferenceStats) -> np.ndarray:
     """One raw sample, standardized and checked once: p finite values, 1-D.
 
-    A row of shape ``(p,)`` is standardized and returned if every value is
-    finite. Any other row gets the errors of ``standardize.apply``: a
-    finite sample of more than one axis is refused here for its shape,
-    even where standardizing it would overflow; every other one fails in
-    ``apply``, for its stream count or for a NaN, an infinity or an
-    overflow.
+    ``standardize.apply`` checks the stream count and that its result is
+    finite; a sample of more than one axis is refused here. A finite one
+    is refused before it is standardized, so it fails for its shape even
+    where standardizing it would overflow, while one holding a NaN or an
+    infinity fails in ``apply`` for that.
     """
     arr = np.asarray(sample, dtype=float)
-    if arr.shape == stats.means.shape:
-        out = standardize._standardized(arr, stats.means, stats.stddevs)
-        if np.isfinite(out).all():
-            return out
     if arr.ndim > 1 and np.isfinite(arr).all():
         raise DimensionMismatchError(
             f"expected one sample of {stats.stream_count} streams, got shape {arr.shape}"

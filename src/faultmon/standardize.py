@@ -129,7 +129,9 @@ def apply(values, stats: ReferenceStats) -> np.ndarray:
             f"got shape {arr.shape}"
         )
     out = _standardized(arr, stats.means, stats.stddevs)
-    if not np.isfinite(out).all():
+    # count_nonzero tests this at about half the per-call cost of .all(),
+    # and apply runs once per sample on the online path.
+    if np.count_nonzero(np.isfinite(out)) != out.size:
         raise NonFiniteValueError(
             "input contains NaN or infinity, or overflows when standardized"
         )
