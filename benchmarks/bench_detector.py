@@ -8,9 +8,10 @@ the BLAS thread setting (``OPENBLAS_NUM_THREADS``) with any numbers.
 Sizes follow the benchmark corpus: p = 20 streams with s = 3000 reference
 values each. The ranking blocks are the three batch shapes that
 ``run_many``'s block budget (``detector._BLOCK_BYTES``, 80 MB) gives the
-system: 142 runs of 3500 samples (a full block of training runs), 125
-replications of 4000 (a full threshold-calibration block) and one
-replication of 3000 (one false-alarm-rate call). ``run_many`` holds each
+system: 240 runs of 1000 samples (training's first block: every
+training run to onset 500 + patience 300 + 200), 125 replications of
+4000 (a full threshold-calibration block) and one replication of 3000
+(one false-alarm-rate call). ``run_many`` holds each
 block twice over, as the two halves of one ``(2, R, T, p)`` array. A
 block of fewer than ``detector._LOCKSTEP_WIDTH`` runs, such as the
 false-alarm-rate run, advances as time chunks side by side in three
@@ -58,7 +59,7 @@ def test_monitor_step(benchmark, references):
 
 
 @pytest.mark.parametrize(
-    "shape", [(142, 3500, STREAMS), (125, 4000, STREAMS), (1, 3000, STREAMS)], ids=str
+    "shape", [(240, 1000, STREAMS), (125, 4000, STREAMS), (1, 3000, STREAMS)], ids=str
 )
 def test_cdf_estimates_block(benchmark, rank_index, shape):
     """Per-stream ranking of a lockstep block through the bucket index.
@@ -151,7 +152,7 @@ def test_run_recursion(benchmark, rank_index, shape, threshold):
     benchmark.pedantic(detector._run_recursion, setup=setup, rounds=5 if shape[0] == 1 else 2)
 
 
-@pytest.mark.parametrize("runs", [(), (142,), (125,)], ids=str)
+@pytest.mark.parametrize("runs", [(), (240,), (125,)], ids=str)
 def test_cusum_step(benchmark, runs):
     """One kernel step over 20 streams at top-r 4: one sample, a training
     block, a calibration block."""

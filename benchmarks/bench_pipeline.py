@@ -1,17 +1,25 @@
-"""Online monitoring micro-benchmark (pytest-benchmark).
+"""Training detection and online monitoring micro-benchmarks (pytest-benchmark).
 
 Run with ``python -m pytest benchmarks/bench_pipeline.py`` from the
 repository root, with faultmon installed or ``PYTHONPATH=src``. The file
 name does not match ``test_*.py``, so the unit-test run skips it. Record
 the BLAS thread setting (``OPENBLAS_NUM_THREADS``) with any numbers.
 
+Both use the small corpus and training options of ``tests/conftest.py``
+(25 training runs of 900 samples over 20 streams) at its pinned
+threshold.
+
+``test_offline_train_detection`` times training's detection step: each
+training run standardized whole, and its V trace simulated only through
+its classification point (first post-onset alarm + patience), as
+``offline_train`` does before it fits the classifier.
+
 ``test_online_monitor_run`` times one in-control run of 2000 samples over
 20 streams through ``pipeline.online_monitor``, every event drained: the
 per-sample path (standardize and check the row, advance the detector,
 emit the ``sample`` event) and whatever episodes the run's false alarms
-open. The bundle is trained once per module on the small corpus that
-``tests/conftest.py`` trains its bundle on, at the same pinned threshold,
-so set-up takes a few seconds and is not timed.
+open. The bundle is trained once per module, so set-up takes a few
+seconds and is not timed.
 """
 
 import pytest
@@ -27,7 +35,7 @@ RUN = 800_000
 
 
 @pytest.fixture(scope="module")
-def bundle_and_run():
+def corpus():
     bench = simulate.make_benchmark(
         7,
         runs_per_class=6,
@@ -45,9 +53,30 @@ def bundle_and_run():
         gamma_grid=(0.005, 0.05),
         seed=0,
     )
+    return bench, config
+
+
+@pytest.fixture(scope="module")
+def bundle_and_run(corpus):
+    bench, config = corpus
     bundle = pipeline.offline_train(bench.in_control, bench.train_runs, config)
     run = simulate.generate_in_control(bench.process, RUN_LENGTH, run=RUN)
     return bundle, run
+
+
+def test_offline_train_detection(benchmark, corpus):
+    """V traces and alarms of the 25 training runs, as training needs them."""
+    bench, config = corpus
+    setup = pipeline._setup(bench.in_control, bench.train_runs, config, None)
+    detected = benchmark(
+        lambda: pipeline._detect_runs(
+            bench.train_runs, setup.references, setup.config, setup.stats, config.patience
+        )
+    )
+    assert all(item.alarm_time is not None for item in detected)
+    assert sum(item.v_trace.size for item in detected) < sum(
+        run.data.shape[0] for run in bench.train_runs
+    )
 
 
 def test_online_monitor_run(benchmark, bundle_and_run):

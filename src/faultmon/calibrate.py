@@ -27,11 +27,17 @@ from t = 0 to twice their length, at most the cap. An estimate that is
 reported (``estimate_arl``, the chosen threshold's ``achieved_arl``, an
 error message) is exact: its runs are extended until each one has
 crossed or reached the cap.
+
+``_LazyTraces`` owns this doubling: V traces of many runs, each simulated
+only as far as a question needs. Training shares it to simulate each
+fault run only through its classification point (see
+:mod:`faultmon.pipeline`).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -121,13 +127,13 @@ class ArlEstimate:
     run_lengths: np.ndarray
 
 
-def _estimate_from_lengths(lengths: np.ndarray, cap: int) -> ArlEstimate:
+def _estimate_from_lengths(lengths: np.ndarray, caps: np.ndarray) -> ArlEstimate:
     count = lengths.size
     spread = float(np.std(lengths, ddof=1) / np.sqrt(count)) if count > 1 else 0.0
     return ArlEstimate(
         mean_run_length=float(lengths.mean()),
         standard_error=spread,
-        censored_fraction=float(np.mean(lengths >= cap)),
+        censored_fraction=float(np.mean(lengths >= caps)),
         run_lengths=lengths,
     )
 
@@ -185,21 +191,45 @@ def _collect_traces(
 
 
 class _LazyTraces:
-    """In-control V traces, each simulated only as far as a question needs.
+    """V traces of many runs, each simulated only as far as a question needs.
 
-    Row r of ``_traces`` holds replication r's trace over its first
-    ``_simulated[r]`` samples and ``-inf`` after them, so the first
+    ``draw(runs, length)`` returns the traces of the runs with the given
+    indices over their first ``length`` samples, shape ``(len(runs),
+    length)``; a shorter draw must be a prefix of a longer one. Run i is
+    first simulated to ``min(prefix[i], caps[i])`` samples, and ``extend``
+    simulates runs again from t = 0 to twice their length, at most their
+    cap. Calibration asks about in-control run lengths (``decide``,
+    ``estimate``); training (:func:`faultmon.pipeline._detect_runs`) asks
+    for each fault run's trace through its classification point.
+
+    Row i of ``traces`` holds run i's trace over its first
+    ``simulated[i]`` samples and ``-inf`` after them, so the first
     crossing of any threshold lies in the simulated part.
     """
 
-    def __init__(self, references, config, source: SampleSource, spec: CalibrationSpec):
-        self._draw = (references, config, source)
-        self._cap = spec.run_length_cap
-        prefix = min(self._cap, int(round(_PREFIX_ARLS * spec.target_arl0)))
-        self._traces = _collect_traces(
-            references, config, source, range(spec.replications), prefix
-        )
-        self._simulated = np.full(spec.replications, prefix)
+    def __init__(self, draw, prefix, caps):
+        self._draw = draw
+        self.caps = np.asarray(caps)
+        self.traces = np.empty((self.caps.size, 0))
+        self.simulated = np.zeros(self.caps.size, dtype=int)
+        self._simulate(np.arange(self.caps.size), np.minimum(prefix, self.caps))
+
+    def _simulate(self, runs: np.ndarray, lengths: np.ndarray) -> None:
+        """Simulate each of ``runs`` from t = 0 to its entry of ``lengths``."""
+        for length in np.unique(lengths).tolist():
+            group = runs[lengths == length]
+            block = self._draw(group.tolist(), length)
+            width = self.traces.shape[1]
+            if length > width:
+                self.traces = np.pad(
+                    self.traces, ((0, 0), (0, length - width)), constant_values=-np.inf
+                )
+            self.traces[group, :length] = block
+            self.simulated[group] = length
+
+    def extend(self, runs: np.ndarray) -> None:
+        """Simulate ``runs`` again from t = 0, to twice their length or their cap."""
+        self._simulate(runs, np.minimum(2 * self.simulated[runs], self.caps[runs]))
 
     def _bounds(self, threshold: float) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds on every run length at ``threshold``.
@@ -208,32 +238,18 @@ class _LazyTraces:
         run that did not lies in ``[simulated + 1, cap]``; either end is
         the cap, and so exact, once it is simulated to ``cap - 1``.
         """
-        crossed = self._traces >= threshold
+        crossed = self.traces >= threshold
         hit = crossed.any(axis=1)
         exact = crossed.argmax(axis=1) + 1.0
-        low = np.where(hit, exact, np.minimum(self._simulated + 1.0, self._cap))
-        high = np.where(hit, exact, float(self._cap))
+        low = np.where(hit, exact, np.minimum(self.simulated + 1.0, self.caps))
+        high = np.where(hit, exact, self.caps)
         return low, high
-
-    def _extend(self, runs: np.ndarray) -> None:
-        """Simulate ``runs`` again from t = 0, to twice their length or the cap."""
-        lengths = np.minimum(2 * self._simulated[runs], self._cap)
-        for length in np.unique(lengths).tolist():
-            group = runs[lengths == length]
-            block = _collect_traces(*self._draw, group.tolist(), length)
-            width = self._traces.shape[1]
-            if length > width:
-                self._traces = np.pad(
-                    self._traces, ((0, 0), (0, length - width)), constant_values=-np.inf
-                )
-            self._traces[group, :length] = block
-            self._simulated[group] = length
 
     def _settle(self, threshold: float, settled) -> tuple[np.ndarray, np.ndarray]:
         """Extend undecided runs until ``settled(low, high)`` holds."""
         low, high = self._bounds(threshold)
         while not settled(low, high):
-            self._extend(np.flatnonzero(low != high))
+            self.extend(np.flatnonzero(low != high))
             low, high = self._bounds(threshold)
         return low, high
 
@@ -255,7 +271,17 @@ class _LazyTraces:
     def estimate(self, threshold: float) -> ArlEstimate:
         """The exact estimate: every run crossed or reached the cap."""
         lengths, _ = self._settle(threshold, np.array_equal)
-        return _estimate_from_lengths(lengths, self._cap)
+        return _estimate_from_lengths(lengths, self.caps)
+
+
+def _in_control_traces(references, config, source, spec: CalibrationSpec) -> _LazyTraces:
+    """The spec's replications, each first simulated to ``4 * target_arl0``
+    samples, at most the cap."""
+    return _LazyTraces(
+        partial(_collect_traces, references, config, source),
+        int(round(_PREFIX_ARLS * spec.target_arl0)),
+        np.full(spec.replications, spec.run_length_cap),
+    )
 
 
 def estimate_arl(
@@ -278,7 +304,7 @@ def estimate_arl(
     whose shorter draws are prefixes of its longer ones (see the module
     docstring).
     """
-    return _LazyTraces(references, config, source, spec).estimate(threshold)
+    return _in_control_traces(references, config, source, spec).estimate(threshold)
 
 
 def find_threshold(
@@ -312,7 +338,7 @@ def find_threshold(
         raise BracketError(
             f"run length cap {cap} cannot resolve a target ARL of {target}"
         )
-    traces = _LazyTraces(references, config, source, spec)
+    traces = _in_control_traces(references, config, source, spec)
     evaluations = 0
 
     def probe(h: float, answer):

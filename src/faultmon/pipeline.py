@@ -16,6 +16,14 @@ splits the in-control pool into references and calibration samples, and
 ``choose_threshold`` turns the training knobs into a detector config with
 its threshold; the CLI calls both too.
 
+Detection (``_detect_runs``) finds each run's V trace and first
+post-onset alarm. Training reads a trace only up to the run's
+classification point, so it simulates each run only that far, by the
+lazy doubling that threshold calibration uses
+(:class:`calibrate._LazyTraces`, the one owner of "V traces, each
+simulated only as far as a question needs"). Evaluation simulates every
+run whole: its detection rates read every post-onset sample.
+
 Evaluation (``_score``) groups the faulty runs by fault id once and writes
 each per-fault rate of :class:`EvalReport` as its definition over that
 group; the false-alarm rate is taken once over every run's in-control
@@ -130,6 +138,13 @@ class MonitorEvent:
 
 @dataclass
 class _DetectedRun:
+    """A run, its V trace and its first post-onset alarm.
+
+    Evaluation's ``v_trace`` is the whole trace. Training's is a prefix
+    that reaches the classification point ``alarm_time + patience``, or
+    the run's end.
+    """
+
     run: Run
     v_trace: np.ndarray
     alarm_time: int | None
@@ -141,26 +156,62 @@ class _DetectedRun:
         return self.alarm_time - self.run.onset
 
 
-def _detect_runs(runs, references, config, stats) -> list[_DetectedRun]:
-    """V trace and first post-onset alarm per run, one call per run length."""
-    by_length: dict[int, list[int]] = {}
-    for idx, run in enumerate(runs):
-        by_length.setdefault(run.data.shape[0], []).append(idx)
-    v_traces = {}
-    for indices in by_length.values():
-        v_traces.update(zip(indices, detector.run_many(
+# Training first simulates each run to onset + patience + this many samples
+# (at most its end). On benchmark seeds 0-2 at patience 300 that reaches
+# the classification point of all but 6-15 of 240 runs.
+_PREFIX_MARGIN = 200
+
+
+def _detect_runs(runs, references, config, stats, patience=None) -> list[_DetectedRun]:
+    """V trace and first post-onset alarm per run.
+
+    Without ``patience`` every trace is whole, as evaluation's FDR reads
+    every post-onset sample. With it, each run is simulated only as far as
+    training's classification window reads it, by the lazy doubling of
+    :class:`calibrate._LazyTraces`: first to ``onset + patience +
+    _PREFIX_MARGIN`` samples, then, from t = 0 at twice the length and at
+    most the run's end, only the runs whose prefix reaches neither the
+    classification point (first post-onset alarm + patience) nor the end.
+    A prefix is bit-identical to the start of the whole trace, so the
+    alarms and windows are those of whole traces. Each run is standardized
+    whole, and so checked, every time it is drawn.
+    """
+    if not runs:
+        return []
+    lengths = np.array([run.data.shape[0] for run in runs])
+    onsets = np.array([0 if run.onset is None else run.onset for run in runs])
+
+    def draw(indices, length):
+        return detector.run_many(
             references,
             config,
-            (standardize.apply(runs[i].data, stats) for i in indices),
-        )))
-    detected: list[_DetectedRun] = []
-    for idx, run in enumerate(runs):
-        v = v_traces[idx]
-        start = run.onset if run.onset is not None else 0
-        hits = np.flatnonzero(v[start:] >= config.threshold)
-        alarm_time = int(start + hits[0]) if hits.size else None
-        detected.append(_DetectedRun(run=run, v_trace=v, alarm_time=alarm_time))
-    return detected
+            (standardize.apply(runs[i].data, stats)[:length] for i in indices),
+        )
+
+    prefix = lengths if patience is None else onsets + patience + _PREFIX_MARGIN
+    lazy = calibrate._LazyTraces(draw, prefix, lengths)
+    while True:
+        after_onset = np.arange(lazy.traces.shape[1]) >= onsets[:, np.newaxis]
+        hits = (lazy.traces >= config.threshold) & after_onset
+        alarms = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
+        # Settled: the prefix reaches the classification point, or the end.
+        need = lengths
+        if patience is not None:
+            need = np.where(
+                alarms >= 0, np.minimum(alarms + patience + 1, lengths), lengths
+            )
+        short = np.flatnonzero(lazy.simulated < need)
+        if not short.size:
+            break
+        lazy.extend(short)
+    return [
+        _DetectedRun(
+            run=run,
+            v_trace=lazy.traces[i, : lazy.simulated[i]],
+            alarm_time=int(alarms[i]) if alarms[i] >= 0 else None,
+        )
+        for i, run in enumerate(runs)
+    ]
 
 
 def _window_length(delays, patience: int) -> int:
@@ -421,7 +472,9 @@ def offline_train(
         LabelMismatchError: A training run has no fault label.
     """
     setup = _setup(in_control, train_runs, config, calibration_source)
-    detected = _detect_runs(train_runs, setup.references, setup.config, setup.stats)
+    detected = _detect_runs(
+        train_runs, setup.references, setup.config, setup.stats, config.patience
+    )
     return _fit(setup, detected, config)
 
 
@@ -682,7 +735,9 @@ def sweep_patience(
     """Accuracy as a function of the patience parameter.
 
     Detection and threshold calibration run once; for each patience value
-    the window, features, classifier, and test accuracy are rebuilt. Use
+    the window, features, classifier, and test accuracy are rebuilt. The
+    training runs are simulated through their classification points at
+    the largest patience, the test runs whole. Use
     this to pick the smallest patience whose accuracy is acceptable: more
     patience usually helps until windows saturate or runs end before the
     classification point. A patience at which some class keeps fewer than
@@ -696,7 +751,7 @@ def sweep_patience(
         raise DomainError("patience values must be >= 0")
     setup = _setup(in_control, train_runs, config, calibration_source)
     references, run_config, stats = setup.references, setup.config, setup.stats
-    detected_train = _detect_runs(train_runs, references, run_config, stats)
+    detected_train = _detect_runs(train_runs, references, run_config, stats, grid[-1])
     detected_test = _detect_runs(test_runs, references, run_config, stats)
     points = []
     for patience in grid:

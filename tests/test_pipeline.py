@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from faultmon import detector, pipeline, simulate, standardize
+from faultmon.bundle import save_bundle
 from faultmon.errors import (
     DimensionMismatchError,
     DomainError,
@@ -378,6 +379,128 @@ def test_evaluate_reports_window_too_short(trained_bundle, monkeypatch):
     report = pipeline.evaluate(bundle, [run])
     assert report.unclassified == {"window_too_short": 1}
     assert report.classified == 0
+
+
+def _runs_with_a_silent_one(bench):
+    """The fixture's training runs and a fault-1 run that never alarms.
+
+    Every row of the silent run is the in-control median, which ranks near
+    the middle of each reference: both log increments are about
+    log(2) - 1.3 < 0, so V stays 0.
+    """
+    length, onset = bench.train_runs[0].data.shape[0], bench.train_runs[0].onset
+    labels = np.zeros(length, dtype=int)
+    labels[onset:] = 1
+    rows = np.tile(np.median(bench.in_control, axis=0), (length, 1))
+    return bench.train_runs + [simulate.Run(data=rows, labels=labels, run_id="silent")]
+
+
+def _check_training_detection(bench, config, patience):
+    """Training's lazy traces against whole ``run_many`` traces, bit for bit.
+
+    Returns the detected runs and each run's first prefix length.
+    """
+    runs = _runs_with_a_silent_one(bench)
+    setup = pipeline._setup(bench.in_control, runs, config, None)
+    lazy = pipeline._detect_runs(
+        runs, setup.references, setup.config, setup.stats, patience
+    )
+    whole = detector.run_many(
+        setup.references,
+        setup.config,
+        (standardize.apply(run.data, setup.stats) for run in runs),
+    )
+    firsts = []
+    for item, v in zip(lazy, whole):
+        size, onset = item.v_trace.size, item.run.onset
+        np.testing.assert_array_equal(item.v_trace.view(np.int64), v[:size].view(np.int64))
+        hits = np.flatnonzero(v[onset:] >= PINNED_H)
+        assert item.alarm_time == (onset + int(hits[0]) if hits.size else None)
+        first = min(v.size, onset + patience + pipeline._PREFIX_MARGIN)
+        firsts.append(first)
+        if item.alarm_time is None:
+            assert size == v.size
+        elif item.alarm_time + patience < first:
+            assert size == first  # settled by its first prefix
+        else:
+            assert size >= min(v.size, item.alarm_time + patience + 1)
+    assert lazy[-1].run.run_id == "silent" and lazy[-1].alarm_time is None
+    return lazy, firsts
+
+
+@pytest.mark.parametrize("patience", [0, 60, 700])
+def test_training_detection_gives_prefixes_of_whole_traces(
+    small_benchmark, small_config, patience
+):
+    # At 700 the first prefix, 150 + 700 + 200, passes every run's end.
+    lazy, firsts = _check_training_detection(small_benchmark, small_config, patience)
+    rows = sum(item.v_trace.size for item in lazy)
+    total = sum(item.run.data.shape[0] for item in lazy)
+    assert (rows < total) == (patience < 700)
+
+
+def test_training_detection_extends_a_run_twice(
+    small_benchmark, small_config, monkeypatch
+):
+    # A first prefix of onset + 1 = 151 samples: fault-4 runs that alarm
+    # after sample 302 are simulated again to 302 and then to 604.
+    monkeypatch.setattr(pipeline, "_PREFIX_MARGIN", 1)
+    lazy, firsts = _check_training_detection(small_benchmark, small_config, 0)
+    assert any(
+        item.alarm_time is not None and item.v_trace.size == 4 * first
+        for item, first in zip(lazy, firsts)
+    )
+
+
+def _training_outcome(train, tmp_path):
+    """The saved bundle's bytes, or the ``NoAlarmInTrainingError`` raised."""
+    try:
+        model = train()
+    except NoAlarmInTrainingError as exc:
+        return exc.fault_id, exc.run_ids
+    path = tmp_path / "bundle.json"
+    save_bundle(model, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "patience, use_trace", [(0, False), (60, False), (60, True), (700, False)]
+)
+def test_offline_train_equals_fit_over_whole_traces(
+    small_benchmark, small_config, patience, use_trace, tmp_path
+):
+    # At 700 every fault-3 run ends before its classification point, so
+    # both raise for fault 3, naming the same runs.
+    runs = _runs_with_a_silent_one(small_benchmark)
+    config = dataclasses.replace(
+        small_config, patience=patience, trace_features=use_trace
+    )
+    setup = pipeline._setup(small_benchmark.in_control, runs, config, None)
+    whole = pipeline._detect_runs(runs, setup.references, setup.config, setup.stats)
+    lazy = _training_outcome(
+        lambda: pipeline.offline_train(small_benchmark.in_control, runs, config),
+        tmp_path,
+    )
+    assert lazy == _training_outcome(lambda: pipeline._fit(setup, whole, config), tmp_path)
+    assert isinstance(lazy, bytes) == (patience < 700)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.nan, 1e308])
+def test_offline_train_checks_rows_past_the_classification_point(
+    small_benchmark, small_config, value
+):
+    # Training ranks run 0 only to about onset + patience + 200 = 410
+    # samples, but standardizes it whole: a NaN, or a finite value that
+    # overflows on the narrowest stream (scale about 0.25), at sample 800
+    # still stops it.
+    runs = list(small_benchmark.train_runs)
+    stream = int(np.argmin(np.std(small_benchmark.in_control, axis=0)))
+    data = runs[0].data.copy()
+    data[800, stream] = value
+    runs[0] = simulate.Run(data=data, labels=runs[0].labels, run_id=runs[0].run_id)
+    with pytest.raises(NonFiniteValueError):
+        pipeline.offline_train(small_benchmark.in_control, runs, small_config)
 
 
 def test_sweep_patience_single_point(small_benchmark, small_config):
