@@ -12,7 +12,7 @@ system: 240 runs of 1000 samples (training's first block: every
 training run to onset 500 + patience 300 + 200), 125 replications of
 4000 (a full threshold-calibration block) and one replication of 3000
 (one false-alarm-rate call). ``run_many`` holds each
-block twice over, as the two halves of one ``(2, R, T, p)`` array. A
+block as one ``(R, T, p)`` array, ranked in place into log-table columns. A
 block of fewer than ``detector._LOCKSTEP_WIDTH`` runs, such as the
 false-alarm-rate run, advances as time chunks side by side in three
 fixed passes; the ``test_run_many`` cases time one such block and one
@@ -40,8 +40,14 @@ def references():
 
 
 @pytest.fixture(scope="module")
-def rank_index(references):
-    return [detector._RankIndex(ref) for ref in references]
+def log_table(references):
+    return detector._log_table([ref.size for ref in references])
+
+
+@pytest.fixture(scope="module")
+def rank_index(references, log_table):
+    _, starts = log_table
+    return [detector._RankIndex(ref, start) for ref, start in zip(references, starts)]
 
 
 def test_monitor_step(benchmark, references):
@@ -66,12 +72,13 @@ def test_cdf_estimates_block(benchmark, rank_index, shape):
 
     The index is built once, outside the timing, as ``run_many`` builds it
     once per call for all its blocks (about 1 ms for these 20 streams).
-    Ranking writes its estimates over the block, so each round ranks a
-    fresh copy of the samples; the copy is made outside the timing.
+    Ranking writes each sample's log-table column over the block, so each
+    round ranks a fresh copy of the samples; the copy is made outside the
+    timing.
     """
     block = np.random.default_rng(2).normal(size=shape)
     benchmark.pedantic(
-        detector._cdf_estimates,
+        detector._table_columns,
         setup=lambda: ((rank_index, block.copy()), {}),
         rounds=5,
     )
@@ -131,11 +138,11 @@ def test_run_many_shifted_run(benchmark, references, monkeypatch, width):
     [((1, 3000, STREAMS), 35.970703125), ((125, 4000, STREAMS), None)],
     ids=["far-run-with-resets", "calibration-block"],
 )
-def test_run_recursion(benchmark, rank_index, shape, threshold):
-    """Ranking, log terms and the CUSUM recursion of one block: the one
-    run of a false-alarm-rate call, reset after each alarm at the
-    calibrated threshold of the benchmark's acceptance point, and a full
-    calibration block without resets.
+def test_run_recursion(benchmark, rank_index, log_table, shape, threshold):
+    """Ranking, the per-step gather of log terms and the CUSUM recursion
+    of one block: the one run of a false-alarm-rate call, reset after each
+    alarm at the calibrated threshold of the benchmark's acceptance point,
+    and a full calibration block without resets.
 
     Subtract ``test_cdf_estimates_block`` at the same shape for the
     recursion alone. Each round ranks a fresh copy of the samples, made
@@ -143,11 +150,10 @@ def test_run_recursion(benchmark, rank_index, shape, threshold):
     """
     samples = np.random.default_rng(5).normal(size=shape)
     config = detector.MonitorConfig(1.3, 4, STREAMS)
+    logs, _ = log_table
 
     def setup():
-        block = np.empty((2, *shape))
-        block[0] = samples
-        return (rank_index, block, config, threshold), {}
+        return (rank_index, logs, samples.copy(), config, threshold), {}
 
     benchmark.pedantic(detector._run_recursion, setup=setup, rounds=5 if shape[0] == 1 else 2)
 

@@ -23,7 +23,7 @@ update runs once for both sides and allocates nothing. With
 ``reset_on_alarm``, ``run_many`` zeroes a run's W+ and W- after each
 sample whose V reaches the threshold (the renewal convention), as calling
 ``Monitor.reset`` after every alarm would; the step applies that reset
-too.
+too, at the threshold its ``_Cusum`` was built with.
 
 A step's cost is mostly numpy's per-call overhead, so it costs about the
 same for one run as for 16. A narrow block, of fewer runs than
@@ -43,6 +43,15 @@ chunk advances more than three times: a lone run whose chunks never meet
 their kept states costs about 1.1 times stepping it. The steps past the
 last whole chunk, and every wider block, advance one time step at a time.
 
+Both paths read the CUSUM's log terms from one table (``_log_table``):
+two rows that hold ``log(mu)`` and ``log(1 - mu)`` for every count c in
+0..s of every stream, the streams' blocks laid end to end, built once per
+monitor or per ``run_many`` call with its logs taken once per distinct
+reference size. Ranking a value gives its column there, the stream's first
+column plus its count, and a step gathers both log terms of all p streams
+with one ``take``, so no path divides or takes a log per sample, and every
+path reads the same bits.
+
 Ranking picks its method by the path. A monitor ranks each sample's p
 values through one index of all references (``_StepIndex``): one vectorized
 search per sample instead of p separate ones, whose per-call overhead
@@ -50,13 +59,7 @@ dominates when each searches a single key. Each stream's reference values
 are complex keys ``stream + value j``, and the sample's value for stream i
 is searched as ``i + z_i j``; numpy orders complex numbers by real part,
 then imaginary part, so that one search ranks every stream within its own
-block. Its result is the sample's column in one two-row table, built
-once per monitor, whose rows hold ``log(mu)`` and ``log(1 - mu)`` for every
-count c in 0..s of every stream: a step gathers both log terms there with
-one ``take`` instead of dividing and taking two logs per sample. The table
-holds the logs of the same estimate ``(c + 1.0) / (s + 2.0)``, so the step
-stays bit-identical to the batch path, which takes the logs of a whole
-block at once.
+block and returns the sample's columns directly.
 
 ``Monitor._advance`` is the whole per-sample kernel: rank, gather, CUSUM
 step, V as a Python float. ``Monitor.step`` checks its sample, advances and
@@ -75,12 +78,15 @@ number of reference values strictly below each observation, as in
 ``_StepIndex``, and both paths stay bit-identical.
 
 ``run_many`` is the only batch path, and it owns the lockstep block: it
-checks runs as it copies them, one at a time, into the first half of a
-``(2, R, T, p)`` array of at most ``_BLOCK_BYTES`` per half, so callers
-may pass generators and keep no corpus. ``_run_recursion`` ranks that
-half in place; the logs of the estimates then fill both halves, stacked
-as the state is, and the recursion advances the block from zeroed state,
-reading one time step of both halves as a single view.
+checks runs as it copies them, one at a time, into one ``(R, T, p)`` float
+array of at most ``_BLOCK_BYTES``, so callers may pass generators and keep
+no corpus. ``_run_recursion`` ranks the block in place, writing each
+sample's table column over it through an intp view of the same memory;
+columns are integers, copied through intp views only and never as floats
+(as floats they would be subnormal numbers), so no copy depends on a float
+copy keeping an integer's bits. The recursion then advances the block from
+zeroed state, gathering one time step's log terms at a time into a buffer
+of the state's shape.
 """
 
 from __future__ import annotations
@@ -222,21 +228,22 @@ def _check_samples(samples, stream_count: int, ndim: int) -> np.ndarray:
     return arr
 
 
-# Rows per slice in ``_cdf_estimates``. Ranking a stream's keys makes some
+# Rows per slice in ``_table_columns``. Ranking a stream's keys makes some
 # twenty numpy calls whatever their number, so long slices amortize the
 # calls' overhead: slices of 4096 rows ranked a fifth slower, and of 8192
 # about 5% slower. The slice's (p, rows) transposed copy (5 MB at p = 20)
 # and the kernel's three row-sized buffers are the only memory ranking
-# adds. A slice is copied in by tiles of ``_TRANSPOSE_ROWS`` rows.
+# adds; the slice's columns go back over the block through intp views. A
+# slice is copied in by tiles of ``_TRANSPOSE_ROWS`` rows.
 _RANK_SLICE_ROWS = 1 << 15
 _TRANSPOSE_ROWS = 1024
 
-# Bytes of each half of the block of runs that ``run_many`` ranks and
-# advances in lockstep, about 125 runs of 4000 samples over 20 streams. The
-# recursion pays numpy's per-call overhead once per time step for the whole
-# block, so wide blocks amortize it. The block is one array of two halves:
-# the first holds the samples, then mu, then log(mu); the second
-# log(1 - mu). They are the only block-sized memory alive.
+# Bytes of the block of runs that ``run_many`` ranks and advances in
+# lockstep, about 125 runs of 4000 samples over 20 streams. The recursion
+# pays numpy's per-call overhead once per time step for the whole block, so
+# wide blocks amortize it. The block is one ``(R, T, p)`` float array that
+# holds the samples, then, through an intp view, their log-table columns;
+# it is the only block-sized memory alive.
 _BLOCK_BYTES = 80_000_000
 
 # A block of R runs, R below ``_LOCKSTEP_WIDTH``, is cut into
@@ -256,10 +263,31 @@ _MIN_CHUNK = 100
 _STORED_STEPS = 512
 
 
+def _log_table(sizes) -> tuple[np.ndarray, np.ndarray]:
+    """The log terms of every count of every stream, and each stream's
+    first column.
+
+    Args:
+        sizes: Reference size s_i of each stream i.
+
+    Returns:
+        A ``(2, N + p)`` table for N reference values in all, whose rows
+        hold ``log(mu)`` and ``log(1 - mu)`` at ``mu = (c + 1.0) / (s_i +
+        2.0)``, stream i's counts c = 0..s_i in columns ``start_i + c``, and
+        the ``(p,)`` intp array of those ``start_i``. The logs are taken once
+        per distinct size and shared by every stream of that size.
+    """
+    mu = {size: (np.arange(size + 1) + 1.0) / (size + 2.0) for size in set(sizes)}
+    logs = {size: np.log([mu[size], 1.0 - mu[size]]) for size in mu}
+    table = np.concatenate([logs[size] for size in sizes], axis=1)
+    return table, np.cumsum([0, *sizes[:-1]]) + np.arange(len(sizes))
+
+
 class _RankIndex:
     """Counts the values of one sorted reference strictly below each of
     many keys, the exact integer ``ref.searchsorted(keys, side="left")``
-    gives, and maps each count c to the estimate ``(c + 1.0) / (s + 2.0)``.
+    gives, and maps each count c to its column ``start + c`` in the log
+    table of :func:`_log_table`, ``start`` being the stream's first column.
 
     A uniform grid of s buckets over the reference's range ``[lo, hi]``
     puts a value x in bucket ``int((clip(x, lo, hi) - lo) * scale)``, with
@@ -287,9 +315,9 @@ class _RankIndex:
     ``run_many`` builds one per stream per call.
     """
 
-    __slots__ = ("_lo", "_hi", "_scale", "_first", "_padded", "_halves", "_mu")
+    __slots__ = ("_lo", "_hi", "_scale", "_first", "_padded", "_halves", "_start")
 
-    def __init__(self, ref: np.ndarray):
+    def __init__(self, ref: np.ndarray, start: int):
         size = ref.size
         lo, hi = float(ref[0]), float(ref[-1])
         scale = size / (hi - lo) if hi > lo else math.inf
@@ -304,7 +332,7 @@ class _RankIndex:
         steps = int(occupancy.max()).bit_length()
         self._halves = [1 << k for k in reversed(range(steps))]
         self._padded = np.concatenate([ref, np.full(1 << steps, np.inf)])
-        self._mu = (np.arange(size + 1) + 1.0) / (size + 2.0)
+        self._start = start
 
     def _buckets(self, x: np.ndarray, spot: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Each value's bucket, written to ``out``; ``spot`` is scratch."""
@@ -314,10 +342,11 @@ class _RankIndex:
         np.copyto(out, spot, casting="unsafe")
         return out
 
-    def estimate(self, keys: np.ndarray, spot: np.ndarray, at: np.ndarray, less: np.ndarray):
-        """Write the estimate of every finite key over ``keys``, a contiguous
-        1-D float array; ``spot`` (float), ``at`` and ``less`` (intp) are
-        scratch of the same length."""
+    def columns(self, keys: np.ndarray, spot: np.ndarray, at: np.ndarray, less: np.ndarray):
+        """Write the table column of every finite key over ``keys``, a
+        contiguous 1-D float array, through an intp view of it; ``spot``
+        (float), ``at`` and ``less`` (intp) are scratch of the same
+        length."""
         # Every index taken is in range, so mode="clip" changes none; it
         # spares take the bounds check and output copy of mode="raise".
         self._first.take(self._buckets(keys, spot, less), out=at, mode="clip")
@@ -327,12 +356,12 @@ class _RankIndex:
             if half > 1:
                 less *= half
             at += less
-        self._mu.take(at, out=keys, mode="clip")
+        np.add(at, self._start, out=keys.view(np.intp))
 
 
-def _cdf_estimates(rank_index: list[_RankIndex], samples: np.ndarray) -> np.ndarray:
-    """Smoothed empirical CDF values for samples of shape ``(..., p)``,
-    written over ``samples`` (a C-contiguous float array), which is returned.
+def _table_columns(rank_index: list[_RankIndex], samples: np.ndarray) -> np.ndarray:
+    """Log-table columns for samples of shape ``(..., p)``, written over
+    ``samples`` (a C-contiguous float array) and returned as its intp view.
 
     ``rank_index`` holds one :class:`_RankIndex` per stream, built once per
     call of ``run_many`` and shared by all its blocks.
@@ -341,9 +370,9 @@ def _cdf_estimates(rank_index: list[_RankIndex], samples: np.ndarray) -> np.ndar
     rows = samples.reshape(-1, p, copy=False)
     n = min(_RANK_SLICE_ROWS, rows.shape[0])
     # Each slice is copied in transposed, so that every stream's keys are
-    # contiguous, ranked in place and copied back over the slice. One set
-    # of buffers serves every slice and stream: allocating them per slice
-    # raised the resident peak by several MB.
+    # contiguous, ranked in place into columns and copied back over the
+    # slice, as integers. One set of buffers serves every slice and stream:
+    # allocating them per slice raised the resident peak by several MB.
     buffer = np.empty((p, n))
     spot, at, less = np.empty(n), np.empty(n, np.intp), np.empty(n, np.intp)
     for lo in range(0, rows.shape[0], _RANK_SLICE_ROWS):
@@ -356,9 +385,9 @@ def _cdf_estimates(rank_index: list[_RankIndex], samples: np.ndarray) -> np.ndar
         for tile in range(0, n, _TRANSPOSE_ROWS):
             keys[:, tile : tile + _TRANSPOSE_ROWS] = rows_slice[tile : tile + _TRANSPOSE_ROWS].T
         for i, stream in enumerate(rank_index):
-            stream.estimate(keys[i], spot[:n], at[:n], less[:n])
-        rows_slice[...] = keys.T
-    return samples
+            stream.columns(keys[i], spot[:n], at[:n], less[:n])
+        rows_slice.view(np.intp)[...] = keys.view(np.intp).T
+    return samples.view(np.intp)
 
 
 class _StepIndex:
@@ -374,11 +403,10 @@ class _StepIndex:
     ``z_i``, with ties and ``-0.0 == 0.0`` counted as ``ref.searchsorted``
     counts them; its closing key is never below a finite ``z_i``. The
     search thus returns ``offset_i + i + c_i``, the column of count
-    ``c_i`` in stream i's block of a ``(2, N + p)`` table whose rows hold
-    ``log(mu)`` and ``log(1 - mu)`` at ``mu = (c + 1.0) / (s_i + 2.0)`` for
-    every c in 0..s_i, so one ``take`` along the columns gathers both log
-    terms of all p streams, stacked as ``_Cusum.w`` is. Memory is O(N + p)
-    for N reference values in all.
+    ``c_i`` in stream i's block of the table of :func:`_log_table`, so one
+    ``take`` along the columns gathers both log terms of all p streams,
+    stacked as ``_Cusum.w`` is. Memory is O(N + p) for N reference values
+    in all.
     """
 
     def __init__(self, references: list[np.ndarray]):
@@ -391,11 +419,7 @@ class _StepIndex:
         # a view made once.
         self._query = np.arange(sizes.size, dtype=complex)
         self._query_imag = self._query.imag
-        counts = np.concatenate([np.arange(size + 1) for size in sizes])
-        mu = (counts + 1.0) / np.repeat(sizes + 2.0, sizes + 1)
-        self._logs = np.empty((2, mu.size))
-        np.log(mu, out=self._logs[0])
-        np.log(1.0 - mu, out=self._logs[1])
+        self._logs, _ = _log_table(sizes)
         # The sample's log terms, stacked as ``_Cusum.w`` is; each step
         # overwrites them.
         self._terms = np.empty((2, sizes.size))
@@ -419,12 +443,13 @@ class _Cusum:
     0-d arrays, built once, which numpy does not have to convert on every
     call, and the two-sided statistics go to one buffer that is sorted in
     place; its top-r slice is a view made once. ``step`` is the only code
-    that advances the recursion, resets included.
+    that advances the recursion, resets included: given ``reset_at``, it
+    zeroes the state of each run whose V reaches it.
     """
 
-    __slots__ = ("w", "_minus", "_plus", "_allowance", "_zero", "_two", "_top")
+    __slots__ = ("w", "_minus", "_plus", "_allowance", "_zero", "_two", "_top", "_reset_at")
 
-    def __init__(self, config: MonitorConfig, runs: tuple[int, ...] = ()):
+    def __init__(self, config: MonitorConfig, runs: tuple[int, ...] = (), reset_at=None):
         shape = (*runs, config.stream_count)
         self.w = np.zeros((2, *shape))
         self._minus, self._plus = self.w
@@ -432,14 +457,14 @@ class _Cusum:
         self._zero = np.zeros(())
         self._two = np.empty(shape)
         self._top = self._two[..., config.stream_count - config.top_r :]
+        self._reset_at = reset_at
 
-    def step(self, terms: np.ndarray, reset_at: float | None = None):
+    def step(self, terms: np.ndarray):
         """Advance by one sample per run and return V.
 
         Args:
             terms: ``log(mu)`` and ``log(1 - mu)`` stacked as ``w`` is,
                 shape ``(2, ..., p)``.
-            reset_at: If given, zero the state of each run whose V reaches it.
 
         Returns:
             V, the sum of the r largest two-sided statistics of each run,
@@ -452,8 +477,8 @@ class _Cusum:
         np.maximum(self._plus, self._minus, out=self._two)
         self._two.sort()
         v = np.add.reduce(self._top, -1)
-        if reset_at is not None:
-            fired = v >= reset_at
+        if self._reset_at is not None:
+            fired = v >= self._reset_at
             # Few steps fire; count_nonzero tests that at a third of the
             # per-call cost of fired.any().
             if np.count_nonzero(fired):
@@ -467,6 +492,7 @@ class _Cusum:
 
 def _run_recursion(
     rank_index: list[_RankIndex],
+    logs: np.ndarray,
     block: np.ndarray,
     config: MonitorConfig,
     reset_at: float | None = None,
@@ -480,56 +506,61 @@ def _run_recursion(
     at a time. Both give the same bits.
 
     Args:
-        block: Shape ``(2, R, T, p)`` with samples in ``block[0]``, whose
-            two halves are each C-contiguous. Ranking writes mu over
-            ``block[0]``; then ``log(1 - mu)`` goes to ``block[1]`` and
-            ``log(mu)`` over ``block[0]``, so the log terms of one time
-            step are ``block[:, :, t]``, stacked as a ``_Cusum`` state is.
+        rank_index: One :class:`_RankIndex` per stream.
+        logs: The log table the indexes' columns point into.
+        block: Samples of shape ``(R, T, p)``, C-contiguous. Ranking
+            writes each sample's table column over it through an intp view;
+            each time step's log terms are gathered from ``logs`` at those
+            columns, stacked as a ``_Cusum`` state is.
         config: Detection parameters.
         reset_at: If given, zero the state of each run whose V reaches it.
 
     Returns:
         V of shape ``(R, T)``.
     """
-    mu = _cdf_estimates(rank_index, block[0])
-    np.subtract(1.0, mu, out=block[1])
-    np.log(block[1], out=block[1])
-    np.log(mu, out=mu)
-    runs, steps = block.shape[1:3]
+    cols = _table_columns(rank_index, block)
+    runs, steps = block.shape[:2]
     v = np.empty((runs, steps))
-    cusum = _Cusum(config, (runs,))
+    cusum = _Cusum(config, (runs,), reset_at)
     chunks = min(_LOCKSTEP_WIDTH // runs, steps // _MIN_CHUNK)
     done = 0
     if chunks >= 2:
         done = chunks * (steps // chunks)
         cusum.w[...] = _advance_chunks(
-            block[:, :, :done], v[:, :done], config, chunks, reset_at
+            logs, cols[:, :done], v[:, :done], config, chunks, reset_at
         )
-    _advance_steps(cusum, block[:, :, done:], v[:, done:], reset_at)
+    _advance_steps(cusum, logs, cols[:, done:], v[:, done:])
     return v
 
 
-def _advance_steps(cusum: _Cusum, terms: np.ndarray, v: np.ndarray, reset_at):
-    """Advance ``cusum`` one time step at a time through ``terms`` of shape
-    ``(2, ..., T, p)``, writing each step's V to ``v`` of shape ``(..., T)``."""
+def _advance_steps(cusum: _Cusum, logs: np.ndarray, cols: np.ndarray, v: np.ndarray):
+    """Advance ``cusum`` one time step at a time through the table columns
+    ``cols`` of shape ``(..., T, p)``, gathering each step's log terms from
+    ``logs``, and write each step's V to ``v`` of shape ``(..., T)``."""
+    terms = np.empty_like(cusum.w)
     # Indexing the time axis first costs less per step than ``v[..., t]``.
     v_at = np.moveaxis(v, -1, 0)
-    for t, step_terms in enumerate(np.moveaxis(terms, -2, 0)):
-        v_at[t] = cusum.step(step_terms, reset_at)
+    for t, step_cols in enumerate(np.moveaxis(cols, -2, 0)):
+        # Every column is in range, so mode="clip" changes none; it spares
+        # take the bounds check and output copy of mode="raise".
+        v_at[t] = cusum.step(logs.take(step_cols, axis=1, out=terms, mode="clip"))
 
 
 def _advance_chunks(
-    terms: np.ndarray, v: np.ndarray, config: MonitorConfig, chunks: int, reset_at
+    logs: np.ndarray, cols: np.ndarray, v: np.ndarray, config: MonitorConfig, chunks: int,
+    reset_at: float | None,
 ) -> np.ndarray:
     """Advance R runs from zeroed state through their T steps as R x chunks
     time chunks of L = T / chunks steps, bit-identical to stepping them, in
     three passes.
 
     Args:
-        terms: Log terms of shape ``(2, R, T, p)``.
+        logs: The log table.
+        cols: Table columns of shape ``(R, T, p)``.
         v: V of shape ``(R, T)``, written for every step.
         config: Detection parameters.
         chunks: Chunks per run, from 2 to T, dividing T.
+        reset_at: If given, zero the state of each run whose V reaches it.
 
     Returns:
         The runs' state after their last step, of shape ``(2, R, p)``.
@@ -548,17 +579,18 @@ def _advance_chunks(
     where a chunk that met its stored state keeps pass 1's later V and end
     state; by induction, each later chunk is exact after pass 3.
     """
-    _, runs, steps, p = terms.shape
+    runs, steps, p = cols.shape
     length = steps // chunks
-    terms = terms.reshape(2, runs, chunks, length, p, copy=False)
+    cols = cols.reshape(runs, chunks, length, p, copy=False)
     v = v.reshape(runs, chunks, length, copy=False)
 
     # Pass 1.
-    side_by_side = _Cusum(config, (runs, chunks))
+    side_by_side = _Cusum(config, (runs, chunks), reset_at)
+    terms = np.empty_like(side_by_side.w)
     stored = min(length, _STORED_STEPS)
     states = np.empty((stored, 2, runs, chunks, p))
     for s in range(length):
-        v[..., s] = side_by_side.step(terms[..., s, :], reset_at)
+        v[..., s] = side_by_side.step(logs.take(cols[..., s, :], axis=1, out=terms, mode="clip"))
         if s < stored:
             states[s] = side_by_side.w
     # States are compared bit for bit, as integers.
@@ -571,20 +603,20 @@ def _advance_chunks(
     entry[:, :, 1:] = end[:, :, :-1]
     side_by_side.w[...] = entry
     for s in range(length):
-        v[..., s] = side_by_side.step(terms[..., s, :], reset_at)
+        v[..., s] = side_by_side.step(logs.take(cols[..., s, :], axis=1, out=terms, mode="clip"))
         if s < stored and (side_by_side.w.view(np.int64) == state_bits[s]).all():
             break
     else:
         end = side_by_side.w
 
     # Pass 3; ``true`` carries each chunk's true end state to the next.
-    true = _Cusum(config, (runs,))
+    true = _Cusum(config, (runs,), reset_at)
     true.w[...] = end[:, :, 0]
     for c in range(1, chunks):
         if (true.w.view(np.int64) == entry[:, :, c].view(np.int64)).all():
             true.w[...] = end[:, :, c]
         else:
-            _advance_steps(true, terms[:, :, c], v[:, c], reset_at)
+            _advance_steps(true, logs, cols[:, c], v[:, c])
     return true.w
 
 
@@ -653,9 +685,9 @@ def run_many(
 ) -> np.ndarray:
     """Global-statistic traces for many runs advanced in lockstep.
 
-    Runs are copied one at a time into a ``(2, R, T, p)`` block of at most
-    ``_BLOCK_BYTES`` per half; each full block, and the last part-filled
-    one, is ranked and advanced from zeroed state by :func:`_run_recursion`
+    Runs are copied one at a time into an ``(R, T, p)`` block of at most
+    ``_BLOCK_BYTES``; each full block, and the last part-filled one, is
+    ranked and advanced from zeroed state by :func:`_run_recursion`
     and then released, so at most one block is alive. A block of fewer
     than ``_LOCKSTEP_WIDTH`` runs, such as the one run of a false-alarm-rate
     check, advances as time chunks side by side, with the same result.
@@ -679,7 +711,8 @@ def run_many(
         NonFiniteValueError: A run holds NaN or infinity.
     """
     refs = _validate_references(references, config.stream_count)
-    rank_index = [_RankIndex(ref) for ref in refs]
+    logs, starts = _log_table([ref.size for ref in refs])
+    rank_index = [_RankIndex(ref, start) for ref, start in zip(refs, starts)]
     reset_at = config.threshold if reset_on_alarm else None
     traces, shape, block, filled = [], None, None, 0
     for index, run in enumerate(runs):
@@ -694,16 +727,16 @@ def run_many(
             # A fresh block for each batch of runs: pages past the last
             # run filled are never touched, and the previous block's pages
             # have been returned rather than kept resident while it fills.
-            block = np.empty((2, capacity, *shape))
-        block[0, filled] = run
+            block = np.empty((capacity, *shape))
+        block[filled] = run
         filled += 1
         if filled == capacity:
-            traces.append(_run_recursion(rank_index, block, config, reset_at))
+            traces.append(_run_recursion(rank_index, logs, block, config, reset_at))
             block, filled = None, 0
     if shape is None:
         raise EmptyInputError("no runs")
     if filled:
-        traces.append(_run_recursion(rank_index, block[:, :filled], config, reset_at))
+        traces.append(_run_recursion(rank_index, logs, block[:filled], config, reset_at))
     # Released before the traces are joined, so that the join does not add
     # to the peak.
     block = None

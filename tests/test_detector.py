@@ -7,6 +7,7 @@ is exact, not approximate.
 """
 
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -358,17 +359,33 @@ def _ranking_cases(draw):
     return refs, keys[np.newaxis] if shape == "sample" else keys
 
 
+def _assert_columns_match_search(refs, keys):
+    """Rank ``keys`` of shape ``(..., p)`` as ``run_many`` does and check
+    each stream's columns and the log table read there against a per-key
+    search: a column is the stream's first column plus the count of
+    ``searchsorted(side="left")``, and the table there holds, bitwise, the
+    logs of ``(c + 1.0) / (s + 2.0)`` and of its complement."""
+    sizes = [ref.size for ref in refs]
+    logs, starts = detector._log_table(sizes)
+    assert logs.shape == (2, sum(sizes) + len(sizes))
+    # Each stream's s + 1 columns follow the columns of the streams before it.
+    assert list(starts) == [sum(size + 1 for size in sizes[:i]) for i in range(len(sizes))]
+    index = [detector._RankIndex(ref, start) for ref, start in zip(refs, starts)]
+    cols = detector._table_columns(index, keys.copy())
+    assert cols.shape == keys.shape and cols.dtype == np.intp
+    for i, ref in enumerate(refs):
+        counts = np.searchsorted(ref, keys[..., i], side="left")
+        np.testing.assert_array_equal(cols[..., i], starts[i] + counts)
+        mu = (counts + 1.0) / (ref.size + 2.0)
+        for row, expected in enumerate([np.log(mu), np.log(1.0 - mu)]):
+            got = logs[row, cols[..., i]]
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 @given(_ranking_cases())
 @settings(max_examples=150, deadline=None)
 def test_cdf_estimates_match_per_key_search_bitwise(case):
-    refs, keys = case
-    expected = np.empty(keys.shape)
-    for i, ref in enumerate(refs):
-        counts = np.searchsorted(ref, keys[..., i], side="left")
-        expected[..., i] = (counts + 1.0) / (ref.size + 2.0)
-    got = detector._cdf_estimates([detector._RankIndex(ref) for ref in refs], keys)
-    assert got.shape == keys.shape
-    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+    _assert_columns_match_search(*case)
 
 
 # Values a reference or key may take besides random draws: both zeros, the
@@ -412,12 +429,9 @@ def _bucket_cases(draw):
 def test_rank_index_counts_equal_searchsorted(case):
     # Exact counts, and no overflow or invalid-value warning on the way.
     ref, keys = case
-    counts = np.searchsorted(ref, keys, side="left")
-    expected = (counts + 1.0) / (ref.size + 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = detector._cdf_estimates([detector._RankIndex(ref)], keys[:, np.newaxis].copy())
-    np.testing.assert_array_equal(got[:, 0].view(np.int64), expected.view(np.int64))
+        _assert_columns_match_search([ref], keys[:, np.newaxis])
 
 
 def _step_with_resets(refs, config, run, reset_on_alarm=True):
@@ -491,6 +505,25 @@ def test_run_many_over_small_blocks_matches_per_run_monitors_bitwise(
         for got in (whole, stacked, streamed):
             np.testing.assert_array_equal(got[r].view(np.int64), expected.view(np.int64))
     assert (whole >= config.threshold).any(axis=1).all()
+
+
+def test_run_many_block_is_one_array(monkeypatch):
+    # One block holds all 50 runs, and short ranking slices keep ranking's
+    # buffers small, so the block is most of the peak: ranking writes the
+    # table columns over the samples, and nothing else block-sized is made.
+    p = 20
+    refs = [detector.build_reference(np.arange(200.0)) for _ in range(p)]
+    config = detector.MonitorConfig(1.3, 4, p)
+    runs = _shifted_runs(50, 1000, p, seed=13) * 10.0
+    monkeypatch.setattr(detector, "_BLOCK_BYTES", runs.nbytes)
+    monkeypatch.setattr(detector, "_RANK_SLICE_ROWS", 1000)
+    tracemalloc.start()
+    try:
+        detector.run_many(refs, config, runs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * runs.nbytes
 
 
 @pytest.mark.parametrize(
@@ -584,24 +617,36 @@ def test_run_many_reset_on_alarm_at_zero_and_infinite_threshold(count):
 
 
 def _record_cusums(monkeypatch):
-    """The ``runs`` shape of every ``_Cusum`` the detector makes from now
-    on, and for each, the data address of the terms of every step it takes."""
-    made, addresses = [], []
+    """Every ``_Cusum`` the detector makes from now on, with its ``runs``
+    shape and the count of steps it takes; the columns handed to each
+    ``_advance_chunks`` call; and the column slices handed to each
+    ``_advance_steps`` call."""
+    made, chunked, stepped = [], [], []
     real = detector._Cusum
+    advance_chunks, advance_steps = detector._advance_chunks, detector._advance_steps
 
     class Recording(real):
-        def __init__(self, config, runs=()):
-            super().__init__(config, runs)
-            made.append(runs)
-            self.addresses = []
-            addresses.append(self.addresses)
+        def __init__(self, config, runs=(), reset_at=None):
+            super().__init__(config, runs, reset_at)
+            self.runs, self.steps = runs, 0
+            made.append(self)
 
-        def step(self, terms, reset_at=None):
-            self.addresses.append(terms.ctypes.data)
-            return super().step(terms, reset_at)
+        def step(self, terms):
+            self.steps += 1
+            return super().step(terms)
+
+    def record_chunks(logs, cols, *rest):
+        chunked.append(cols)
+        return advance_chunks(logs, cols, *rest)
+
+    def record_steps(cusum, logs, cols, v):
+        stepped.append(cols)
+        return advance_steps(cusum, logs, cols, v)
 
     monkeypatch.setattr(detector, "_Cusum", Recording)
-    return made, addresses
+    monkeypatch.setattr(detector, "_advance_chunks", record_chunks)
+    monkeypatch.setattr(detector, "_advance_steps", record_steps)
+    return made, chunked, stepped
 
 
 # One stream over the reference 0..19: a sample of 100 adds log(22) - k to
@@ -647,17 +692,20 @@ def test_multi_round_chunk_repair_matches_stepping_with_resets(monkeypatch, case
     config = detector.MonitorConfig(allowance, 1, 1, threshold=threshold)
     monkeypatch.setattr(detector, "_LOCKSTEP_WIDTH", 4)
     monkeypatch.setattr(detector, "_MIN_CHUNK", 10)
-    made, addresses = _record_cusums(monkeypatch)
+    made, chunked, stepped = _record_cusums(monkeypatch)
     got = detector.run_many(refs, config, run[np.newaxis], reset_on_alarm=True)
     # The block's state, the 1 x 4 state of passes 1 and 2, and the one
     # run's state that pass 3 walks the chunks with.
-    assert made == [(1,), (1, 4), (1,)]
-    assert len(addresses[1]) == 2 * 10
-    # Pass 1's first step reads the run's first sample; a chunk of the one
-    # stream spans 10 samples of 8 bytes.
-    first = addresses[1][0]
-    assert sorted({(at - first) // 80 for at in addresses[2]}) == rerun
-    assert len(addresses[2]) == 10 * len(rerun)
+    assert [cusum.runs for cusum in made] == [(1,), (1, 4), (1,)]
+    assert made[1].steps == 2 * 10
+    # Pass 3 hands ``_advance_steps`` the columns of each chunk it re-runs,
+    # then ``_run_recursion`` the empty steps past the last chunk. The
+    # chunks start at the run's first sample, and a chunk of the one
+    # stream spans 10 columns of 8 bytes.
+    assert [cols.shape for cols in stepped] == [(1, 10, 1)] * len(rerun) + [(1, 0, 1)]
+    first = chunked[0].ctypes.data
+    assert [(cols.ctypes.data - first) // 80 for cols in stepped[:-1]] == rerun
+    assert made[2].steps == 10 * len(rerun)
     expected = _step_with_resets(refs, config, run)
     np.testing.assert_array_equal(got[0].view(np.int64), expected.view(np.int64))
 
