@@ -49,10 +49,25 @@ def _bootstrap_case():
 @pytest.mark.parametrize("make_case", [_process_case, _bootstrap_case],
                          ids=["process", "bootstrap"])
 def test_find_threshold(benchmark, make_case):
-    """One ``find_threshold`` call; the source is built outside the timing."""
+    """One ``find_threshold`` call; the source is built outside the timing.
+
+    ``extra_info["rows_drawn"]`` is the samples one call simulates,
+    redraws included, counted by a wrapper around the source.
+    """
     references, source = make_case()
     config = detector.MonitorConfig(1.3, 4, len(references))
-    result = benchmark.pedantic(
-        calibrate.find_threshold, args=(references, config, source, SPEC), rounds=3
-    )
+    rows = []
+
+    def setup():
+        rows.append(0)
+
+        def counting(replication, start, count):
+            rows[-1] += count
+            return source(replication, start, count)
+
+        return (references, config, counting, SPEC), {}
+
+    result = benchmark.pedantic(calibrate.find_threshold, setup=setup, rounds=3)
     assert np.isfinite(result.threshold)
+    assert len(set(rows)) == 1
+    benchmark.extra_info["rows_drawn"] = rows[0]

@@ -16,7 +16,11 @@ simulated further.
 
 Runs are simulated lazily, and the results are those of simulating every
 run to the cap. Each replication is first simulated to
-``min(cap, 4 * target_arl0)`` samples. At a threshold H a run's length is
+``min(cap, 2 * target_arl0)`` samples. An in-control CUSUM run length has
+a near-geometric tail (Brook & Evans 1972), so near the chosen threshold
+about e^-2, 13.5%, of the runs outlast that prefix, and extending those
+few costs less than drawing every run further (``_PREFIX_ARLS`` says why
+two ARLs, not one or four). At a threshold H a run's length is
 then exact if its trace crossed H, and otherwise lies between one past
 its simulated length and the cap. Every question the search asks of the
 mean run length is a comparison that is monotone in the mean, or an
@@ -36,6 +40,7 @@ fault run only through its classification point (see
 
 from __future__ import annotations
 
+import logging
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable
@@ -61,6 +66,8 @@ __all__ = [
 
 SampleSource = Callable[[int, int, int], np.ndarray]
 
+logger = logging.getLogger(__name__)
+
 # Bisection stops when the bracket is narrower than this, even if the
 # relative tolerance on ARL was never met (the ARL curve is a step
 # function of H at finite replication counts).
@@ -70,8 +77,13 @@ _MAX_EXPANSIONS = 60
 # straddles the target.
 _H_BRACKET = (0.5, 32.0)
 # Every run is first simulated to this many target ARLs (at most the cap).
-# At ARL0 = 200 about e^-4, 2%, of in-control runs outlast it.
-_PREFIX_ARLS = 4
+# The in-control run length is near-geometric, so about e^-2, 13.5%, of
+# the runs outlast two ARLs and are drawn again. Four ARLs draw every run
+# twice as far to spare the e^-4, 2%, that outlast them. One ARL draws
+# fewer rows but leaves e^-1, 37%, open: ~750 replication draws instead
+# of ~400-460, each with a fixed cost (seeding the source's generators)
+# that outweighs the rows saved.
+_PREFIX_ARLS = 2
 
 
 @dataclass(frozen=True)
@@ -204,7 +216,9 @@ class _LazyTraces:
 
     Row i of ``traces`` holds run i's trace over its first
     ``simulated[i]`` samples and ``-inf`` after them, so the first
-    crossing of any threshold lies in the simulated part.
+    crossing of any threshold lies in the simulated part. ``draws`` and
+    ``rows`` count the runs drawn and the samples simulated so far,
+    redraws included.
     """
 
     def __init__(self, draw, prefix, caps):
@@ -212,6 +226,8 @@ class _LazyTraces:
         self.caps = np.asarray(caps)
         self.traces = np.empty((self.caps.size, 0))
         self.simulated = np.zeros(self.caps.size, dtype=int)
+        self.draws = 0
+        self.rows = 0
         self._simulate(np.arange(self.caps.size), np.minimum(prefix, self.caps))
 
     def _simulate(self, runs: np.ndarray, lengths: np.ndarray) -> None:
@@ -226,6 +242,8 @@ class _LazyTraces:
                 )
             self.traces[group, :length] = block
             self.simulated[group] = length
+            self.draws += group.size
+            self.rows += group.size * length
 
     def extend(self, runs: np.ndarray) -> None:
         """Simulate ``runs`` again from t = 0, to twice their length or their cap."""
@@ -275,7 +293,7 @@ class _LazyTraces:
 
 
 def _in_control_traces(references, config, source, spec: CalibrationSpec) -> _LazyTraces:
-    """The spec's replications, each first simulated to ``4 * target_arl0``
+    """The spec's replications, each first simulated to ``2 * target_arl0``
     samples, at most the cap."""
     return _LazyTraces(
         partial(_collect_traces, references, config, source),
@@ -297,7 +315,7 @@ def estimate_arl(
     the cap itself, so the estimate is biased low when censoring is heavy.
     Check ``censored_fraction`` before trusting the number.
 
-    Each run is simulated to ``min(cap, 4 * spec.target_arl0)`` samples,
+    Each run is simulated to ``min(cap, 2 * spec.target_arl0)`` samples,
     then only the runs that have not crossed are simulated further, from
     t = 0 to twice their length, until each crosses or reaches the cap.
     The result equals simulating every run to the cap, given a source
@@ -322,11 +340,13 @@ def find_threshold(
     deterministic source.
 
     Every probe is decided lazily (module docstring): runs are simulated
-    to ``min(cap, 4 * target_arl0)`` samples and extended only while the
+    to ``min(cap, 2 * target_arl0)`` samples and extended only while the
     bounds on a probe's mean run length disagree on the comparison the
     search makes there. The result, ``evaluations`` included, equals a
     search over every run simulated to the cap. Only the chosen threshold
-    gets an exact estimate, and so a standard error.
+    gets an exact estimate, and so a standard error. One DEBUG record on
+    the ``faultmon.calibrate`` logger gives the chosen H, the evaluations,
+    and the replications drawn and rows simulated, redraws included.
 
     Raises:
         BracketError: The bracket cannot be expanded to straddle the
@@ -386,6 +406,12 @@ def find_threshold(
             high = best_h = mid
 
     best = traces.estimate(best_h)
+    logger.debug(
+        "find_threshold: H %r after %d evaluations; %d replication draws, "
+        "%d rows simulated, %.3f of replications x cap",
+        best_h, evaluations, traces.draws, traces.rows,
+        traces.rows / (spec.replications * cap),
+    )
     return CalibrationResult(
         threshold=float(best_h),
         achieved_arl=best.mean_run_length,

@@ -8,6 +8,7 @@ estimate are checked bitwise against ``oracles.eager_find_threshold`` and
 """
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -287,7 +288,9 @@ def _constant_case(source=_constant_source):
     return refs, config, source
 
 
-# (case, spec); the 4x prefix is 4 * target_arl0 samples.
+# (case, spec); the lazy search first simulates every run to
+# _PREFIX_ARLS * target_arl0 samples, so the two cap cases sit at and just
+# above that prefix.
 _ORACLE_CASES = {
     "constant": (_constant_case, dict(target_arl0=200.0, replications=2)),
     "gauss-conservative-end": (
@@ -295,10 +298,14 @@ _ORACLE_CASES = {
     ),
     "gauss": (_gauss_case, dict(target_arl0=50.0, replications=60)),
     "gauss-cap-at-prefix": (
-        _gauss_case, dict(target_arl0=50.0, replications=60, max_run_length=200)
+        _gauss_case,
+        dict(target_arl0=50.0, replications=60,
+             max_run_length=calibrate._PREFIX_ARLS * 50),
     ),
     "gauss-cap-above-prefix": (
-        _gauss_case, dict(target_arl0=50.0, replications=60, max_run_length=210)
+        _gauss_case,
+        dict(target_arl0=50.0, replications=60,
+             max_run_length=calibrate._PREFIX_ARLS * 50 + 10),
     ),
     "gauss-one-replication": (_gauss_case, dict(target_arl0=50.0, replications=1)),
     "bootstrap": (_bootstrap_case, dict(target_arl0=50.0, replications=60)),
@@ -323,17 +330,22 @@ def _assert_bitwise_equal(got, expected):
 
 
 @pytest.mark.parametrize("name", list(_ORACLE_CASES))
-def test_lazy_search_equals_eager_oracle(name):
+def test_lazy_search_equals_eager_oracle(name, monkeypatch):
     make_case, fields = _ORACLE_CASES[name]
     refs, config, source = make_case()
     spec = calibrate.CalibrationSpec(**fields)
-    result = calibrate.find_threshold(refs, config, source, spec)
-    _assert_bitwise_equal(result, eager_find_threshold(refs, config, source, spec))
-    for h in (0.5 * result.threshold, result.threshold, 2.0 * result.threshold):
-        _assert_bitwise_equal(
-            calibrate.estimate_arl(h, refs, config, source, spec),
-            eager_estimate_arl(h, refs, config, source, spec),
-        )
+    expected = eager_find_threshold(refs, config, source, spec)
+    probes = (0.5 * expected.threshold, expected.threshold, 2.0 * expected.threshold)
+    estimates = [eager_estimate_arl(h, refs, config, source, spec) for h in probes]
+    # The prefix sets only how far runs are drawn, never the result.
+    for prefix_arls in (1, 2, 4):
+        monkeypatch.setattr(calibrate, "_PREFIX_ARLS", prefix_arls)
+        result = calibrate.find_threshold(refs, config, source, spec)
+        _assert_bitwise_equal(result, expected)
+        for h, estimate in zip(probes, estimates):
+            _assert_bitwise_equal(
+                calibrate.estimate_arl(h, refs, config, source, spec), estimate
+            )
 
 
 def test_lazy_estimate_equals_eager_oracle_under_heavy_censoring():
@@ -410,9 +422,30 @@ def test_lazy_search_draws_few_rows_when_runs_cross_early():
 
     spec = calibrate.CalibrationSpec(target_arl0=50.0, replications=100)
     calibrate.find_threshold(refs, config, counting, spec)
-    # Every run is drawn to 4 * 50 = 200 samples once; few are drawn again.
-    assert sum(drawn[:100]) == 100 * 200
-    assert sum(drawn) < 0.3 * spec.replications * spec.run_length_cap
+    # Every run is drawn to the prefix once; few are drawn again.
+    assert drawn[:100] == [calibrate._PREFIX_ARLS * 50] * 100
+    assert sum(drawn) < 0.15 * spec.replications * spec.run_length_cap
+
+
+def test_find_threshold_logs_the_rows_it_draws(caplog):
+    refs, config, gauss = _gauss_case()
+    drawn = []
+
+    def counting(replication, start, count):
+        drawn.append(count)
+        return gauss(replication, start, count)
+
+    spec = calibrate.CalibrationSpec(target_arl0=50.0, replications=60)
+    with caplog.at_level(logging.DEBUG, logger="faultmon.calibrate"):
+        result = calibrate.find_threshold(refs, config, counting, spec)
+    (record,) = [r for r in caplog.records if r.name == "faultmon.calibrate"]
+    assert record.levelno == logging.DEBUG
+    share = sum(drawn) / (spec.replications * spec.run_length_cap)
+    assert record.getMessage() == (
+        f"find_threshold: H {result.threshold!r} after {result.evaluations} "
+        f"evaluations; {len(drawn)} replication draws, {sum(drawn)} rows "
+        f"simulated, {share:.3f} of replications x cap"
+    )
 
 
 def test_every_extension_checks_the_draw_length():
@@ -422,7 +455,8 @@ def test_every_extension_checks_the_draw_length():
         return gauss(replication, start, min(count, 80))
 
     spec = calibrate.CalibrationSpec(target_arl0=20.0, replications=5, max_run_length=400)
-    # The 80-sample prefix passes; the first extension draws 80 of 160.
+    # The 40-sample prefix and the extension to 80 pass; the next
+    # extension draws 80 of 160.
     with pytest.raises(DimensionMismatchError, match="returned 80 samples"):
         calibrate.estimate_arl(1e6, refs, config, short_after_prefix, spec)
 
