@@ -20,10 +20,15 @@ per-sample path (standardize and check the row, advance the detector,
 emit the ``sample`` event) and whatever episodes the run's false alarms
 open. The bundle is trained once per module, so set-up takes a few
 seconds and is not timed.
+
+``test_save_bundle`` and ``test_load_bundle`` time writing that bundle
+with ``bundle.save_bundle`` and reading it back with ``bundle.load_bundle``
+(checksum verified), through a file in pytest's temporary directory.
 """
 
 import pytest
 
+from faultmon import bundle as bundle_io
 from faultmon import pipeline, simulate
 
 # The recipe of ``tests/conftest.py``: its corpus, its training options
@@ -84,3 +89,20 @@ def test_online_monitor_run(benchmark, bundle_and_run):
     bundle, run = bundle_and_run
     events = benchmark(lambda: list(pipeline.online_monitor(bundle, run)))
     assert sum(e.kind == "sample" for e in events) == RUN_LENGTH
+
+
+def test_save_bundle(benchmark, bundle_and_run, tmp_path):
+    """The module's bundle written as one checksummed file."""
+    bundle, _ = bundle_and_run
+    path = tmp_path / "model.json"
+    benchmark(bundle_io.save_bundle, bundle, path)
+    assert path.stat().st_size > 0
+
+
+def test_load_bundle(benchmark, bundle_and_run, tmp_path):
+    """The module's bundle read back and verified."""
+    bundle, _ = bundle_and_run
+    path = tmp_path / "model.json"
+    bundle_io.save_bundle(bundle, path)
+    loaded = benchmark(bundle_io.load_bundle, path)
+    assert loaded.config == bundle.config

@@ -3,15 +3,22 @@
 A bundle carries everything online monitoring needs: standardization
 statistics, sorted references, detector configuration with its calibrated
 threshold, the tangent-space base point, the classifier, and the timing
-parameters. The JSON payload is checksummed so silent truncation or
-editing is caught at load time, and format-versioned so old files fail
-loudly instead of misbehaving.
+parameters. It is one JSON document, ``{"format_version": 2, "checksum":
+..., "payload": {...}}``. Every float array of the payload is written as
+``{"dtype": "<f8", "shape": [...], "base64": ...}``, its little-endian
+float64 bytes in RFC 4648 base64, so it reads back bit for bit; scalars,
+the class labels and the training summary stay plain JSON. The checksum is
+the sha256 of the payload's canonical JSON (sorted keys, no spaces), so
+silent truncation or editing is caught at load time, and the format
+version makes files of another format fail loudly instead of misbehaving.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +32,7 @@ from .svm import BinaryModel, MulticlassModel
 
 __all__ = ["FORMAT_VERSION", "FEATURE_MODES", "ModelBundle", "save_bundle", "load_bundle"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 FEATURE_MODES = ("tangent", "raw")
 
 
@@ -84,10 +91,38 @@ class ModelBundle:
             )
 
 
+_FLOAT64 = "<f8"
+
+
+def _encode_array(array) -> dict:
+    """One float array as its little-endian float64 bytes in base64."""
+    values = np.ascontiguousarray(array, dtype=_FLOAT64)
+    return {
+        "dtype": _FLOAT64,
+        "shape": list(values.shape),
+        "base64": base64.b64encode(values.tobytes()).decode("ascii"),
+    }
+
+
+def _decode_array(data: dict) -> np.ndarray:
+    """The owned, writable, native float64 array that ``_encode_array`` wrote."""
+    if data["dtype"] != _FLOAT64:
+        raise CorruptBundleError(
+            f"array dtype {data['dtype']!r} is not {_FLOAT64!r}"
+        )
+    shape = tuple(int(n) for n in data["shape"])
+    raw = base64.b64decode(data["base64"], validate=True)
+    if len(raw) != 8 * math.prod(shape):
+        raise CorruptBundleError(
+            f"{len(raw)} bytes do not hold a float64 array of shape {shape}"
+        )
+    return np.frombuffer(raw, dtype=_FLOAT64).reshape(shape).astype(float)
+
+
 def _binary_to_dict(model: BinaryModel) -> dict:
     return {
-        "support_vectors": np.asarray(model.support_vectors).tolist(),
-        "dual_coefs": np.asarray(model.dual_coefs).tolist(),
+        "support_vectors": _encode_array(model.support_vectors),
+        "dual_coefs": _encode_array(model.dual_coefs),
         "bias": model.bias,
         "gamma": model.gamma,
         "c_penalty": model.c_penalty,
@@ -96,8 +131,8 @@ def _binary_to_dict(model: BinaryModel) -> dict:
 
 def _binary_from_dict(data: dict) -> BinaryModel:
     return BinaryModel(
-        support_vectors=np.asarray(data["support_vectors"], dtype=float),
-        dual_coefs=np.asarray(data["dual_coefs"], dtype=float),
+        support_vectors=_decode_array(data["support_vectors"]),
+        dual_coefs=_decode_array(data["dual_coefs"]),
         bias=float(data["bias"]),
         gamma=float(data["gamma"]),
         c_penalty=float(data["c_penalty"]),
@@ -107,10 +142,10 @@ def _binary_from_dict(data: dict) -> BinaryModel:
 def _payload(bundle: ModelBundle) -> dict:
     return {
         "stats": {
-            "means": bundle.stats.means.tolist(),
-            "stddevs": bundle.stats.stddevs.tolist(),
+            "means": _encode_array(bundle.stats.means),
+            "stddevs": _encode_array(bundle.stats.stddevs),
         },
-        "references": [ref.tolist() for ref in bundle.references],
+        "references": [_encode_array(ref) for ref in bundle.references],
         "config": {
             "allowance": bundle.config.allowance,
             "top_r": bundle.config.top_r,
@@ -120,11 +155,11 @@ def _payload(bundle: ModelBundle) -> dict:
         "target_arl0": bundle.target_arl0,
         "patience": bundle.patience,
         "window": bundle.window,
-        "karcher_base": np.asarray(bundle.karcher_base).tolist(),
+        "karcher_base": _encode_array(bundle.karcher_base),
         "classifier": {
             "class_labels": bundle.classifier.class_labels.tolist(),
-            "feature_means": bundle.classifier.feature_means.tolist(),
-            "feature_stds": bundle.classifier.feature_stds.tolist(),
+            "feature_means": _encode_array(bundle.classifier.feature_means),
+            "feature_stds": _encode_array(bundle.classifier.feature_stds),
             "pairs": [
                 {"label_a": a, "label_b": b, "model": _binary_to_dict(m)}
                 for a, b, m in bundle.classifier.pairs
@@ -133,7 +168,9 @@ def _payload(bundle: ModelBundle) -> dict:
         "feature_mode": bundle.feature_mode,
         "trace_features": bundle.trace_features,
         "metric": METRIC_AFFINE,
-        "training_summary": bundle.training_summary,
+        # Through JSON and back, so that the checksum is taken over what a
+        # reader parses: int keys become strings and sort as strings.
+        "training_summary": json.loads(json.dumps(bundle.training_summary)),
     }
 
 
@@ -191,19 +228,15 @@ def load_bundle(path) -> ModelBundle:
                 )
                 for p in payload["classifier"]["pairs"]
             ],
-            feature_means=np.asarray(
-                payload["classifier"]["feature_means"], dtype=float
-            ),
-            feature_stds=np.asarray(
-                payload["classifier"]["feature_stds"], dtype=float
-            ),
+            feature_means=_decode_array(payload["classifier"]["feature_means"]),
+            feature_stds=_decode_array(payload["classifier"]["feature_stds"]),
         )
         return ModelBundle(
             stats=ReferenceStats(
-                means=np.asarray(payload["stats"]["means"], dtype=float),
-                stddevs=np.asarray(payload["stats"]["stddevs"], dtype=float),
+                means=_decode_array(payload["stats"]["means"]),
+                stddevs=_decode_array(payload["stats"]["stddevs"]),
             ),
-            references=[np.asarray(r, dtype=float) for r in payload["references"]],
+            references=[_decode_array(r) for r in payload["references"]],
             config=MonitorConfig(
                 allowance=float(payload["config"]["allowance"]),
                 top_r=int(payload["config"]["top_r"]),
@@ -213,7 +246,7 @@ def load_bundle(path) -> ModelBundle:
             target_arl0=float(payload["target_arl0"]),
             patience=int(payload["patience"]),
             window=int(payload["window"]),
-            karcher_base=np.asarray(payload["karcher_base"], dtype=float),
+            karcher_base=_decode_array(payload["karcher_base"]),
             classifier=classifier,
             feature_mode=payload["feature_mode"],
             trace_features=bool(payload["trace_features"]),

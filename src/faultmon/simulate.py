@@ -282,8 +282,8 @@ def _raw_samples(spec: ProcessSpec, run: int, start: int, count: int) -> np.ndar
     return np.column_stack(columns)
 
 
-def _inject(data: np.ndarray, spec: ProcessSpec, fault: FaultSpec) -> np.ndarray:
-    out = data.copy()
+def _inject(out: np.ndarray, spec: ProcessSpec, fault: FaultSpec) -> None:
+    """Perturbs the fresh run ``out`` in place from the fault's onset on."""
     n = out.shape[0]
     onset = fault.onset
     t_rel = np.arange(n - onset, dtype=float)
@@ -305,7 +305,6 @@ def _inject(data: np.ndarray, spec: ProcessSpec, fault: FaultSpec) -> np.ndarray
             out[onset:, idx] += fault.drift_rate * sd * t_rel / 1000.0
         else:  # sticking: the sensor freezes at its onset reading
             out[onset:, idx] = out[onset, idx]
-    return out
 
 
 def generate(
@@ -337,7 +336,7 @@ def generate(
             raise BadSpecError(
                 f"onset {fault.onset} is beyond the run length {n_samples}"
             )
-        data = _inject(data, spec, fault)
+        _inject(data, spec, fault)
         labels[fault.onset:] = fault.fault_id
     return data, labels
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -309,6 +310,27 @@ def test_benchmark_same_seed_identical():
     assert a.in_control.tobytes() == b.in_control.tobytes()
     for ra, rb in zip(a.train_runs + a.test_runs, b.train_runs + b.test_runs):
         assert ra.data.tobytes() == rb.data.tobytes()
+
+
+# sha256 over the seed-0 corpus: every train, test and in-control run's data
+# (little-endian float64) then labels (little-endian int64), in that order,
+# and the in-control pool. Any change to the generator or to fault
+# injection moves them.
+SEED0_RUNS_SHA256 = "7d7c596d71a4a74464978e89340a1ebe7e79a9efa423e0ca36a854d41abbec33"
+SEED0_POOL_SHA256 = "81968593905029c862714c9cb5b0972444020ab9a78990bbf2cf893bb98950e6"
+
+
+def test_seed0_corpus_is_pinned():
+    bench = simulate.make_benchmark(0)
+    runs = bench.train_runs + bench.test_runs + bench.in_control_runs
+    assert len(runs) == 305
+    digest = hashlib.sha256()
+    for run in runs:
+        digest.update(np.ascontiguousarray(run.data, dtype="<f8").tobytes())
+        digest.update(np.ascontiguousarray(run.labels, dtype="<i8").tobytes())
+    assert digest.hexdigest() == SEED0_RUNS_SHA256
+    pool = np.ascontiguousarray(bench.in_control, dtype="<f8").tobytes()
+    assert hashlib.sha256(pool).hexdigest() == SEED0_POOL_SHA256
 
 
 def test_run_validation():
