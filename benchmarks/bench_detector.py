@@ -40,14 +40,20 @@ def references():
 
 
 @pytest.fixture(scope="module")
-def log_table(references):
-    return detector._log_table([ref.size for ref in references])
+def context(references):
+    """The reference context that ``run_many`` builds from ``references``:
+    the log table and, on first use, one bucket index per stream."""
+    return detector._References(references, STREAMS)
 
 
 @pytest.fixture(scope="module")
-def rank_index(references, log_table):
-    _, starts = log_table
-    return [detector._RankIndex(ref, start) for ref, start in zip(references, starts)]
+def log_table(context):
+    return context.logs, context.starts
+
+
+@pytest.fixture(scope="module")
+def rank_index(context):
+    return context.rank_index
 
 
 def test_monitor_step(benchmark, references):
@@ -70,8 +76,9 @@ def test_monitor_step(benchmark, references):
 def test_cdf_estimates_block(benchmark, rank_index, shape):
     """Per-stream ranking of a lockstep block through the bucket index.
 
-    The index is built once, outside the timing, as ``run_many`` builds it
-    once per call for all its blocks (about 1 ms for these 20 streams).
+    The index is built once, outside the timing, as a reference context
+    builds it once for all the blocks of every ``run_many`` call given that
+    context (about 1 ms for these 20 streams).
     Ranking writes each sample's log-table column over the block, so each
     round ranks a fresh copy of the samples; the copy is made outside the
     timing.

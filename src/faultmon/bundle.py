@@ -7,7 +7,8 @@ parameters. It is one JSON document, ``{"format_version": 2, "checksum":
 ..., "payload": {...}}``. Every float array of the payload is written as
 ``{"dtype": "<f8", "shape": [...], "base64": ...}``, its little-endian
 float64 bytes in RFC 4648 base64, so it reads back bit for bit; scalars,
-the class labels and the training summary stay plain JSON. The checksum is
+the class labels and the training summary stay plain JSON, the summary's
+int fault-id keys read back as ints. The checksum is
 the sha256 of the payload's canonical JSON (sorted keys, no spaces), so
 silent truncation or editing is caught at load time, and the format
 version makes files of another format fail loudly instead of misbehaving.
@@ -231,6 +232,12 @@ def load_bundle(path) -> ModelBundle:
             feature_means=_decode_array(payload["classifier"]["feature_means"]),
             feature_stds=_decode_array(payload["classifier"]["feature_stds"]),
         )
+        # The summary as training made it: JSON wrote the fault ids keying
+        # ``usable_runs_per_class`` as strings, and they are ints again.
+        summary = payload.get("training_summary", {})
+        if "usable_runs_per_class" in summary:
+            counts = summary["usable_runs_per_class"].items()
+            summary["usable_runs_per_class"] = {int(k): v for k, v in counts}
         return ModelBundle(
             stats=ReferenceStats(
                 means=_decode_array(payload["stats"]["means"]),
@@ -250,7 +257,7 @@ def load_bundle(path) -> ModelBundle:
             classifier=classifier,
             feature_mode=payload["feature_mode"],
             trace_features=bool(payload["trace_features"]),
-            training_summary=payload.get("training_summary", {}),
+            training_summary=summary,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptBundleError(f"bundle payload is malformed: {exc}") from exc

@@ -32,23 +32,25 @@ reported (``estimate_arl``, the chosen threshold's ``achieved_arl``, an
 error message) is exact: its runs are extended until each one has
 crossed or reached the cap.
 
-``_LazyTraces`` owns this doubling: V traces of many runs, each simulated
-only as far as a question needs. Training shares it to simulate each
-fault run only through its classification point (see
-:mod:`faultmon.pipeline`).
+:class:`detector._LazyTraces`, beside ``run_many``, owns this doubling:
+V traces of many runs, each simulated only as far as a question needs,
+every draw over one reference context (``detector._References``) per
+search or estimate. Training shares it to simulate each fault run only
+through its classification point (see :mod:`faultmon.pipeline`). This
+module keeps the run-length questions (``_RunLengths``: the bounds, and
+``decide`` and ``estimate`` on them).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import detector
-from .errors import BracketError, DimensionMismatchError, DomainError, EmptyInputError
+from .errors import BracketError, DomainError, EmptyInputError
 from .simulate import _uniforms
 from .standardize import ReferenceStats, apply as apply_stats
 
@@ -172,82 +174,11 @@ class CalibrationResult:
         return asdict(self)
 
 
-def _collect_traces(
-    references,
-    config: detector.MonitorConfig,
-    source: SampleSource,
-    replications,
-    run_length: int,
-    reset_on_alarm: bool = False,
-) -> np.ndarray:
-    """V traces of the given replication indices, shape ``(R, run_length)``.
-
-    Without ``reset_on_alarm`` trajectories do not depend on the threshold,
-    so one pass supports every threshold probed during the search.
-
-    Raises:
-        DimensionMismatchError: A draw is not exactly ``(run_length, p)``.
-    """
-    traces = detector.run_many(
-        references,
-        config,
-        (source(rep, 0, run_length) for rep in replications),
-        reset_on_alarm=reset_on_alarm,
-    )
-    if traces.shape[1] != run_length:
-        raise DimensionMismatchError(
-            f"source returned {traces.shape[1]} samples per replication, "
-            f"expected {run_length}"
-        )
-    return traces
-
-
-class _LazyTraces:
-    """V traces of many runs, each simulated only as far as a question needs.
-
-    ``draw(runs, length)`` returns the traces of the runs with the given
-    indices over their first ``length`` samples, shape ``(len(runs),
-    length)``; a shorter draw must be a prefix of a longer one. Run i is
-    first simulated to ``min(prefix[i], caps[i])`` samples, and ``extend``
-    simulates runs again from t = 0 to twice their length, at most their
-    cap. Calibration asks about in-control run lengths (``decide``,
-    ``estimate``); training (:func:`faultmon.pipeline._detect_runs`) asks
-    for each fault run's trace through its classification point.
-
-    Row i of ``traces`` holds run i's trace over its first
-    ``simulated[i]`` samples and ``-inf`` after them, so the first
-    crossing of any threshold lies in the simulated part. ``draws`` and
-    ``rows`` count the runs drawn and the samples simulated so far,
-    redraws included.
-    """
-
-    def __init__(self, draw, prefix, caps):
-        self._draw = draw
-        self.caps = np.asarray(caps)
-        self.traces = np.empty((self.caps.size, 0))
-        self.simulated = np.zeros(self.caps.size, dtype=int)
-        self.draws = 0
-        self.rows = 0
-        self._simulate(np.arange(self.caps.size), np.minimum(prefix, self.caps))
-
-    def _simulate(self, runs: np.ndarray, lengths: np.ndarray) -> None:
-        """Simulate each of ``runs`` from t = 0 to its entry of ``lengths``."""
-        for length in np.unique(lengths).tolist():
-            group = runs[lengths == length]
-            block = self._draw(group.tolist(), length)
-            width = self.traces.shape[1]
-            if length > width:
-                self.traces = np.pad(
-                    self.traces, ((0, 0), (0, length - width)), constant_values=-np.inf
-                )
-            self.traces[group, :length] = block
-            self.simulated[group] = length
-            self.draws += group.size
-            self.rows += group.size * length
-
-    def extend(self, runs: np.ndarray) -> None:
-        """Simulate ``runs`` again from t = 0, to twice their length or their cap."""
-        self._simulate(runs, np.minimum(2 * self.simulated[runs], self.caps[runs]))
+class _RunLengths(detector._LazyTraces):
+    """In-control V traces (:class:`detector._LazyTraces`), asked about
+    their run lengths at a threshold. They are drawn without resets, so
+    they do not depend on the threshold, and one set serves every
+    threshold the search probes."""
 
     def _bounds(self, threshold: float) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds on every run length at ``threshold``.
@@ -292,14 +223,12 @@ class _LazyTraces:
         return _estimate_from_lengths(lengths, self.caps)
 
 
-def _in_control_traces(references, config, source, spec: CalibrationSpec) -> _LazyTraces:
+def _in_control_traces(references, config, source, spec: CalibrationSpec) -> _RunLengths:
     """The spec's replications, each first simulated to ``2 * target_arl0``
     samples, at most the cap."""
-    return _LazyTraces(
-        partial(_collect_traces, references, config, source),
-        int(round(_PREFIX_ARLS * spec.target_arl0)),
-        np.full(spec.replications, spec.run_length_cap),
-    )
+    prefix = int(round(_PREFIX_ARLS * spec.target_arl0))
+    caps = np.full(spec.replications, spec.run_length_cap)
+    return _RunLengths(references, config, lambda i, n: source(i, 0, n), prefix, caps)
 
 
 def estimate_arl(
@@ -450,10 +379,11 @@ def estimate_false_alarm_rate(
     if replications < 1 or run_length < 1:
         raise EmptyInputError("replications and run_length must be at least 1")
     cfg = config.with_threshold(threshold)
-    traces = _collect_traces(
-        references, cfg, source, range(replications), run_length, True
+    lazy = detector._LazyTraces(
+        references, cfg, lambda i, n: source(i, 0, n), run_length,
+        np.full(replications, run_length), reset_on_alarm=True,
     )
-    return int(np.count_nonzero(traces >= threshold)) / (replications * run_length)
+    return int(np.count_nonzero(lazy.traces >= threshold)) / (replications * run_length)
 
 
 def bootstrap_source(pool, seed: int) -> SampleSource:

@@ -43,14 +43,19 @@ chunk advances more than three times: a lone run whose chunks never meet
 their kept states costs about 1.1 times stepping it. The steps past the
 last whole chunk, and every wider block, advance one time step at a time.
 
-Both paths read the CUSUM's log terms from one table (``_log_table``):
-two rows that hold ``log(mu)`` and ``log(1 - mu)`` for every count c in
-0..s of every stream, the streams' blocks laid end to end, built once per
-monitor or per ``run_many`` call with its logs taken once per distinct
-reference size. Ranking a value gives its column there, the stream's first
-column plus its count, and a step gathers both log terms of all p streams
-with one ``take``, so no path divides or takes a log per sample, and every
-path reads the same bits.
+One reference context (``_References``) owns what the references give
+both paths: it checks and sorts them once, and builds the CUSUM's log
+table (``_log_table``) once, two rows that hold ``log(mu)`` and
+``log(1 - mu)`` for every count c in 0..s of every stream, the streams'
+blocks laid end to end, with its logs taken once per distinct reference
+size. It builds each path's ranking index on first use, over that one
+table. ``run_many`` and ``Monitor`` take plain references, which they turn
+into a context of their own, or a context, which they share: calibration
+and training build one and hand it to every call they make. Ranking a
+value gives its column in the table, the stream's first column plus its
+count, and a step gathers both log terms of all p streams with one
+``take``, so no path divides or takes a log per sample, and every path
+reads the same bits.
 
 Ranking picks its method by the path. A monitor ranks each sample's p
 values through one index of all references (``_StepIndex``): one vectorized
@@ -68,7 +73,8 @@ advances row by row. ``pipeline.online_monitor`` steps each row it has
 standardized and checked itself, so its monitor skips the check.
 
 ``run_many`` ranks a batch through one bucket index per stream
-(``_RankIndex``), built once per call and shared by all its blocks. A
+(``_RankIndex``), built once per context and shared by all the blocks of
+every call given that context. A
 uniform grid over the reference narrows each key to the few reference
 values of its bucket, and a fixed-width branchless search counts those
 below the key, a few whole-array steps per stream instead of a binary
@@ -87,11 +93,20 @@ columns are integers, copied through intp views only and never as floats
 copy keeping an integer's bits. The recursion then advances the block from
 zeroed state, gathering one time step's log terms at a time into a buffer
 of the state's shape.
+
+``_LazyTraces``, beside ``run_many``, owns "V traces of many runs, each
+simulated only as far as a question needs": runs are drawn to a prefix and
+re-drawn from t = 0 at twice their length, each draw one ``run_many`` call
+over one reference context. Threshold calibration
+(:mod:`faultmon.calibrate`) asks it about in-control run lengths, and
+training (:mod:`faultmon.pipeline`) for each fault run's trace through its
+classification point.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -204,14 +219,6 @@ class MonitorTrace:
     alarms: np.ndarray
 
 
-def _validate_references(references, stream_count: int) -> list[np.ndarray]:
-    if len(references) != stream_count:
-        raise DimensionMismatchError(
-            f"got {len(references)} references for {stream_count} streams"
-        )
-    return [build_reference(ref) for ref in references]
-
-
 def _check_samples(samples, stream_count: int, ndim: int) -> np.ndarray:
     """``samples`` as a finite, non-empty float array of ``ndim`` axes, p last."""
     arr = np.asarray(samples, dtype=float)
@@ -311,8 +318,9 @@ class _RankIndex:
     table of ``first`` covers, as it covers every bucket up to ``hi``'s).
     A constant reference, a range that overflows, or one so narrow that
     its scale overflows, gets the single bucket of ``lo = hi = scale = 0``,
-    and the search then spans the whole reference. Memory is O(s);
-    ``run_many`` builds one per stream per call.
+    and the search then spans the whole reference. Memory is O(s); a
+    reference context builds one per stream, on its first ``run_many``
+    call.
     """
 
     __slots__ = ("_lo", "_hi", "_scale", "_first", "_padded", "_halves", "_start")
@@ -363,8 +371,9 @@ def _table_columns(rank_index: list[_RankIndex], samples: np.ndarray) -> np.ndar
     """Log-table columns for samples of shape ``(..., p)``, written over
     ``samples`` (a C-contiguous float array) and returned as its intp view.
 
-    ``rank_index`` holds one :class:`_RankIndex` per stream, built once per
-    call of ``run_many`` and shared by all its blocks.
+    ``rank_index`` holds one :class:`_RankIndex` per stream, a reference
+    context's, shared by all the blocks of every ``run_many`` call given
+    that context.
     """
     p = samples.shape[-1]
     rows = samples.reshape(-1, p, copy=False)
@@ -406,10 +415,10 @@ class _StepIndex:
     ``c_i`` in stream i's block of the table of :func:`_log_table`, so one
     ``take`` along the columns gathers both log terms of all p streams,
     stacked as ``_Cusum.w`` is. Memory is O(N + p) for N reference values
-    in all.
+    in all, besides the table, which is its context's (:class:`_References`).
     """
 
-    def __init__(self, references: list[np.ndarray]):
+    def __init__(self, references: list[np.ndarray], logs: np.ndarray):
         sizes = np.array([ref.size for ref in references])
         keys = np.empty(sizes.sum() + sizes.size, dtype=complex)
         keys.real = np.repeat(np.arange(sizes.size), sizes + 1)
@@ -419,7 +428,7 @@ class _StepIndex:
         # a view made once.
         self._query = np.arange(sizes.size, dtype=complex)
         self._query_imag = self._query.imag
-        self._logs, _ = _log_table(sizes)
+        self._logs = logs
         # The sample's log terms, stacked as ``_Cusum.w`` is; each step
         # overwrites them.
         self._terms = np.empty((2, sizes.size))
@@ -432,6 +441,52 @@ class _StepIndex:
         # Every column searched is in range, so mode="clip" changes none; it
         # spares take the bounds check and output copy of mode="raise".
         return self._logs.take(at, axis=1, out=self._terms, mode="clip")
+
+
+class _References:
+    """The checked, sorted in-control references of p streams and what
+    ranking against them needs: one reference context.
+
+    ``arrays`` holds the references as :func:`build_reference` returns
+    them, and ``logs`` and ``starts`` the one log table of
+    :func:`_log_table` over them. The batch path's per-stream
+    :class:`_RankIndex` list (``rank_index``) and the monitor's
+    :class:`_StepIndex` (``step_index``) are built on first use and kept,
+    so every ``run_many`` call and every :class:`Monitor` given one context
+    shares them; monitors of one context share the step index's buffers,
+    and so are stepped from one thread. Public entry points take plain
+    references or a context through :meth:`of`, so a public call with
+    plain references builds its own.
+    """
+
+    def __init__(self, references, stream_count: int):
+        if len(references) != stream_count:
+            raise DimensionMismatchError(
+                f"got {len(references)} references for {stream_count} streams"
+            )
+        self.arrays = [build_reference(ref) for ref in references]
+        self.logs, self.starts = _log_table([ref.size for ref in self.arrays])
+
+    def __len__(self) -> int:
+        return len(self.arrays)
+
+    @classmethod
+    def of(cls, references, stream_count: int) -> "_References":
+        """The context of ``references``: a context of ``stream_count``
+        streams is returned as it is; anything else goes to the constructor,
+        which checks and sorts plain references and refuses a context of
+        another stream count."""
+        if isinstance(references, cls) and len(references) == stream_count:
+            return references
+        return cls(references, stream_count)
+
+    @functools.cached_property
+    def rank_index(self) -> list[_RankIndex]:
+        return [_RankIndex(ref, start) for ref, start in zip(self.arrays, self.starts)]
+
+    @functools.cached_property
+    def step_index(self) -> _StepIndex:
+        return _StepIndex(self.arrays, self.logs)
 
 
 class _Cusum:
@@ -623,15 +678,15 @@ def _advance_chunks(
 class Monitor:
     """Streaming detector over p standardized streams.
 
-    A monitor owns the step index of its sorted references, the per-stream
-    CUSUM state, and a sample counter. One private kernel, ``_advance``,
-    consumes one checked sample and returns V as a float: it ranks the
-    sample, gathers its log terms from one table and steps the CUSUM.
-    ``step`` checks one sample, advances and reports the result; ``run``
-    checks a batch once and advances it one row at a time, so it is
-    bit-identical to the equivalent sequence of ``step`` calls. Batches
-    replayed from zeroed state, many runs at a time, go through
-    :func:`run_many`.
+    A monitor holds the step index of its reference context (its own, when
+    built from plain references), the per-stream CUSUM state, and a sample
+    counter. One private kernel, ``_advance``, consumes one checked sample
+    and returns V as a float: it ranks the sample, gathers its log terms
+    from one table and steps the CUSUM. ``step`` checks one sample,
+    advances and reports the result; ``run`` checks a batch once and
+    advances it one row at a time, so it is bit-identical to the equivalent
+    sequence of ``step`` calls. Batches replayed from zeroed state, many
+    runs at a time, go through :func:`run_many`.
 
     Time indices are 0-based: the first sample consumed after construction
     (or :meth:`reset`) has ``time_index == 0``.
@@ -644,7 +699,7 @@ class Monitor:
 
     def __init__(self, references, config: MonitorConfig):
         self.config = config
-        self._index = _StepIndex(_validate_references(references, config.stream_count))
+        self._index = _References.of(references, config.stream_count).step_index
         self._cusum = _Cusum(config)
         self._time = 0
 
@@ -693,7 +748,9 @@ def run_many(
     check, advances as time chunks side by side, with the same result.
 
     Args:
-        references: In-control histories, one per stream.
+        references: In-control histories, one per stream, or a
+            :class:`_References` context of ``config.stream_count`` streams,
+            whose ranking structures are then reused.
         config: Detection parameters.
         runs: Iterable of equal-shaped ``(T, p)`` arrays, such as a
             generator or an array of shape ``(R, T, p)``; every run starts
@@ -710,9 +767,12 @@ def run_many(
         EmptyInputError: There is no run, or T is 0.
         NonFiniteValueError: A run holds NaN or infinity.
     """
-    refs = _validate_references(references, config.stream_count)
-    logs, starts = _log_table([ref.size for ref in refs])
-    rank_index = [_RankIndex(ref, start) for ref, start in zip(refs, starts)]
+    refs = _References.of(references, config.stream_count)
+    # Taken before the first block is allocated: built after it, the
+    # indexes made a one-run call of 3000 samples at p = 20 about 1.2 ms
+    # slower (7.7 against 6.5 ms, timeit on one core of a 2-vCPU x86 box),
+    # though ranking does the same work.
+    rank_index, logs = refs.rank_index, refs.logs
     reset_at = config.threshold if reset_on_alarm else None
     traces, shape, block, filled = [], None, None, 0
     for index, run in enumerate(runs):
@@ -741,3 +801,63 @@ def run_many(
     # to the peak.
     block = None
     return np.concatenate(traces)
+
+
+class _LazyTraces:
+    """V traces of many runs, each simulated only as far as a question needs.
+
+    Built over a reference context (or plain references, through
+    :meth:`_References.of`), a config and ``rows(i, length)``, which returns
+    run i's first ``length`` samples, shape ``(length, p)``; a shorter draw
+    must be a prefix of a longer one. Run i is first simulated to
+    ``min(prefix[i], caps[i])`` samples, and ``extend`` simulates runs again
+    from t = 0 to twice their length, at most their cap. Every draw is one
+    call of the module's ``run_many`` over the runs drawn to one length,
+    all sharing the one context. Calibration asks about in-control run
+    lengths (:mod:`faultmon.calibrate`); training
+    (:func:`faultmon.pipeline._detect_runs`) asks for each fault run's
+    trace through its classification point.
+
+    Row i of ``traces`` holds run i's trace over its first
+    ``simulated[i]`` samples and ``-inf`` after them, so the first
+    crossing of any threshold lies in the simulated part. ``draws`` and
+    ``rows`` count the runs drawn and the samples simulated so far,
+    redraws included. With ``reset_on_alarm`` every draw zeroes a run's
+    state after each alarm at ``config.threshold``, as ``run_many`` does;
+    the false-alarm-rate check draws its runs once, whole, that way.
+
+    Raises:
+        DimensionMismatchError: A draw is not exactly ``length`` samples.
+    """
+
+    def __init__(self, references, config, rows, prefix, caps, reset_on_alarm=False):
+        self._refs = _References.of(references, config.stream_count)
+        self._config, self._draw_rows, self._reset = config, rows, reset_on_alarm
+        self.caps = np.asarray(caps)
+        self.traces = np.empty((self.caps.size, 0))
+        self.simulated = np.zeros(self.caps.size, dtype=int)
+        self.draws = self.rows = 0
+        self._simulate(np.arange(self.caps.size), np.minimum(prefix, self.caps))
+
+    def _simulate(self, runs: np.ndarray, lengths: np.ndarray) -> None:
+        """Simulate each of ``runs`` from t = 0 to its entry of ``lengths``."""
+        for length in np.unique(lengths).tolist():
+            group = runs[lengths == length]
+            drawn = (self._draw_rows(i, length) for i in group.tolist())
+            block = run_many(self._refs, self._config, drawn, reset_on_alarm=self._reset)
+            if block.shape[1] != length:
+                raise DimensionMismatchError(
+                    f"rows returned {block.shape[1]} samples per run, expected {length}"
+                )
+            if length > self.traces.shape[1]:
+                wider = np.full((self.caps.size, length), -np.inf)
+                wider[:, : self.traces.shape[1]] = self.traces
+                self.traces = wider
+            self.traces[group, :length] = block
+            self.simulated[group] = length
+            self.draws += group.size
+            self.rows += group.size * length
+
+    def extend(self, runs: np.ndarray) -> None:
+        """Simulate ``runs`` again from t = 0, to twice their length or their cap."""
+        self._simulate(runs, np.minimum(2 * self.simulated[runs], self.caps[runs]))

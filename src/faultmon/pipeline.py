@@ -20,9 +20,16 @@ Detection (``_detect_runs``) finds each run's V trace and first
 post-onset alarm. Training reads a trace only up to the run's
 classification point, so it simulates each run only that far, by the
 lazy doubling that threshold calibration uses
-(:class:`calibrate._LazyTraces`, the one owner of "V traces, each
+(:class:`detector._LazyTraces`, the one owner of "V traces, each
 simulated only as far as a question needs"). Evaluation simulates every
 run whole: its detection rates read every post-onset sample.
+
+Training (``_setup``) checks and sorts the references into one reference
+context (``detector._References``) and hands it to calibration, to
+``_detect_runs`` and to ``_fit``, so the log table and ranking indexes
+are built once per training, and the bundle stores the context's sorted
+arrays. Evaluation's ``_detect_runs`` builds one context for all its
+draws.
 
 Evaluation (``_score``) groups the faulty runs by fault id once and writes
 each per-fault rate of :class:`EvalReport` as its definition over that
@@ -168,28 +175,26 @@ def _detect_runs(runs, references, config, stats, patience=None) -> list[_Detect
     Without ``patience`` every trace is whole, as evaluation's FDR reads
     every post-onset sample. With it, each run is simulated only as far as
     training's classification window reads it, by the lazy doubling of
-    :class:`calibrate._LazyTraces`: first to ``onset + patience +
+    :class:`detector._LazyTraces`: first to ``onset + patience +
     _PREFIX_MARGIN`` samples, then, from t = 0 at twice the length and at
     most the run's end, only the runs whose prefix reaches neither the
     classification point (first post-onset alarm + patience) nor the end.
     A prefix is bit-identical to the start of the whole trace, so the
     alarms and windows are those of whole traces. Each run is standardized
-    whole, and so checked, every time it is drawn.
+    whole, and so checked, every time it is drawn. ``references`` may be
+    plain references or a reference context (``detector._References``);
+    every draw shares one context.
     """
     if not runs:
         return []
     lengths = np.array([run.data.shape[0] for run in runs])
     onsets = np.array([0 if run.onset is None else run.onset for run in runs])
 
-    def draw(indices, length):
-        return detector.run_many(
-            references,
-            config,
-            (standardize.apply(runs[i].data, stats)[:length] for i in indices),
-        )
-
     prefix = lengths if patience is None else onsets + patience + _PREFIX_MARGIN
-    lazy = calibrate._LazyTraces(draw, prefix, lengths)
+    lazy = detector._LazyTraces(
+        references, config, lambda i, n: standardize.apply(runs[i].data, stats)[:n],
+        prefix, lengths,
+    )
     while True:
         after_onset = np.arange(lazy.traces.shape[1]) >= onsets[:, np.newaxis]
         hits = (lazy.traces >= config.threshold) & after_onset
@@ -354,7 +359,7 @@ class _Setup:
     """What training fixes before it sees a fault run."""
 
     stats: standardize.ReferenceStats
-    references: list[np.ndarray]
+    references: detector._References
     config: detector.MonitorConfig  # with the threshold installed
     calibration: dict
 
@@ -371,6 +376,7 @@ def _setup(in_control, train_runs, config: TrainConfig, calibration_source) -> _
     stats, references, cal_source = prepare_reference_and_source(
         in_control, calibration_source, config.seed
     )
+    references = detector._References(references, stats.stream_count)
     return _Setup(stats, references, *choose_threshold(references, config, cal_source))
 
 
@@ -434,7 +440,7 @@ def _fit(
     }
     return ModelBundle(
         stats=setup.stats,
-        references=[detector.build_reference(r) for r in setup.references],
+        references=list(setup.references.arrays),
         config=setup.config,
         target_arl0=config.target_arl0,
         patience=config.patience,

@@ -366,12 +366,12 @@ def _assert_columns_match_search(refs, keys):
     ``searchsorted(side="left")``, and the table there holds, bitwise, the
     logs of ``(c + 1.0) / (s + 2.0)`` and of its complement."""
     sizes = [ref.size for ref in refs]
-    logs, starts = detector._log_table(sizes)
+    context = detector._References(refs, len(refs))
+    logs, starts = context.logs, context.starts
     assert logs.shape == (2, sum(sizes) + len(sizes))
     # Each stream's s + 1 columns follow the columns of the streams before it.
     assert list(starts) == [sum(size + 1 for size in sizes[:i]) for i in range(len(sizes))]
-    index = [detector._RankIndex(ref, start) for ref, start in zip(refs, starts)]
-    cols = detector._table_columns(index, keys.copy())
+    cols = detector._table_columns(context.rank_index, keys.copy())
     assert cols.shape == keys.shape and cols.dtype == np.intp
     for i, ref in enumerate(refs):
         counts = np.searchsorted(ref, keys[..., i], side="left")
@@ -480,12 +480,20 @@ def _shifted_runs(count, t_len, p, seed):
     return np.random.default_rng(seed).normal(size=(count, t_len, p)) * 8.0 + 9.5
 
 
-@pytest.mark.parametrize("reset_on_alarm", [False, True])
+@pytest.mark.parametrize(
+    "reset_on_alarm, shared_context",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["False", "True", "False-context", "True-context"],
+)
 def test_run_many_over_small_blocks_matches_per_run_monitors_bitwise(
-    monkeypatch, reset_on_alarm
+    monkeypatch, reset_on_alarm, shared_context
 ):
+    # With ``shared_context`` every run_many call and every monitor below
+    # is given one reference context, and so shares its tables and indexes.
     p, t_len = 3, 30
     refs = [detector.build_reference(np.arange(20.0)) for _ in range(p)]
+    if shared_context:
+        refs = detector._References(refs, p)
     config = detector.MonitorConfig(1.3, 2, p, threshold=3.0)
     runs = _shifted_runs(7, t_len, p, seed=8)
     whole = detector.run_many(refs, config, runs, reset_on_alarm=reset_on_alarm)
@@ -505,6 +513,21 @@ def test_run_many_over_small_blocks_matches_per_run_monitors_bitwise(
         for got in (whole, stacked, streamed):
             np.testing.assert_array_equal(got[r].view(np.int64), expected.view(np.int64))
     assert (whole >= config.threshold).any(axis=1).all()
+    if shared_context:
+        assert detector.Monitor(refs, config)._index is refs.step_index
+
+
+@pytest.mark.parametrize("stream_count", [2, 4])
+def test_context_of_another_stream_count_is_refused(stream_count):
+    refs = detector._References([np.arange(20.0)] * 3, 3)
+    config = detector.MonitorConfig(1.3, 1, stream_count)
+    runs = np.zeros((1, 5, stream_count))
+    with pytest.raises(DimensionMismatchError, match="3 references for"):
+        detector.run_many(refs, config, runs)
+    with pytest.raises(DimensionMismatchError, match="3 references for"):
+        detector.Monitor(refs, config)
+    with pytest.raises(DimensionMismatchError, match="3 references for"):
+        detector._LazyTraces(refs, config, lambda i, length: runs[i, :length], 5, [5])
 
 
 def test_run_many_block_is_one_array(monkeypatch):

@@ -332,9 +332,10 @@ def test_fit_names_the_class_short_of_runs_and_only_its_dropped_runs(
         _fabricated("f1-kept-b", 1, 10, 60, range(20, 60), 20, rng),
         _fabricated("f2-dropped", 2, 10, 60, [], None, rng),
     ]
-    setup = pipeline._Setup(
-        trained_bundle.stats, trained_bundle.references, trained_bundle.config, {}
+    references = detector._References(
+        trained_bundle.references, trained_bundle.config.stream_count
     )
+    setup = pipeline._Setup(trained_bundle.stats, references, trained_bundle.config, {})
     with pytest.raises(NoAlarmInTrainingError) as excinfo:
         pipeline._fit(setup, detected, pipeline.TrainConfig(patience=5))
     assert excinfo.value.fault_id == 2
