@@ -5,9 +5,9 @@ repository root, with faultmon installed or ``PYTHONPATH=src``. The file
 name does not match ``test_*.py``, so the unit-test run skips it. Record
 the BLAS thread setting (``OPENBLAS_NUM_THREADS``) with any numbers.
 
-Both cases search for ARL0 = 200 with 400 replications and the default
-cap of 4000 samples, at k = 1.3 and r = 4 on the 20-stream process of
-seed 0:
+The ``test_find_threshold`` cases search for ARL0 = 200 with 400
+replications and the default cap of 4000 samples, at k = 1.3 and r = 4 on
+the 20-stream process of seed 0:
 
 - ``process``: the acceptance suite's criterion-4 point. References are
   3000 in-control samples; the source simulates the process afresh.
@@ -15,6 +15,9 @@ seed 0:
   calibrate`` without a process spec. The benchmark corpus's 6000-row
   in-control pool is split in half into references and a pool that the
   source resamples.
+
+``test_far_check`` checks the found threshold's false-alarm rate on the
+``process`` case, as an operator who chose it would.
 """
 
 import numpy as np
@@ -23,18 +26,32 @@ import pytest
 from faultmon import calibrate, detector, pipeline, simulate, standardize
 
 SPEC = calibrate.CalibrationSpec(target_arl0=200.0, replications=400)
+# The threshold ``find_threshold`` finds on the ``process`` case.
+FAR_THRESHOLD = 35.970703125
+FAR_CALLS = 45
+FAR_LENGTH = 3000
+# Disjoint from the search's replications.
+FAR_OFFSET = simulate.CALIBRATION_RUN_OFFSET + 100_000
+
+
+def _process_references(process):
+    """The process's standardization and its 3000-sample references."""
+    pool = simulate.generate_in_control(process, 3000)
+    stats = standardize.fit_reference(pool)
+    z = standardize.apply(pool, stats)
+    return stats, [z[:, i] for i in range(z.shape[1])]
+
+
+def _process_source(process, stats, run_offset):
+    return calibrate.standardized_source(
+        simulate.in_control_source(process, run_offset=run_offset), stats
+    )
 
 
 def _process_case():
     process = simulate.default_process_spec(0)
-    pool = simulate.generate_in_control(process, 3000)
-    stats = standardize.fit_reference(pool)
-    z = standardize.apply(pool, stats)
-    source = calibrate.standardized_source(
-        simulate.in_control_source(process, run_offset=simulate.CALIBRATION_RUN_OFFSET),
-        stats,
-    )
-    return [z[:, i] for i in range(z.shape[1])], source
+    stats, references = _process_references(process)
+    return references, _process_source(process, stats, simulate.CALIBRATION_RUN_OFFSET)
 
 
 def _bootstrap_case():
@@ -71,3 +88,27 @@ def test_find_threshold(benchmark, make_case):
     assert np.isfinite(result.threshold)
     assert len(set(rows)) == 1
     benchmark.extra_info["rows_drawn"] = rows[0]
+
+
+def test_far_check(benchmark):
+    """45 one-replication ``estimate_false_alarm_rate`` calls of 3000
+    samples at the found threshold, each over its own fresh run, and all
+    over one list of plain references: an operator's check of a chosen
+    threshold, as perfbench's ``calibrate`` check makes it. At most the
+    first call builds the reference context; every later call reuses it.
+    """
+    process = simulate.default_process_spec(0)
+    stats, references = _process_references(process)
+    config = detector.MonitorConfig(1.3, 4, len(references))
+
+    def check():
+        return [
+            calibrate.estimate_false_alarm_rate(
+                FAR_THRESHOLD, references, config,
+                _process_source(process, stats, FAR_OFFSET + i), 1, FAR_LENGTH,
+            )
+            for i in range(FAR_CALLS)
+        ]
+
+    rates = benchmark.pedantic(check, rounds=5)
+    assert 0.0 < np.mean(rates) < 0.02

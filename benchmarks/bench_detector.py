@@ -11,14 +11,17 @@ values each. The ranking blocks are the three batch shapes that
 system: 240 runs of 1000 samples (training's first block: every
 training run to onset 500 + patience 300 + 200), 125 replications of
 4000 (a full threshold-calibration block) and one replication of 3000
-(one false-alarm-rate call). ``run_many`` holds each
-block as one ``(R, T, p)`` array, ranked in place into log-table columns. A
-block of fewer than ``detector._LOCKSTEP_WIDTH`` runs, such as the
-false-alarm-rate run, advances as time chunks side by side in three
-fixed passes; the ``test_run_many`` cases time one such block and one
-wide block. ``test_run_many_shifted_run`` times the chunks' worst case, a
-run whose chunks never meet their speculation, against stepping the
-same run one time step at a time.
+(one false-alarm-rate call). ``test_references_build`` times the
+reference context that a call with new plain references builds; calls
+whose references equal the last call's reuse it, so the ``run_many``
+cases here time every round after the first without it. ``run_many``
+holds each block as one ``(R, T, p)`` array, ranked in place into
+log-table columns. A block of fewer than ``detector._LOCKSTEP_WIDTH``
+runs, such as the false-alarm-rate run, advances as time chunks side by
+side in three fixed passes; the ``test_run_many`` cases time one such
+block and one wide block. ``test_run_many_shifted_run`` times the
+chunks' worst case, a run whose chunks never meet their speculation,
+against stepping the same run one time step at a time.
 """
 
 import itertools
@@ -54,6 +57,15 @@ def log_table(context):
 @pytest.fixture(scope="module")
 def rank_index(context):
     return context.rank_index
+
+
+def test_references_build(benchmark, references):
+    """A cold reference context, as a public call with new plain references
+    builds it: checking and sorting the references, the log table and the
+    batch path's bucket index of every stream."""
+    benchmark.pedantic(
+        lambda: detector._References(references, STREAMS).rank_index, rounds=20
+    )
 
 
 def test_monitor_step(benchmark, references):

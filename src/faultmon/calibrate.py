@@ -371,7 +371,10 @@ def estimate_false_alarm_rate(
     sample is ranked once. A call of few replications, down to one, costs
     far fewer kernel steps than samples: the detector cuts each run into
     time chunks that advance side by side in three fixed passes, exactly
-    (see :mod:`faultmon.detector`).
+    (see :mod:`faultmon.detector`). Plain ``references`` equal bit for bit
+    to those of the previous public call reuse its reference context, so a
+    loop of calls over one reference set builds one context
+    (``detector._References.of``).
 
     Returns:
         Total alarms divided by total samples inspected.

@@ -49,13 +49,17 @@ table (``_log_table``) once, two rows that hold ``log(mu)`` and
 ``log(1 - mu)`` for every count c in 0..s of every stream, the streams'
 blocks laid end to end, with its logs taken once per distinct reference
 size. It builds each path's ranking index on first use, over that one
-table. ``run_many`` and ``Monitor`` take plain references, which they turn
-into a context of their own, or a context, which they share: calibration
-and training build one and hand it to every call they make. Ranking a
-value gives its column in the table, the stream's first column plus its
-count, and a step gathers both log terms of all p streams with one
-``take``, so no path divides or takes a log per sample, and every path
-reads the same bits.
+table, and is read-only once built, so any number of monitors and
+``run_many`` calls, from any threads, share it. ``run_many`` and
+``Monitor`` take a context, which they share (training builds one and
+hands it to every call it makes), or plain references. Plain references
+go through ``_References.of``, which keeps the context of the last plain
+references it was given: a later call whose references equal those bit
+for bit reuses it, so an operator's loop of public calls over one
+reference set builds one context. Ranking a value gives its column in the
+table, the stream's first column plus its count, and a step gathers both
+log terms of all p streams with one ``take``, so no path divides or takes
+a log per sample, and every path reads the same bits.
 
 Ranking picks its method by the path. A monitor ranks each sample's p
 values through one index of all references (``_StepIndex``): one vectorized
@@ -64,7 +68,8 @@ dominates when each searches a single key. Each stream's reference values
 are complex keys ``stream + value j``, and the sample's value for stream i
 is searched as ``i + z_i j``; numpy orders complex numbers by real part,
 then imaginary part, so that one search ranks every stream within its own
-block and returns the sample's columns directly.
+block and returns the sample's columns directly. The query and the
+gathered terms are each monitor's own buffers, not the index's.
 
 ``Monitor._advance`` is the whole per-sample kernel: rank, gather, CUSUM
 step, V as a Python float. ``Monitor.step`` checks its sample, advances and
@@ -416,6 +421,8 @@ class _StepIndex:
     ``take`` along the columns gathers both log terms of all p streams,
     stacked as ``_Cusum.w`` is. Memory is O(N + p) for N reference values
     in all, besides the table, which is its context's (:class:`_References`).
+    The index holds no per-call buffer and is never written after it is
+    built: each caller passes its own query and terms.
     """
 
     def __init__(self, references: list[np.ndarray], logs: np.ndarray):
@@ -424,23 +431,16 @@ class _StepIndex:
         keys.real = np.repeat(np.arange(sizes.size), sizes + 1)
         keys.imag = np.concatenate([np.append(ref, np.inf) for ref in references])
         self._keys = keys
-        # One sample's keys; step writes z into the imaginary parts through
-        # a view made once.
-        self._query = np.arange(sizes.size, dtype=complex)
-        self._query_imag = self._query.imag
         self._logs = logs
-        # The sample's log terms, stacked as ``_Cusum.w`` is; each step
-        # overwrites them.
-        self._terms = np.empty((2, sizes.size))
 
-    def log_terms(self, sample: np.ndarray) -> np.ndarray:
-        """``log(mu)`` and ``log(1 - mu)`` for one finite sample of shape
-        ``(p,)``, as one ``(2, p)`` array that the next call overwrites."""
-        self._query_imag[...] = sample
-        at = self._keys.searchsorted(self._query)
+    def log_terms(self, query: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """``log(mu)`` and ``log(1 - mu)`` for one finite sample, written to
+        ``terms`` of shape ``(2, p)`` and returned. ``query`` holds the
+        sample as the ``(p,)`` complex keys ``i + z_i j``."""
+        at = self._keys.searchsorted(query)
         # Every column searched is in range, so mode="clip" changes none; it
         # spares take the bounds check and output copy of mode="raise".
-        return self._logs.take(at, axis=1, out=self._terms, mode="clip")
+        return self._logs.take(at, axis=1, out=terms, mode="clip")
 
 
 class _References:
@@ -453,11 +453,20 @@ class _References:
     :class:`_RankIndex` list (``rank_index``) and the monitor's
     :class:`_StepIndex` (``step_index``) are built on first use and kept,
     so every ``run_many`` call and every :class:`Monitor` given one context
-    shares them; monitors of one context share the step index's buffers,
-    and so are stepped from one thread. Public entry points take plain
-    references or a context through :meth:`of`, so a public call with
-    plain references builds its own.
+    shares them. Nothing is written to a context after it is built (the
+    lazy indexes aside), so monitors that share one may be stepped from
+    different threads.
+
+    Public entry points take plain references or a context through
+    :meth:`of`. It keeps one entry: float64 copies of the last plain
+    references it was given and the context built from them: at p = 20 and
+    s = 3000, 2.9 MB with the batch index, copies included, and 3.9 MB once
+    a monitor has built the step index too. Plain references equal to the
+    copies bit for bit get that context back instead of a new one.
     """
+
+    # ``of``'s one entry: (float64 copies of plain references, their context).
+    _kept: tuple[list[np.ndarray], "_References"] | None = None
 
     def __init__(self, references, stream_count: int):
         if len(references) != stream_count:
@@ -472,13 +481,27 @@ class _References:
 
     @classmethod
     def of(cls, references, stream_count: int) -> "_References":
-        """The context of ``references``: a context of ``stream_count``
-        streams is returned as it is; anything else goes to the constructor,
-        which checks and sorts plain references and refuses a context of
-        another stream count."""
-        if isinstance(references, cls) and len(references) == stream_count:
-            return references
-        return cls(references, stream_count)
+        """The context of ``references``.
+
+        A context of ``stream_count`` streams is returned as it is, and one
+        of another stream count goes to the constructor, which refuses it.
+        Plain references that match the kept copies in count, shapes and
+        bits (so -0.0 is not 0.0) get the kept context: those bits already
+        passed :func:`build_reference`, and a new context would hold the
+        same arrays, table and indexes. Any others are checked and sorted
+        into a new context, which replaces the kept entry.
+        """
+        if isinstance(references, cls):
+            if len(references) == stream_count:
+                return references
+            return cls(references, stream_count)
+        plain = [np.asarray(ref, dtype=float) for ref in references]
+        kept = cls._kept
+        if kept is not None and len(kept[1]) == stream_count and _same_bits(plain, kept[0]):
+            return kept[1]
+        refs = cls(plain, stream_count)
+        cls._kept = ([ref.copy() for ref in plain], refs)
+        return refs
 
     @functools.cached_property
     def rank_index(self) -> list[_RankIndex]:
@@ -487,6 +510,14 @@ class _References:
     @functools.cached_property
     def step_index(self) -> _StepIndex:
         return _StepIndex(self.arrays, self.logs)
+
+
+def _same_bits(arrays: list[np.ndarray], kept: list[np.ndarray]) -> bool:
+    """Whether two lists of float64 arrays match in count, shapes and bits."""
+    return len(arrays) == len(kept) and all(
+        a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+        for a, b in zip(arrays, kept)
+    )
 
 
 class _Cusum:
@@ -678,11 +709,14 @@ def _advance_chunks(
 class Monitor:
     """Streaming detector over p standardized streams.
 
-    A monitor holds the step index of its reference context (its own, when
-    built from plain references), the per-stream CUSUM state, and a sample
-    counter. One private kernel, ``_advance``, consumes one checked sample
-    and returns V as a float: it ranks the sample, gathers its log terms
-    from one table and steps the CUSUM. ``step`` checks one sample,
+    A monitor holds the step index of its reference context (the kept one
+    of :meth:`_References.of`, when built from plain references), its own
+    query and log-term buffers, the per-stream CUSUM state, and a sample
+    counter. The context is only read, so monitors that share one may be
+    stepped from different threads; each monitor itself is stepped from one
+    thread at a time. One private kernel, ``_advance``, consumes one
+    checked sample and returns V as a float: it ranks the sample, gathers
+    its log terms from one table and steps the CUSUM. ``step`` checks one sample,
     advances and reports the result; ``run`` checks a batch once and
     advances it one row at a time, so it is bit-identical to the equivalent
     sequence of ``step`` calls. Batches replayed from zeroed state, many
@@ -700,6 +734,12 @@ class Monitor:
     def __init__(self, references, config: MonitorConfig):
         self.config = config
         self._index = _References.of(references, config.stream_count).step_index
+        # The sample as the step index searches it, the complex keys
+        # ``i + z_i j``, whose imaginary parts ``_advance`` overwrites
+        # through a view made once, and the log terms gathered for it.
+        self._query = np.arange(config.stream_count, dtype=complex)
+        self._query_imag = self._query.imag
+        self._terms = np.empty((2, config.stream_count))
         self._cusum = _Cusum(config)
         self._time = 0
 
@@ -711,7 +751,8 @@ class Monitor:
     def _advance(self, sample: np.ndarray) -> float:
         """Advance the CUSUM by one checked sample, a 1-D float array of p
         finite values, and return V; the sample counter is left as is."""
-        return float(self._cusum.step(self._index.log_terms(sample)))
+        self._query_imag[...] = sample
+        return float(self._cusum.step(self._index.log_terms(self._query, self._terms)))
 
     def step(self, sample) -> MonitorOutput:
         """Consume one standardized sample of shape ``(p,)``."""
@@ -750,7 +791,9 @@ def run_many(
     Args:
         references: In-control histories, one per stream, or a
             :class:`_References` context of ``config.stream_count`` streams,
-            whose ranking structures are then reused.
+            whose ranking structures are then reused. Histories equal bit
+            for bit to the previous plain references of a public call reuse
+            that call's context (:meth:`_References.of`).
         config: Detection parameters.
         runs: Iterable of equal-shaped ``(T, p)`` arrays, such as a
             generator or an array of shape ``(R, T, p)``; every run starts

@@ -28,8 +28,10 @@ Training (``_setup``) checks and sorts the references into one reference
 context (``detector._References``) and hands it to calibration, to
 ``_detect_runs`` and to ``_fit``, so the log table and ranking indexes
 are built once per training, and the bundle stores the context's sorted
-arrays. Evaluation's ``_detect_runs`` builds one context for all its
-draws.
+arrays. Evaluation's ``_detect_runs`` shares one context between all its
+draws: the bundle's references are plain arrays, so repeated evaluations
+and ``online_monitor`` calls over one bundle reuse the context that
+``detector._References.of`` keeps for them.
 
 Evaluation (``_score``) groups the faulty runs by fault id once and writes
 each per-fault rate of :class:`EvalReport` as its definition over that

@@ -6,9 +6,13 @@ evaluate the same expressions (np.log, ascending top-r sum), so equality
 is exact, not approximate.
 """
 
+import gc
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -16,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from faultmon import detector
+from faultmon import bundle, calibrate, detector
 from faultmon.errors import (
     BadRError,
     DimensionMismatchError,
@@ -778,3 +782,135 @@ def test_chunked_run_many_matches_stepping_bitwise(case):
     for r, run in enumerate(data):
         expected = _step_with_resets(refs, config, run, reset_on_alarm=reset)
         np.testing.assert_array_equal(got[r].view(np.int64), expected.view(np.int64))
+
+
+@pytest.fixture
+def built_contexts(monkeypatch):
+    """Empties ``_References.of``'s kept entry and counts every context
+    built from then on; returns the one-item count list."""
+    monkeypatch.setattr(detector._References, "_kept", None)
+    count = [0]
+    init = detector._References.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(detector._References, "__init__", counting)
+    return count
+
+
+def _far_case(p=4, s=40, runs=3, t_len=300, seed=20):
+    """Plain references, a config at H = 6 and a source of runs wider than
+    the references, which alarm now and then."""
+    rng = np.random.default_rng(seed)
+    refs = [rng.normal(size=s) for _ in range(p)]
+    data = rng.normal(size=(runs, t_len, p)) * 1.3
+    config = detector.MonitorConfig(1.3, 2, p, threshold=6.0)
+    return refs, config, data, lambda r, start, n: data[r, start : start + n]
+
+
+def _public_calls(refs, config, data, source):
+    """One ``run_many`` with resets and one FAR estimate over ``refs``."""
+    trace = detector.run_many(refs, config, data, reset_on_alarm=True)
+    far = calibrate.estimate_false_alarm_rate(6.0, refs, config, source, 2, 250)
+    return trace, far
+
+
+def test_repeated_public_calls_build_one_context(built_contexts):
+    refs, config, data, source = _far_case()
+    fresh = detector._References(refs, len(refs))
+    expected_trace, expected_far = _public_calls(fresh, config, data, source)
+    built_contexts[0] = 0
+    for _ in range(3):
+        trace, far = _public_calls(refs, config, data, source)
+        np.testing.assert_array_equal(trace.view(np.int64), expected_trace.view(np.int64))
+        assert far == expected_far
+    assert built_contexts[0] == 1
+    # Monitors over the same plain references share the kept context.
+    first, second = detector.Monitor(refs, config), detector.Monitor(refs, config)
+    assert first._index is second._index
+    assert built_contexts[0] == 1
+
+
+@pytest.mark.parametrize("edit", ["value", "negative-zero"])
+def test_edited_reference_rebuilds_context(built_contexts, edit):
+    refs, config, data, source = _far_case()
+    refs[1][7] = 0.0
+    _public_calls(refs, config, data, source)
+    # An in-place edit of a caller's array, even one that compares equal
+    # as a float, makes the next call build a new context.
+    refs[1][7] = 0.25 if edit == "value" else -0.0
+    trace, far = _public_calls(refs, config, data, source)
+    assert built_contexts[0] == 2
+    expected_trace, expected_far = _public_calls(
+        detector._References(refs, len(refs)), config, data, source
+    )
+    np.testing.assert_array_equal(trace.view(np.int64), expected_trace.view(np.int64))
+    assert far == expected_far
+
+
+def test_equal_bits_in_other_arrays_hit(built_contexts, trained_bundle, tmp_path):
+    # A saved-then-loaded bundle holds distinct arrays with the same bits.
+    path = tmp_path / "bundle.json"
+    bundle.save_bundle(trained_bundle, path)
+    loaded = bundle.load_bundle(path)
+    assert loaded.references[0] is not trained_bundle.references[0]
+    in_memory = detector.Monitor(trained_bundle.references, trained_bundle.config)
+    from_file = detector.Monitor(loaded.references, loaded.config)
+    assert from_file._index is in_memory._index
+    assert built_contexts[0] == 1
+
+
+def test_kept_context_checks_stream_count_and_is_replaced(built_contexts):
+    refs, config, data, source = _far_case()
+    first = detector._References.of(refs, len(refs))
+    wider = detector.MonitorConfig(1.3, 2, len(refs) + 1)
+    with pytest.raises(DimensionMismatchError, match="4 references for 5 streams"):
+        detector.run_many(refs, wider, np.zeros((1, 5, len(refs) + 1)))
+    with pytest.raises(DimensionMismatchError, match="3 references for 4 streams"):
+        detector.run_many(refs[:-1], config, data)
+    assert detector._References.of(refs, len(refs)) is first
+    # Another reference set replaces the one kept entry, so the first
+    # context is released once its callers drop it.
+    kept = weakref.ref(first)
+    del first
+    other = detector._References.of([ref + 1.0 for ref in refs], len(refs))
+    gc.collect()
+    assert kept() is None
+    assert detector._References._kept[1] is other
+
+
+def test_monitors_sharing_a_context_step_from_threads():
+    # Four monitors over one context step their own runs, one sample each
+    # per barrier round, from four threads that switch as often as the
+    # interpreter allows. Each V trace must be, bit for bit, the one its
+    # monitor gives alone: the context holds no per-sample buffer.
+    rng = np.random.default_rng(21)
+    p, workers = 6, 4
+    context = detector._References([rng.normal(size=50) for _ in range(p)], p)
+    config = detector.MonitorConfig(0.3, 3, p)
+    data = [rng.normal(size=(400, p)) * (1.0 + w) for w in range(workers)]
+    alone = [detector.Monitor(context, config).run(run).global_stats for run in data]
+    barrier = threading.Barrier(workers, timeout=60)
+    traces = [[] for _ in range(workers)]
+
+    def step(which):
+        monitor = detector.Monitor(context, config)
+        for row in data[which]:
+            barrier.wait()
+            traces[which].append(monitor.step(row).global_stat)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=step, args=(w,)) for w in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, expected in zip(traces, alone):
+        np.testing.assert_array_equal(np.array(got).view(np.int64), expected.view(np.int64))
