@@ -10,9 +10,9 @@ returning ``count`` consecutive standardized in-control samples of shape
 ``(count, p)`` for one replication. Sources must be deterministic and
 addressable: the same arguments always return the same values regardless
 of call order, which makes every estimate here reproducible. In
-particular ``source(r, 0, n)`` is the first n rows of ``source(r, 0, m)``
-for n <= m, so a run simulated to n samples is a prefix of the same run
-simulated further.
+particular ``source(r, a, n)`` is rows a to a + n - 1 of ``source(r, 0,
+m)`` for a + n <= m, so a run simulated to a samples is resumed by
+drawing from offset a, and the result is the run simulated in one draw.
 
 Runs are simulated lazily, and the results are those of simulating every
 run to the cap. Each replication is first simulated to
@@ -26,8 +26,9 @@ its simulated length and the cap. Every question the search asks of the
 mean run length is a comparison that is monotone in the mean, or an
 interval of it, and the exact mean lies between the means of the lower
 and upper bounds, so the question is settled once both bound means give
-the same answer. Until they do, the undecided runs are simulated again
-from t = 0 to twice their length, at most the cap. An estimate that is
+the same answer. Until they do, the undecided runs are resumed where they
+stopped, from their CUSUM state there, to twice their length, at most the
+cap, so every sample is drawn, ranked and stepped once. An estimate that is
 reported (``estimate_arl``, the chosen threshold's ``achieved_arl``, an
 error message) is exact: its runs are extended until each one has
 crossed or reached the cap.
@@ -80,11 +81,15 @@ _MAX_EXPANSIONS = 60
 _H_BRACKET = (0.5, 32.0)
 # Every run is first simulated to this many target ARLs (at most the cap).
 # The in-control run length is near-geometric, so about e^-2, 13.5%, of
-# the runs outlast two ARLs and are drawn again. Four ARLs draw every run
+# the runs outlast two ARLs and are resumed. Four ARLs draw every run
 # twice as far to spare the e^-4, 2%, that outlast them. One ARL draws
-# fewer rows but leaves e^-1, 37%, open: ~750 replication draws instead
-# of ~400-460, each with a fixed cost (seeding the source's generators)
-# that outweighs the rows saved.
+# fewer rows but leaves e^-1, 37%, open, and so makes more draws, each
+# with a fixed cost (seeding the source's generators, ~1 ms for a draw
+# of the 20-stream process) that outweighs the rows saved: the seed-0
+# process search (ARL0 200, 400 replications) draws 165,800 rows in 753
+# draws from one ARL, 184,400 rows in 459 draws from two, and 321,600
+# rows in 402 draws from four; from one it took 1.42-1.48 CPU-s, from two
+# 1.20-1.21 (one pinned CPU, ``OPENBLAS_NUM_THREADS=1``).
 _PREFIX_ARLS = 2
 
 
@@ -228,7 +233,7 @@ def _in_control_traces(references, config, source, spec: CalibrationSpec) -> _Ru
     samples, at most the cap."""
     prefix = int(round(_PREFIX_ARLS * spec.target_arl0))
     caps = np.full(spec.replications, spec.run_length_cap)
-    return _RunLengths(references, config, lambda i, n: source(i, 0, n), prefix, caps)
+    return _RunLengths(references, config, source, prefix, caps)
 
 
 def estimate_arl(
@@ -245,11 +250,10 @@ def estimate_arl(
     Check ``censored_fraction`` before trusting the number.
 
     Each run is simulated to ``min(cap, 2 * spec.target_arl0)`` samples,
-    then only the runs that have not crossed are simulated further, from
-    t = 0 to twice their length, until each crosses or reaches the cap.
-    The result equals simulating every run to the cap, given a source
-    whose shorter draws are prefixes of its longer ones (see the module
-    docstring).
+    then only the runs that have not crossed are resumed where they
+    stopped, to twice their length, until each crosses or reaches the cap.
+    The result equals simulating every run to the cap, given an
+    addressable source (see the module docstring).
     """
     return _in_control_traces(references, config, source, spec).estimate(threshold)
 
@@ -275,7 +279,8 @@ def find_threshold(
     search over every run simulated to the cap. Only the chosen threshold
     gets an exact estimate, and so a standard error. One DEBUG record on
     the ``faultmon.calibrate`` logger gives the chosen H, the evaluations,
-    and the replications drawn and rows simulated, redraws included.
+    and the replication draws and rows simulated; each row is simulated
+    once.
 
     Raises:
         BracketError: The bracket cannot be expanded to straddle the
@@ -383,7 +388,7 @@ def estimate_false_alarm_rate(
         raise EmptyInputError("replications and run_length must be at least 1")
     cfg = config.with_threshold(threshold)
     lazy = detector._LazyTraces(
-        references, cfg, lambda i, n: source(i, 0, n), run_length,
+        references, cfg, source, run_length,
         np.full(replications, run_length), reset_on_alarm=True,
     )
     return int(np.count_nonzero(lazy.traces >= threshold)) / (replications * run_length)

@@ -33,7 +33,8 @@ three passes:
 
 1. Every chunk runs from zeroed state, keeping its first states.
 2. Every chunk runs again from its predecessor's pass-1 end state (a
-   run's first chunk from zeroed state) until all meet their kept ones.
+   run's first chunk from the run's entry state) until all meet their
+   kept ones.
 3. In chunk order, a chunk whose predecessor's true end state is not its
    pass-2 entry is re-run from that true end.
 
@@ -96,13 +97,17 @@ sample's table column over it through an intp view of the same memory;
 columns are integers, copied through intp views only and never as floats
 (as floats they would be subnormal numbers), so no copy depends on a float
 copy keeping an integer's bits. The recursion then advances the block from
-zeroed state, gathering one time step's log terms at a time into a buffer
-of the state's shape.
+zeroed state, or from the state a caller hands ``run_many`` (``state``),
+gathering one time step's log terms at a time into a buffer of the state's
+shape, and hands the runs' end state back the same way. A run advanced
+over two spans, the second from the first's end state, gets the bits of
+one pass over both.
 
 ``_LazyTraces``, beside ``run_many``, owns "V traces of many runs, each
 simulated only as far as a question needs": runs are drawn to a prefix and
-re-drawn from t = 0 at twice their length, each draw one ``run_many`` call
-over one reference context. Threshold calibration
+resumed, from where their last draw ended, to twice their length, each
+draw one ``run_many`` call over one reference context, so every sample is
+drawn, ranked and stepped once. Threshold calibration
 (:mod:`faultmon.calibrate`) asks it about in-control run lengths, and
 training (:mod:`faultmon.pipeline`) for each fault run's trace through its
 classification point.
@@ -582,9 +587,10 @@ def _run_recursion(
     block: np.ndarray,
     config: MonitorConfig,
     reset_at: float | None = None,
+    state: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rank a block of runs and drive the CUSUM recursion over their time
-    axis, every run from zeroed state.
+    axis, every run from zeroed state or from ``state``.
 
     A block of fewer than ``_LOCKSTEP_WIDTH`` runs that is long enough is
     advanced as time chunks side by side (:func:`_advance_chunks`); the
@@ -600,6 +606,9 @@ def _run_recursion(
             columns, stacked as a ``_Cusum`` state is.
         config: Detection parameters.
         reset_at: If given, zero the state of each run whose V reaches it.
+        state: If given, W- and W+ of shape ``(2, R, p)``, laid out as a
+            ``_Cusum`` state is: each run starts from its slice, and the
+            slice is overwritten with the run's end state.
 
     Returns:
         V of shape ``(R, T)``.
@@ -608,14 +617,18 @@ def _run_recursion(
     runs, steps = block.shape[:2]
     v = np.empty((runs, steps))
     cusum = _Cusum(config, (runs,), reset_at)
+    if state is not None:
+        cusum.w[...] = state
     chunks = min(_LOCKSTEP_WIDTH // runs, steps // _MIN_CHUNK)
     done = 0
     if chunks >= 2:
         done = chunks * (steps // chunks)
         cusum.w[...] = _advance_chunks(
-            logs, cols[:, :done], v[:, :done], config, chunks, reset_at
+            logs, cols[:, :done], v[:, :done], config, chunks, reset_at, cusum.w
         )
     _advance_steps(cusum, logs, cols[:, done:], v[:, done:])
+    if state is not None:
+        state[...] = cusum.w
     return v
 
 
@@ -634,11 +647,11 @@ def _advance_steps(cusum: _Cusum, logs: np.ndarray, cols: np.ndarray, v: np.ndar
 
 def _advance_chunks(
     logs: np.ndarray, cols: np.ndarray, v: np.ndarray, config: MonitorConfig, chunks: int,
-    reset_at: float | None,
+    reset_at: float | None, start: np.ndarray,
 ) -> np.ndarray:
-    """Advance R runs from zeroed state through their T steps as R x chunks
-    time chunks of L = T / chunks steps, bit-identical to stepping them, in
-    three passes.
+    """Advance R runs from their entry state through their T steps as R x
+    chunks time chunks of L = T / chunks steps, bit-identical to stepping
+    them, in three passes.
 
     Args:
         logs: The log table.
@@ -647,6 +660,7 @@ def _advance_chunks(
         config: Detection parameters.
         chunks: Chunks per run, from 2 to T, dividing T.
         reset_at: If given, zero the state of each run whose V reaches it.
+        start: The runs' entry state, of shape ``(2, R, p)``.
 
     Returns:
         The runs' state after their last step, of shape ``(2, R, p)``.
@@ -654,7 +668,7 @@ def _advance_chunks(
     1. Every chunk runs from zeroed state, keeping its state after each of
        its first ``_STORED_STEPS`` steps.
     2. Every chunk runs from its predecessor's pass-1 end state (a run's
-       first chunk from zeroed state) until every chunk's state equals its
+       first chunk from ``start``) until every chunk's state equals its
        stored state at the same step, or to the chunks' end.
     3. In chunk order, a chunk whose predecessor's true end state differs
        from its pass-2 entry is re-run from that true end to its own end,
@@ -685,7 +699,8 @@ def _advance_chunks(
     # Pass 2, after which ``end`` holds each chunk's end state from its
     # pass-2 entry.
     end = side_by_side.w.copy()
-    entry = np.zeros_like(end)
+    entry = np.empty_like(end)
+    entry[:, :, 0] = start
     entry[:, :, 1:] = end[:, :, :-1]
     side_by_side.w[...] = entry
     for s in range(length):
@@ -719,8 +734,8 @@ class Monitor:
     its log terms from one table and steps the CUSUM. ``step`` checks one sample,
     advances and reports the result; ``run`` checks a batch once and
     advances it one row at a time, so it is bit-identical to the equivalent
-    sequence of ``step`` calls. Batches replayed from zeroed state, many
-    runs at a time, go through :func:`run_many`.
+    sequence of ``step`` calls. Batches of many runs at a time go through
+    :func:`run_many`.
 
     Time indices are 0-based: the first sample consumed after construction
     (or :meth:`reset`) has ``time_index == 0``.
@@ -777,14 +792,15 @@ class Monitor:
 
 
 def run_many(
-    references, config: MonitorConfig, runs, *, reset_on_alarm: bool = False
+    references, config: MonitorConfig, runs, *, reset_on_alarm: bool = False,
+    state: np.ndarray | None = None,
 ) -> np.ndarray:
     """Global-statistic traces for many runs advanced in lockstep.
 
     Runs are copied one at a time into an ``(R, T, p)`` block of at most
     ``_BLOCK_BYTES``; each full block, and the last part-filled one, is
-    ranked and advanced from zeroed state by :func:`_run_recursion`
-    and then released, so at most one block is alive. A block of fewer
+    ranked and advanced by :func:`_run_recursion` and then released, so
+    at most one block is alive. A block of fewer
     than ``_LOCKSTEP_WIDTH`` runs, such as the one run of a false-alarm-rate
     check, advances as time chunks side by side, with the same result.
 
@@ -796,20 +812,33 @@ def run_many(
             that call's context (:meth:`_References.of`).
         config: Detection parameters.
         runs: Iterable of equal-shaped ``(T, p)`` arrays, such as a
-            generator or an array of shape ``(R, T, p)``; every run starts
-            from zeroed state.
+            generator or an array of shape ``(R, T, p)``.
         reset_on_alarm: Zero a run's state after each alarm at
             ``config.threshold``, as :meth:`Monitor.reset` would.
+        state: ``None`` starts every run from zeroed state. Otherwise a
+            float64 array of shape ``(2, R, p)`` holding each run's W- and
+            W+ (``state[0]`` and ``state[1]``, as ``_Cusum.w`` lays them
+            out): run r starts from ``state[:, r]``, and once every run
+            has been advanced, its end state overwrites that slice. A run
+            advanced over samples ``[0, a)`` and then, from the state so
+            written, over ``[a, T)`` gets the V and end state of one call
+            over ``[0, T)``, bit for bit. ``state`` is left as it was when
+            the call raises.
 
     Returns:
         V traces of shape ``(R, T)``, bit-identical to running each run
         through its own :class:`Monitor`.
 
     Raises:
-        DimensionMismatchError: A run is not ``(T, p)`` with the first run's T.
+        DimensionMismatchError: A run is not ``(T, p)`` with the first run's
+            T, or ``state`` is not ``(2, R, p)``.
         EmptyInputError: There is no run, or T is 0.
         NonFiniteValueError: A run holds NaN or infinity.
     """
+    if state is not None and (state.ndim != 3 or state.shape[::2] != (2, config.stream_count)):
+        raise DimensionMismatchError(
+            f"state must have shape (2, R, {config.stream_count}), got {state.shape}"
+        )
     refs = _References.of(references, config.stream_count)
     # Taken before the first block is allocated: built after it, the
     # indexes made a one-run call of 3000 samples at p = 20 about 1.2 ms
@@ -817,9 +846,20 @@ def run_many(
     # though ranking does the same work.
     rank_index, logs = refs.rank_index, refs.logs
     reset_at = config.threshold if reset_on_alarm else None
-    traces, shape, block, filled = [], None, None, 0
+    # The runs advance from, and write their end state into, a copy, which
+    # goes to ``state`` only once every run has passed its checks.
+    end = None if state is None else np.array(state, dtype=float)
+    traces, shape, block, filled, done = [], None, None, 0, 0
+
+    def advance(block):
+        # The block's runs follow the ``done`` runs of the earlier blocks.
+        part = None if end is None else end[:, done : done + block.shape[0]]
+        return _run_recursion(rank_index, logs, block, config, reset_at, part)
+
     for index, run in enumerate(runs):
         run = _check_samples(run, config.stream_count, 2)
+        if end is not None and index == end.shape[1]:
+            raise DimensionMismatchError(f"state holds {index} runs, got more")
         if shape is None:
             shape, capacity = run.shape, max(1, _BLOCK_BYTES // run.nbytes)
         elif run.shape != shape:
@@ -834,15 +874,19 @@ def run_many(
         block[filled] = run
         filled += 1
         if filled == capacity:
-            traces.append(_run_recursion(rank_index, logs, block, config, reset_at))
-            block, filled = None, 0
+            traces.append(advance(block))
+            block, filled, done = None, 0, done + filled
     if shape is None:
         raise EmptyInputError("no runs")
+    if end is not None and done + filled != end.shape[1]:
+        raise DimensionMismatchError(f"state holds {end.shape[1]} runs, got {done + filled}")
     if filled:
-        traces.append(_run_recursion(rank_index, logs, block[:filled], config, reset_at))
+        traces.append(advance(block[:filled]))
     # Released before the traces are joined, so that the join does not add
     # to the peak.
     block = None
+    if end is not None:
+        state[...] = end
     return np.concatenate(traces)
 
 
@@ -850,27 +894,31 @@ class _LazyTraces:
     """V traces of many runs, each simulated only as far as a question needs.
 
     Built over a reference context (or plain references, through
-    :meth:`_References.of`), a config and ``rows(i, length)``, which returns
-    run i's first ``length`` samples, shape ``(length, p)``; a shorter draw
-    must be a prefix of a longer one. Run i is first simulated to
-    ``min(prefix[i], caps[i])`` samples, and ``extend`` simulates runs again
-    from t = 0 to twice their length, at most their cap. Every draw is one
-    call of the module's ``run_many`` over the runs drawn to one length,
-    all sharing the one context. Calibration asks about in-control run
-    lengths (:mod:`faultmon.calibrate`); training
+    :meth:`_References.of`), a config and ``rows(i, start, count)``, which
+    returns run i's ``count`` samples from ``start`` on, shape ``(count,
+    p)``, as a calibration source does; draws of one run over adjacent
+    spans must join into the draw over both. Run i is first simulated to
+    ``min(prefix[i], caps[i])`` samples, and ``extend`` resumes runs to
+    twice their length, at most their cap: each run keeps the CUSUM state
+    its last draw ended in, and ``run_many`` (``state``) carries on from it
+    over the new samples only, with the bits of a run simulated in one
+    draw. Every draw is one call of the module's ``run_many`` over the runs
+    drawn over one span, all sharing the one context. Calibration asks
+    about in-control run lengths (:mod:`faultmon.calibrate`); training
     (:func:`faultmon.pipeline._detect_runs`) asks for each fault run's
     trace through its classification point.
 
     Row i of ``traces`` holds run i's trace over its first
     ``simulated[i]`` samples and ``-inf`` after them, so the first
     crossing of any threshold lies in the simulated part. ``draws`` and
-    ``rows`` count the runs drawn and the samples simulated so far,
-    redraws included. With ``reset_on_alarm`` every draw zeroes a run's
-    state after each alarm at ``config.threshold``, as ``run_many`` does;
-    the false-alarm-rate check draws its runs once, whole, that way.
+    ``rows`` count the runs drawn and the samples simulated so far; each
+    sample is simulated once, so ``rows`` is the sum of ``simulated``.
+    With ``reset_on_alarm`` every draw zeroes a run's state after each
+    alarm at ``config.threshold``, as ``run_many`` does; the
+    false-alarm-rate check draws its runs once, whole, that way.
 
     Raises:
-        DimensionMismatchError: A draw is not exactly ``length`` samples.
+        DimensionMismatchError: A draw is not exactly ``count`` samples.
     """
 
     def __init__(self, references, config, rows, prefix, caps, reset_on_alarm=False):
@@ -879,28 +927,41 @@ class _LazyTraces:
         self.caps = np.asarray(caps)
         self.traces = np.empty((self.caps.size, 0))
         self.simulated = np.zeros(self.caps.size, dtype=int)
+        # Each run's W- and W+ where its last draw ended, laid out as
+        # ``run_many``'s ``state``.
+        self._state = np.zeros((2, self.caps.size, config.stream_count))
         self.draws = self.rows = 0
         self._simulate(np.arange(self.caps.size), np.minimum(prefix, self.caps))
 
-    def _simulate(self, runs: np.ndarray, lengths: np.ndarray) -> None:
-        """Simulate each of ``runs`` from t = 0 to its entry of ``lengths``."""
-        for length in np.unique(lengths).tolist():
-            group = runs[lengths == length]
-            drawn = (self._draw_rows(i, length) for i in group.tolist())
-            block = run_many(self._refs, self._config, drawn, reset_on_alarm=self._reset)
-            if block.shape[1] != length:
-                raise DimensionMismatchError(
-                    f"rows returned {block.shape[1]} samples per run, expected {length}"
-                )
-            if length > self.traces.shape[1]:
-                wider = np.full((self.caps.size, length), -np.inf)
-                wider[:, : self.traces.shape[1]] = self.traces
-                self.traces = wider
-            self.traces[group, :length] = block
-            self.simulated[group] = length
-            self.draws += group.size
-            self.rows += group.size * length
+    def _simulate(self, runs: np.ndarray, stops: np.ndarray) -> None:
+        """Simulate each of ``runs`` from its simulated length to its entry
+        of ``stops``."""
+        starts = self.simulated[runs]
+        for start in np.unique(starts).tolist():
+            for stop in np.unique(stops[starts == start]).tolist():
+                self._draw(runs[(starts == start) & (stops == stop)], start, stop)
+
+    def _draw(self, group: np.ndarray, start: int, stop: int) -> None:
+        """Simulate ``group``, runs simulated to ``start``, on to ``stop``
+        in one ``run_many`` call."""
+        count = stop - start
+        drawn = (self._draw_rows(i, start, count) for i in group.tolist())
+        state = self._state[:, group]
+        block = run_many(self._refs, self._config, drawn, reset_on_alarm=self._reset, state=state)
+        if block.shape[1] != count:
+            raise DimensionMismatchError(
+                f"rows returned {block.shape[1]} samples per run, expected {count}"
+            )
+        if stop > self.traces.shape[1]:
+            wider = np.full((self.caps.size, stop), -np.inf)
+            wider[:, : self.traces.shape[1]] = self.traces
+            self.traces = wider
+        self.traces[group, start:stop] = block
+        self._state[:, group] = state
+        self.simulated[group] = stop
+        self.draws += group.size
+        self.rows += group.size * count
 
     def extend(self, runs: np.ndarray) -> None:
-        """Simulate ``runs`` again from t = 0, to twice their length or their cap."""
+        """Resume ``runs`` to twice their length or their cap."""
         self._simulate(runs, np.minimum(2 * self.simulated[runs], self.caps[runs]))

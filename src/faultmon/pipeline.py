@@ -178,12 +178,13 @@ def _detect_runs(runs, references, config, stats, patience=None) -> list[_Detect
     every post-onset sample. With it, each run is simulated only as far as
     training's classification window reads it, by the lazy doubling of
     :class:`detector._LazyTraces`: first to ``onset + patience +
-    _PREFIX_MARGIN`` samples, then, from t = 0 at twice the length and at
-    most the run's end, only the runs whose prefix reaches neither the
-    classification point (first post-onset alarm + patience) nor the end.
-    A prefix is bit-identical to the start of the whole trace, so the
-    alarms and windows are those of whole traces. Each run is standardized
-    whole, and so checked, every time it is drawn. ``references`` may be
+    _PREFIX_MARGIN`` samples, then, resumed where it stopped to twice the
+    length and at most the run's end, only the runs whose prefix reaches
+    neither the classification point (first post-onset alarm + patience)
+    nor the end. A prefix is bit-identical to the start of the whole trace,
+    so the alarms and windows are those of whole traces. A run's first
+    draw standardizes it whole, and so checks every row of it once; a
+    later draw standardizes only its own rows. ``references`` may be
     plain references or a reference context (``detector._References``);
     every draw shares one context.
     """
@@ -192,11 +193,13 @@ def _detect_runs(runs, references, config, stats, patience=None) -> list[_Detect
     lengths = np.array([run.data.shape[0] for run in runs])
     onsets = np.array([0 if run.onset is None else run.onset for run in runs])
 
+    def rows(i, start, count):
+        if start == 0:
+            return standardize.apply(runs[i].data, stats)[:count]
+        return standardize.apply(runs[i].data[start : start + count], stats)
+
     prefix = lengths if patience is None else onsets + patience + _PREFIX_MARGIN
-    lazy = detector._LazyTraces(
-        references, config, lambda i, n: standardize.apply(runs[i].data, stats)[:n],
-        prefix, lengths,
-    )
+    lazy = detector._LazyTraces(references, config, rows, prefix, lengths)
     while True:
         after_onset = np.arange(lazy.traces.shape[1]) >= onsets[:, np.newaxis]
         hits = (lazy.traces >= config.threshold) & after_onset

@@ -267,8 +267,11 @@ def _uniforms(seed: int, spawn_key: tuple, start: int, count: int) -> np.ndarray
         np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
     )
     # Philox advances one 256-bit block per counter tick, i.e. 4 doubles,
-    # so positioning inside a block discards the leading draws.
-    bit_gen.advance(start // 4)
+    # so positioning inside a block discards the leading draws. A fresh
+    # generator already stands at block 0, so a draw from there skips the
+    # call.
+    if start >= 4:
+        bit_gen.advance(start // 4)
     discard = start % 4
     rng = np.random.Generator(bit_gen)
     return rng.random(discard + count)[discard:]

@@ -388,10 +388,9 @@ def test_bracket_errors_equal_eager_oracle(monkeypatch):
     assert "ARL stays at 833.9 below" in message
 
 
-@pytest.mark.parametrize("kind", ["process", "bootstrap"])
-def test_shorter_draws_give_trace_prefixes(kind):
-    # The lazy search recomputes a run from t = 0 when it extends it; that
-    # is exact only because a shorter draw is a prefix of a longer one.
+def _source_case(kind):
+    """References, config and the standardized process or bootstrap source
+    of the process of seed 3."""
     process = simulate.default_process_spec(3)
     pool = simulate.generate_in_control(process, 600)
     stats = standardize.fit_reference(pool)
@@ -407,23 +406,51 @@ def test_shorter_draws_give_trace_prefixes(kind):
         )
     else:
         source = calibrate.bootstrap_source(z[300:], seed=4)
+    return refs, config, source
+
+
+@pytest.mark.parametrize("kind", ["process", "bootstrap"])
+def test_shorter_draws_give_trace_prefixes(kind):
+    # The lazy search keeps the traces of a run's first draw when it
+    # extends the run; that is exact only because a shorter draw is a
+    # prefix of a longer one.
+    refs, config, source = _source_case(kind)
     short = detector.run_many(refs, config, (source(r, 0, 37) for r in range(4)))
     full = detector.run_many(refs, config, (source(r, 0, 250) for r in range(4)))
     np.testing.assert_array_equal(short.view(np.int64), full[:, :37].view(np.int64))
 
 
+@pytest.mark.parametrize("kind", ["process", "bootstrap"])
+def test_sources_are_addressable(kind):
+    # The lazy search resumes a run by drawing from where its last draw
+    # stopped, so a draw from offset a must be rows a onwards of a draw
+    # from 0. Philox yields 4 doubles per block: offsets 1, 3 and 5 discard
+    # draws inside a block, 4 starts on one and 401 lies 100 blocks on.
+    _, _, source = _source_case(kind)
+    for replication in (0, 7):
+        for offset in (1, 3, 4, 5, 401):
+            whole = source(replication, 0, offset + 37)
+            part = source(replication, offset, 37)
+            np.testing.assert_array_equal(part.view(np.int64), whole[offset:].view(np.int64))
+
+
 def test_lazy_search_draws_few_rows_when_runs_cross_early():
     refs, config, gauss = _gauss_case()
-    drawn = []
+    drawn, ends = [], {}
 
     def counting(replication, start, count):
+        # A run is resumed where its last draw stopped.
+        assert start == ends.get(replication, 0)
+        ends[replication] = start + count
         drawn.append(count)
         return gauss(replication, start, count)
 
     spec = calibrate.CalibrationSpec(target_arl0=50.0, replications=100)
     calibrate.find_threshold(refs, config, counting, spec)
-    # Every run is drawn to the prefix once; few are drawn again.
+    # Every run is drawn to the prefix once; few are extended, and no row
+    # is drawn twice.
     assert drawn[:100] == [calibrate._PREFIX_ARLS * 50] * 100
+    assert sum(drawn) == sum(ends.values())
     assert sum(drawn) < 0.15 * spec.replications * spec.run_length_cap
 
 
@@ -455,8 +482,8 @@ def test_every_extension_checks_the_draw_length():
         return gauss(replication, start, min(count, 80))
 
     spec = calibrate.CalibrationSpec(target_arl0=20.0, replications=5, max_run_length=400)
-    # The 40-sample prefix and the extension to 80 pass; the next
-    # extension draws 80 of 160.
+    # The 40-sample prefix and the extensions to 80 and 160, which draw 40
+    # and 80 new samples, pass; the extension to 320 draws 80 of 160.
     with pytest.raises(DimensionMismatchError, match="returned 80 samples"):
         calibrate.estimate_arl(1e6, refs, config, short_after_prefix, spec)
 

@@ -531,7 +531,9 @@ def test_context_of_another_stream_count_is_refused(stream_count):
     with pytest.raises(DimensionMismatchError, match="3 references for"):
         detector.Monitor(refs, config)
     with pytest.raises(DimensionMismatchError, match="3 references for"):
-        detector._LazyTraces(refs, config, lambda i, length: runs[i, :length], 5, [5])
+        detector._LazyTraces(
+            refs, config, lambda i, start, count: runs[i, start : start + count], 5, [5]
+        )
 
 
 def test_run_many_block_is_one_array(monkeypatch):
@@ -572,6 +574,68 @@ def test_run_many_rejects_bad_run_after_good_ones(monkeypatch, bad, error):
     monkeypatch.setattr(detector, "_BLOCK_BYTES", 2 * good[0].nbytes)
     with pytest.raises(error):
         detector.run_many(refs, config, [*good, bad])
+
+
+# Under 16 runs a 600-sample call advances as time chunks: 6 chunks of 100
+# for 1 or 2 runs, 3 of 200 for 5 and 2 of 300 for 8; 16 and 40 runs step
+# in lockstep. Each split cuts the runs into two calls: 137 inside a
+# chunk, 200 and 300 on a chunk boundary, 599 one sample before the end.
+_CONTINUED_SPLITS = (137, 200, 300, 599)
+
+
+@pytest.mark.parametrize("reset_on_alarm", [False, True])
+@pytest.mark.parametrize("runs_count", [1, 2, 5, 8, 16, 40])
+def test_run_many_continued_from_its_state_equals_one_call(
+    monkeypatch, runs_count, reset_on_alarm
+):
+    p, t_len = 3, 600
+    refs = [detector.build_reference(np.arange(20.0)) for _ in range(p)]
+    config = detector.MonitorConfig(1.3, 2, p, threshold=3.0)
+    runs = _shifted_runs(runs_count, t_len, p, seed=runs_count)
+    whole_state = np.zeros((2, runs_count, p))
+    whole = detector.run_many(
+        refs, config, runs, reset_on_alarm=reset_on_alarm, state=whole_state
+    )
+    assert (whole >= config.threshold).any()
+    entries = []
+    # Default blocks, then blocks of two runs, so that each call of more
+    # than two runs spans several blocks.
+    for block_runs in (None, 2):
+        if block_runs is not None:
+            monkeypatch.setattr(detector, "_BLOCK_BYTES", block_runs * runs[0].nbytes)
+        for split in _CONTINUED_SPLITS:
+            state = np.zeros((2, runs_count, p))
+            first = detector.run_many(
+                refs, config, runs[:, :split], reset_on_alarm=reset_on_alarm, state=state
+            )
+            entries.append(state.any())
+            second = detector.run_many(
+                refs, config, (run[split:] for run in runs),
+                reset_on_alarm=reset_on_alarm, state=state,
+            )
+            joined = np.concatenate([first, second], axis=1)
+            np.testing.assert_array_equal(joined.view(np.int64), whole.view(np.int64))
+            np.testing.assert_array_equal(state.view(np.int64), whole_state.view(np.int64))
+    # Most second calls start from a state that is not zeroed.
+    assert sum(entries) >= len(entries) // 2
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 4, 3), (2, 2, 3), (3, 3, 3), (1, 3, 3), (2, 3, 2), (2, 3, 4), (3, 3)]
+)
+def test_run_many_rejects_a_state_of_the_wrong_shape(monkeypatch, shape):
+    p = 3
+    refs = [detector.build_reference(np.arange(20.0)) for _ in range(p)]
+    config = detector.MonitorConfig(1.3, 2, p)
+    runs = _shifted_runs(3, 30, p, seed=9)
+    # One run per block: a state of too few or too many runs is found out
+    # after earlier blocks have been advanced.
+    monkeypatch.setattr(detector, "_BLOCK_BYTES", runs[0].nbytes)
+    state = np.full(shape, 0.5)
+    with pytest.raises(DimensionMismatchError, match="state"):
+        detector.run_many(refs, config, runs, state=state)
+    # A refused state is left as it was.
+    assert (state == 0.5).all()
 
 
 def test_monitor_run_leaves_samples_unchanged():

@@ -444,13 +444,36 @@ def test_training_detection_extends_a_run_twice(
     small_benchmark, small_config, monkeypatch
 ):
     # A first prefix of onset + 1 = 151 samples: fault-4 runs that alarm
-    # after sample 302 are simulated again to 302 and then to 604.
+    # after sample 302 are resumed to 302 and then to 604.
     monkeypatch.setattr(pipeline, "_PREFIX_MARGIN", 1)
     lazy, firsts = _check_training_detection(small_benchmark, small_config, 0)
     assert any(
         item.alarm_time is not None and item.v_trace.size == 4 * first
         for item, first in zip(lazy, firsts)
     )
+
+
+def test_training_detection_standardizes_each_row_once(
+    small_benchmark, small_config, monkeypatch
+):
+    # A run's first draw standardizes it whole, which checks every row of
+    # it once; a resumed draw standardizes only its new rows.
+    monkeypatch.setattr(pipeline, "_PREFIX_MARGIN", 1)
+    runs = _runs_with_a_silent_one(small_benchmark)
+    setup = pipeline._setup(small_benchmark.in_control, runs, small_config, None)
+    standardized, apply = [], standardize.apply
+
+    def counting(values, stats):
+        standardized.append(len(values))
+        return apply(values, stats)
+
+    monkeypatch.setattr(standardize, "apply", counting)
+    lazy = pipeline._detect_runs(runs, setup.references, setup.config, setup.stats, 0)
+    lengths = [item.run.data.shape[0] for item in lazy]
+    firsts = [min(n, item.run.onset + 1) for item, n in zip(lazy, lengths)]
+    resumed = sum(item.v_trace.size - first for item, first in zip(lazy, firsts))
+    assert resumed > 0
+    assert sum(standardized) == sum(lengths) + resumed
 
 
 def _training_outcome(train, tmp_path):

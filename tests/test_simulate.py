@@ -120,6 +120,17 @@ def test_source_is_addressable():
     np.testing.assert_array_equal(whole, simulate.generate_in_control(spec, 100, run=5))
 
 
+@pytest.mark.parametrize("start", [*range(10), 10**6 + 3])
+def test_uniforms_read_the_philox_keystream(start):
+    # Draws start .. start + count - 1 of a fresh Philox generator seeded
+    # with the spawn key, whether or not the start needs the counter moved.
+    reference = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=11, spawn_key=(4, 2)))
+    ).random(start + 9)[start:]
+    got = simulate._uniforms(11, (4, 2), start, 9)
+    np.testing.assert_array_equal(got.view(np.int64), reference.view(np.int64))
+
+
 def _fault_pair(kind, **kwargs):
     spec = simulate.default_process_spec(0)
     fault = simulate.FaultSpec(kind, (4,), ONSET, fault_id=1, **kwargs)
