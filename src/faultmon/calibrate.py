@@ -35,11 +35,11 @@ crossed or reached the cap.
 
 :class:`detector._LazyTraces`, beside ``run_many``, owns this doubling:
 V traces of many runs, each simulated only as far as a question needs,
-every draw over one reference context (``detector._References``) per
-search or estimate. Training shares it to simulate each fault run only
-through its classification point (see :mod:`faultmon.pipeline`). This
-module keeps the run-length questions (``_RunLengths``: the bounds, and
-``decide`` and ``estimate`` on them).
+every draw over the one reference context the detector keeps. Training
+shares it to simulate each fault run only through its classification
+point (see :mod:`faultmon.pipeline`). This module keeps the run-length
+questions (``_RunLengths``: the bounds, and ``decide`` and ``estimate`` on
+them); the false-alarm-rate check draws whole runs through ``run_many``.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from . import detector
-from .errors import BracketError, DomainError, EmptyInputError
+from .errors import BracketError, DimensionMismatchError, DomainError, EmptyInputError
 from .simulate import _uniforms
 from .standardize import ReferenceStats, apply as apply_stats
 
@@ -192,9 +192,9 @@ class _RunLengths(detector._LazyTraces):
         run that did not lies in ``[simulated + 1, cap]``; either end is
         the cap, and so exact, once it is simulated to ``cap - 1``.
         """
-        crossed = self.traces >= threshold
-        hit = crossed.any(axis=1)
-        exact = crossed.argmax(axis=1) + 1.0
+        first = self.first_crossings(threshold)
+        hit = first >= 0
+        exact = first + 1.0
         low = np.where(hit, exact, np.minimum(self.simulated + 1.0, self.caps))
         high = np.where(hit, exact, self.caps)
         return low, high
@@ -376,22 +376,24 @@ def estimate_false_alarm_rate(
     sample is ranked once. A call of few replications, down to one, costs
     far fewer kernel steps than samples: the detector cuts each run into
     time chunks that advance side by side in three fixed passes, exactly
-    (see :mod:`faultmon.detector`). Plain ``references`` equal bit for bit
-    to those of the previous public call reuse its reference context, so a
-    loop of calls over one reference set builds one context
-    (``detector._References.of``).
+    (see :mod:`faultmon.detector`). ``references`` equal bit for bit to
+    those of the previous call reuse its reference context, so a loop of
+    calls over one reference set builds one context.
 
     Returns:
         Total alarms divided by total samples inspected.
+
+    Raises:
+        DimensionMismatchError: A draw is not ``(run_length, p)``.
     """
     if replications < 1 or run_length < 1:
         raise EmptyInputError("replications and run_length must be at least 1")
+    draws = (source(r, 0, run_length) for r in range(replications))
     cfg = config.with_threshold(threshold)
-    lazy = detector._LazyTraces(
-        references, cfg, source, run_length,
-        np.full(replications, run_length), reset_on_alarm=True,
-    )
-    return int(np.count_nonzero(lazy.traces >= threshold)) / (replications * run_length)
+    traces = detector.run_many(references, cfg, draws, reset_on_alarm=True)
+    if traces.shape[1] != run_length:
+        raise DimensionMismatchError(f"source drew {traces.shape[1]} samples, not {run_length}")
+    return int(np.count_nonzero(traces >= threshold)) / (replications * run_length)
 
 
 def bootstrap_source(pool, seed: int) -> SampleSource:

@@ -52,15 +52,14 @@ blocks laid end to end, with its logs taken once per distinct reference
 size. It builds each path's ranking index on first use, over that one
 table, and is read-only once built, so any number of monitors and
 ``run_many`` calls, from any threads, share it. ``run_many`` and
-``Monitor`` take a context, which they share (training builds one and
-hands it to every call it makes), or plain references. Plain references
-go through ``_References.of``, which keeps the context of the last plain
-references it was given: a later call whose references equal those bit
-for bit reuses it, so an operator's loop of public calls over one
-reference set builds one context. Ranking a value gives its column in the
-table, the stream's first column plus its count, and a step gathers both
-log terms of all p streams with one ``take``, so no path divides or takes
-a log per sample, and every path reads the same bits.
+``Monitor`` take plain references and go through ``_References.of``,
+which keeps the context of the last references it was given: a later call
+whose references equal those bit for bit reuses it. That kept entry is
+the one way contexts are shared, so training and the evaluations and
+monitors over its bundle build one. Ranking a value gives its column in
+the table, the stream's first column plus its count, and a step gathers
+both log terms of all p streams with one ``take``, so no path divides or
+takes a log per sample, and every path reads the same bits.
 
 Ranking picks its method by the path. A monitor ranks each sample's p
 values through one index of all references (``_StepIndex``): one vectorized
@@ -80,14 +79,14 @@ standardized and checked itself, so its monitor skips the check.
 
 ``run_many`` ranks a batch through one bucket index per stream
 (``_RankIndex``), built once per context and shared by all the blocks of
-every call given that context. A
-uniform grid over the reference narrows each key to the few reference
-values of its bucket, and a fixed-width branchless search counts those
-below the key, a few whole-array steps per stream instead of a binary
-search per value, whose mispredicted branches dominate when a stream has
-thousands of keys. The grid map is monotone, so the count is the exact
-number of reference values strictly below each observation, as in
-``_StepIndex``, and both paths stay bit-identical.
+every call that finds that context. A uniform grid over the reference
+narrows each key to the few reference values of its bucket, and a
+fixed-width branchless search counts those below the key, a few
+whole-array steps per stream instead of a binary search per value, whose
+mispredicted branches dominate when a stream has thousands of keys. The
+grid map is monotone, so the count is the exact number of reference
+values strictly below each observation, as in ``_StepIndex``, and both
+paths stay bit-identical.
 
 ``run_many`` is the only batch path, and it owns the lockstep block: it
 checks runs as it copies them, one at a time, into one ``(R, T, p)`` float
@@ -106,7 +105,7 @@ one pass over both.
 ``_LazyTraces``, beside ``run_many``, owns "V traces of many runs, each
 simulated only as far as a question needs": runs are drawn to a prefix and
 resumed, from where their last draw ended, to twice their length, each
-draw one ``run_many`` call over one reference context, so every sample is
+draw one ``run_many`` call over one kept context, so every sample is
 drawn, ranked and stepped once. Threshold calibration
 (:mod:`faultmon.calibrate`) asks it about in-control run lengths, and
 training (:mod:`faultmon.pipeline`) for each fault run's trace through its
@@ -382,8 +381,8 @@ def _table_columns(rank_index: list[_RankIndex], samples: np.ndarray) -> np.ndar
     ``samples`` (a C-contiguous float array) and returned as its intp view.
 
     ``rank_index`` holds one :class:`_RankIndex` per stream, a reference
-    context's, shared by all the blocks of every ``run_many`` call given
-    that context.
+    context's, shared by all the blocks of every ``run_many`` call that
+    finds that context.
     """
     p = samples.shape[-1]
     rows = samples.reshape(-1, p, copy=False)
@@ -457,20 +456,20 @@ class _References:
     :func:`_log_table` over them. The batch path's per-stream
     :class:`_RankIndex` list (``rank_index``) and the monitor's
     :class:`_StepIndex` (``step_index``) are built on first use and kept,
-    so every ``run_many`` call and every :class:`Monitor` given one context
-    shares them. Nothing is written to a context after it is built (the
-    lazy indexes aside), so monitors that share one may be stepped from
-    different threads.
+    so every ``run_many`` call and every :class:`Monitor` that finds one
+    context shares them. Nothing is written to a context after it is built
+    (the lazy indexes aside), so monitors that share one may be stepped
+    from different threads.
 
-    Public entry points take plain references or a context through
-    :meth:`of`. It keeps one entry: float64 copies of the last plain
+    Public entry points take plain references and find their context
+    through :meth:`of`. It keeps one entry: float64 copies of the last
     references it was given and the context built from them: at p = 20 and
     s = 3000, 2.9 MB with the batch index, copies included, and 3.9 MB once
-    a monitor has built the step index too. Plain references equal to the
-    copies bit for bit get that context back instead of a new one.
+    a monitor has built the step index too. References equal to the copies
+    bit for bit get that context back instead of a new one.
     """
 
-    # ``of``'s one entry: (float64 copies of plain references, their context).
+    # ``of``'s one entry: (float64 copies of references, their context).
     _kept: tuple[list[np.ndarray], "_References"] | None = None
 
     def __init__(self, references, stream_count: int):
@@ -481,28 +480,19 @@ class _References:
         self.arrays = [build_reference(ref) for ref in references]
         self.logs, self.starts = _log_table([ref.size for ref in self.arrays])
 
-    def __len__(self) -> int:
-        return len(self.arrays)
-
     @classmethod
     def of(cls, references, stream_count: int) -> "_References":
-        """The context of ``references``.
+        """The context of ``references``, one array per stream.
 
-        A context of ``stream_count`` streams is returned as it is, and one
-        of another stream count goes to the constructor, which refuses it.
-        Plain references that match the kept copies in count, shapes and
-        bits (so -0.0 is not 0.0) get the kept context: those bits already
-        passed :func:`build_reference`, and a new context would hold the
-        same arrays, table and indexes. Any others are checked and sorted
-        into a new context, which replaces the kept entry.
+        References that match the kept copies in count (``stream_count``),
+        shapes and bits (so -0.0 is not 0.0) get the kept context: those
+        bits already passed :func:`build_reference`, and a new context would
+        hold the same arrays, table and indexes. Any others are checked and
+        sorted into a new context, which replaces the kept entry.
         """
-        if isinstance(references, cls):
-            if len(references) == stream_count:
-                return references
-            return cls(references, stream_count)
         plain = [np.asarray(ref, dtype=float) for ref in references]
         kept = cls._kept
-        if kept is not None and len(kept[1]) == stream_count and _same_bits(plain, kept[0]):
+        if kept is not None and len(kept[0]) == stream_count and _same_bits(plain, kept[0]):
             return kept[1]
         refs = cls(plain, stream_count)
         cls._kept = ([ref.copy() for ref in plain], refs)
@@ -724,14 +714,14 @@ def _advance_chunks(
 class Monitor:
     """Streaming detector over p standardized streams.
 
-    A monitor holds the step index of its reference context (the kept one
-    of :meth:`_References.of`, when built from plain references), its own
-    query and log-term buffers, the per-stream CUSUM state, and a sample
-    counter. The context is only read, so monitors that share one may be
-    stepped from different threads; each monitor itself is stepped from one
-    thread at a time. One private kernel, ``_advance``, consumes one
-    checked sample and returns V as a float: it ranks the sample, gathers
-    its log terms from one table and steps the CUSUM. ``step`` checks one sample,
+    A monitor holds the step index of its references' context (the one
+    :meth:`_References.of` keeps for them), its own query and log-term
+    buffers, the per-stream CUSUM state, and a sample counter. The context
+    is only read, so monitors that share one may be stepped from different
+    threads; each monitor itself is stepped from one thread at a time. One
+    private kernel, ``_advance``, consumes one checked sample and returns V
+    as a float: it ranks the sample, gathers its log terms from one table
+    and steps the CUSUM. ``step`` checks one sample,
     advances and reports the result; ``run`` checks a batch once and
     advances it one row at a time, so it is bit-identical to the equivalent
     sequence of ``step`` calls. Batches of many runs at a time go through
@@ -805,11 +795,9 @@ def run_many(
     check, advances as time chunks side by side, with the same result.
 
     Args:
-        references: In-control histories, one per stream, or a
-            :class:`_References` context of ``config.stream_count`` streams,
-            whose ranking structures are then reused. Histories equal bit
-            for bit to the previous plain references of a public call reuse
-            that call's context (:meth:`_References.of`).
+        references: In-control histories, one per stream. Histories equal
+            bit for bit to those of the previous call reuse its reference
+            context and ranking structures (:meth:`_References.of`).
         config: Detection parameters.
         runs: Iterable of equal-shaped ``(T, p)`` arrays, such as a
             generator or an array of shape ``(R, T, p)``.
@@ -893,37 +881,34 @@ def run_many(
 class _LazyTraces:
     """V traces of many runs, each simulated only as far as a question needs.
 
-    Built over a reference context (or plain references, through
-    :meth:`_References.of`), a config and ``rows(i, start, count)``, which
-    returns run i's ``count`` samples from ``start`` on, shape ``(count,
-    p)``, as a calibration source does; draws of one run over adjacent
-    spans must join into the draw over both. Run i is first simulated to
-    ``min(prefix[i], caps[i])`` samples, and ``extend`` resumes runs to
-    twice their length, at most their cap: each run keeps the CUSUM state
-    its last draw ended in, and ``run_many`` (``state``) carries on from it
-    over the new samples only, with the bits of a run simulated in one
-    draw. Every draw is one call of the module's ``run_many`` over the runs
-    drawn over one span, all sharing the one context. Calibration asks
+    Built over plain references, a config and ``rows(i, start, count)``,
+    which returns run i's ``count`` samples from ``start`` on, shape
+    ``(count, p)``, as a calibration source does; draws of one run over
+    adjacent spans must join into the draw over both. Run i is first
+    simulated to ``min(prefix[i], caps[i])`` samples, and ``extend``
+    resumes runs to twice their length, at most their cap: each run keeps
+    the CUSUM state its last draw ended in, and ``run_many`` (``state``)
+    carries on from it over the new samples only, with the bits of a run
+    simulated in one draw. Every draw is one call of the module's
+    ``run_many`` over the runs drawn over one span, all sharing the one
+    kept context of the references. Calibration asks
     about in-control run lengths (:mod:`faultmon.calibrate`); training
     (:func:`faultmon.pipeline._detect_runs`) asks for each fault run's
     trace through its classification point.
 
     Row i of ``traces`` holds run i's trace over its first
     ``simulated[i]`` samples and ``-inf`` after them, so the first
-    crossing of any threshold lies in the simulated part. ``draws`` and
-    ``rows`` count the runs drawn and the samples simulated so far; each
-    sample is simulated once, so ``rows`` is the sum of ``simulated``.
-    With ``reset_on_alarm`` every draw zeroes a run's state after each
-    alarm at ``config.threshold``, as ``run_many`` does; the
-    false-alarm-rate check draws its runs once, whole, that way.
+    crossing of any threshold (``first_crossings``) lies in the simulated
+    part. ``draws`` and ``rows`` count the runs drawn and the samples
+    simulated so far; each sample is simulated once, so ``rows`` is the
+    sum of ``simulated``.
 
     Raises:
         DimensionMismatchError: A draw is not exactly ``count`` samples.
     """
 
-    def __init__(self, references, config, rows, prefix, caps, reset_on_alarm=False):
-        self._refs = _References.of(references, config.stream_count)
-        self._config, self._draw_rows, self._reset = config, rows, reset_on_alarm
+    def __init__(self, references, config, rows, prefix, caps):
+        self._references, self._config, self._draw_rows = list(references), config, rows
         self.caps = np.asarray(caps)
         self.traces = np.empty((self.caps.size, 0))
         self.simulated = np.zeros(self.caps.size, dtype=int)
@@ -947,7 +932,7 @@ class _LazyTraces:
         count = stop - start
         drawn = (self._draw_rows(i, start, count) for i in group.tolist())
         state = self._state[:, group]
-        block = run_many(self._refs, self._config, drawn, reset_on_alarm=self._reset, state=state)
+        block = run_many(self._references, self._config, drawn, state=state)
         if block.shape[1] != count:
             raise DimensionMismatchError(
                 f"rows returned {block.shape[1]} samples per run, expected {count}"
@@ -965,3 +950,12 @@ class _LazyTraces:
     def extend(self, runs: np.ndarray) -> None:
         """Resume ``runs`` to twice their length or their cap."""
         self._simulate(runs, np.minimum(2 * self.simulated[runs], self.caps[runs]))
+
+    def first_crossings(self, threshold: float, since=None) -> np.ndarray:
+        """Each run's first simulated sample with V >= ``threshold``, -1
+        for a run without one; with ``since``, one entry per run, the
+        first at or after that run's entry."""
+        crossed = self.traces >= threshold
+        if since is not None:
+            crossed &= np.arange(self.traces.shape[1]) >= since[:, np.newaxis]
+        return np.where(crossed.any(axis=1), crossed.argmax(axis=1), -1)

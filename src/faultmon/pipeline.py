@@ -24,14 +24,14 @@ lazy doubling that threshold calibration uses
 simulated only as far as a question needs"). Evaluation simulates every
 run whole: its detection rates read every post-onset sample.
 
-Training (``_setup``) checks and sorts the references into one reference
-context (``detector._References``) and hands it to calibration, to
-``_detect_runs`` and to ``_fit``, so the log table and ranking indexes
-are built once per training, and the bundle stores the context's sorted
-arrays. Evaluation's ``_detect_runs`` shares one context between all its
-draws: the bundle's references are plain arrays, so repeated evaluations
-and ``online_monitor`` calls over one bundle reuse the context that
-``detector._References.of`` keeps for them.
+Training (``_setup``) checks and sorts the references once
+(``detector.build_reference``) and shares that plain list with
+calibration, ``_detect_runs`` and ``_fit``, which stores it in the bundle.
+The detector keeps the reference context of the last references it was
+given and reuses it for bit-equal ones, so calibration, detection, and
+then evaluations and ``online_monitor`` calls over the returned bundle,
+or over a saved and loaded copy of it, all share one context: its log
+table and ranking indexes are built once.
 
 Evaluation (``_score``) groups the faulty runs by fault id once and writes
 each per-fault rate of :class:`EvalReport` as its definition over that
@@ -184,9 +184,9 @@ def _detect_runs(runs, references, config, stats, patience=None) -> list[_Detect
     nor the end. A prefix is bit-identical to the start of the whole trace,
     so the alarms and windows are those of whole traces. A run's first
     draw standardizes it whole, and so checks every row of it once; a
-    later draw standardizes only its own rows. ``references`` may be
-    plain references or a reference context (``detector._References``);
-    every draw shares one context.
+    later draw standardizes only its own rows. Every draw goes through
+    the same plain ``references``, and so shares the one reference context
+    the detector keeps for them.
     """
     if not runs:
         return []
@@ -201,9 +201,7 @@ def _detect_runs(runs, references, config, stats, patience=None) -> list[_Detect
     prefix = lengths if patience is None else onsets + patience + _PREFIX_MARGIN
     lazy = detector._LazyTraces(references, config, rows, prefix, lengths)
     while True:
-        after_onset = np.arange(lazy.traces.shape[1]) >= onsets[:, np.newaxis]
-        hits = (lazy.traces >= config.threshold) & after_onset
-        alarms = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
+        alarms = lazy.first_crossings(config.threshold, since=onsets)
         # Settled: the prefix reaches the classification point, or the end.
         need = lengths
         if patience is not None:
@@ -364,7 +362,7 @@ class _Setup:
     """What training fixes before it sees a fault run."""
 
     stats: standardize.ReferenceStats
-    references: detector._References
+    references: list[np.ndarray]  # sorted, as detector.build_reference returns them
     config: detector.MonitorConfig  # with the threshold installed
     calibration: dict
 
@@ -381,7 +379,7 @@ def _setup(in_control, train_runs, config: TrainConfig, calibration_source) -> _
     stats, references, cal_source = prepare_reference_and_source(
         in_control, calibration_source, config.seed
     )
-    references = detector._References(references, stats.stream_count)
+    references = [detector.build_reference(ref) for ref in references]
     return _Setup(stats, references, *choose_threshold(references, config, cal_source))
 
 
@@ -445,7 +443,7 @@ def _fit(
     }
     return ModelBundle(
         stats=setup.stats,
-        references=list(setup.references.arrays),
+        references=list(setup.references),
         config=setup.config,
         target_arl0=config.target_arl0,
         patience=config.patience,

@@ -7,7 +7,7 @@ protocol lives in test_acceptance.py.
 import numpy as np
 import pytest
 
-from faultmon import pipeline, simulate
+from faultmon import detector, pipeline, simulate
 
 # Rehearsed threshold for ARL0=200 at k=1.3, r=4 on 20 streams; tests that
 # need a calibrated operating point reuse it instead of recalibrating.
@@ -44,3 +44,19 @@ def trained_bundle(small_benchmark, small_config):
     return pipeline.offline_train(
         small_benchmark.in_control, small_benchmark.train_runs, small_config
     )
+
+
+@pytest.fixture
+def built_contexts(monkeypatch):
+    """Empties the detector's kept reference context and counts every
+    context built from then on; returns the one-item count list."""
+    monkeypatch.setattr(detector._References, "_kept", None)
+    count = [0]
+    init = detector._References.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(detector._References, "__init__", counting)
+    return count

@@ -139,14 +139,17 @@ def test_find_threshold_rejects_single_column_source():
 
 
 def test_false_alarm_rate_rejects_single_row_source():
-    # A (p,) draw would repeat one sample for the whole run.
+    # A (p,) draw would repeat one sample for the whole run; draws one row
+    # short or long would count the alarms over another number of samples
+    # than the rate divides by.
     refs, config = _three_stream_refs_config()
+    for size in (3, (99, 3), (101, 3)):  # each draw asks for 100 rows
 
-    def one_row(replication, start, count):
-        return np.random.default_rng(replication).normal(size=3)
+        def source(replication, start, count, size=size):
+            return np.random.default_rng(replication).normal(size=size)
 
-    with pytest.raises(DimensionMismatchError):
-        calibrate.estimate_false_alarm_rate(8.0, refs, config, one_row, 2, 100)
+        with pytest.raises(DimensionMismatchError):
+            calibrate.estimate_false_alarm_rate(8.0, refs, config, source, 2, 100)
 
 
 def _restart_loop_far(threshold, references, config, source, replications, run_length):

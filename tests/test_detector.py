@@ -484,20 +484,12 @@ def _shifted_runs(count, t_len, p, seed):
     return np.random.default_rng(seed).normal(size=(count, t_len, p)) * 8.0 + 9.5
 
 
-@pytest.mark.parametrize(
-    "reset_on_alarm, shared_context",
-    [(False, False), (True, False), (False, True), (True, True)],
-    ids=["False", "True", "False-context", "True-context"],
-)
+@pytest.mark.parametrize("reset_on_alarm", [False, True])
 def test_run_many_over_small_blocks_matches_per_run_monitors_bitwise(
-    monkeypatch, reset_on_alarm, shared_context
+    monkeypatch, reset_on_alarm
 ):
-    # With ``shared_context`` every run_many call and every monitor below
-    # is given one reference context, and so shares its tables and indexes.
     p, t_len = 3, 30
     refs = [detector.build_reference(np.arange(20.0)) for _ in range(p)]
-    if shared_context:
-        refs = detector._References(refs, p)
     config = detector.MonitorConfig(1.3, 2, p, threshold=3.0)
     runs = _shifted_runs(7, t_len, p, seed=8)
     whole = detector.run_many(refs, config, runs, reset_on_alarm=reset_on_alarm)
@@ -517,23 +509,6 @@ def test_run_many_over_small_blocks_matches_per_run_monitors_bitwise(
         for got in (whole, stacked, streamed):
             np.testing.assert_array_equal(got[r].view(np.int64), expected.view(np.int64))
     assert (whole >= config.threshold).any(axis=1).all()
-    if shared_context:
-        assert detector.Monitor(refs, config)._index is refs.step_index
-
-
-@pytest.mark.parametrize("stream_count", [2, 4])
-def test_context_of_another_stream_count_is_refused(stream_count):
-    refs = detector._References([np.arange(20.0)] * 3, 3)
-    config = detector.MonitorConfig(1.3, 1, stream_count)
-    runs = np.zeros((1, 5, stream_count))
-    with pytest.raises(DimensionMismatchError, match="3 references for"):
-        detector.run_many(refs, config, runs)
-    with pytest.raises(DimensionMismatchError, match="3 references for"):
-        detector.Monitor(refs, config)
-    with pytest.raises(DimensionMismatchError, match="3 references for"):
-        detector._LazyTraces(
-            refs, config, lambda i, start, count: runs[i, start : start + count], 5, [5]
-        )
 
 
 def test_run_many_block_is_one_array(monkeypatch):
@@ -848,22 +823,6 @@ def test_chunked_run_many_matches_stepping_bitwise(case):
         np.testing.assert_array_equal(got[r].view(np.int64), expected.view(np.int64))
 
 
-@pytest.fixture
-def built_contexts(monkeypatch):
-    """Empties ``_References.of``'s kept entry and counts every context
-    built from then on; returns the one-item count list."""
-    monkeypatch.setattr(detector._References, "_kept", None)
-    count = [0]
-    init = detector._References.__init__
-
-    def counting(self, *args, **kwargs):
-        count[0] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(detector._References, "__init__", counting)
-    return count
-
-
 def _far_case(p=4, s=40, runs=3, t_len=300, seed=20):
     """Plain references, a config at H = 6 and a source of runs wider than
     the references, which alarm now and then."""
@@ -883,8 +842,9 @@ def _public_calls(refs, config, data, source):
 
 def test_repeated_public_calls_build_one_context(built_contexts):
     refs, config, data, source = _far_case()
-    fresh = detector._References(refs, len(refs))
-    expected_trace, expected_far = _public_calls(fresh, config, data, source)
+    expected_trace, expected_far = _public_calls(refs, config, data, source)
+    # The calls below start from no kept context, as the expected ones did.
+    detector._References._kept = None
     built_contexts[0] = 0
     for _ in range(3):
         trace, far = _public_calls(refs, config, data, source)
@@ -907,9 +867,9 @@ def test_edited_reference_rebuilds_context(built_contexts, edit):
     refs[1][7] = 0.25 if edit == "value" else -0.0
     trace, far = _public_calls(refs, config, data, source)
     assert built_contexts[0] == 2
-    expected_trace, expected_far = _public_calls(
-        detector._References(refs, len(refs)), config, data, source
-    )
+    # Expected values from a context built for the edited references alone.
+    detector._References._kept = None
+    expected_trace, expected_far = _public_calls(refs, config, data, source)
     np.testing.assert_array_equal(trace.view(np.int64), expected_trace.view(np.int64))
     assert far == expected_far
 
@@ -946,24 +906,26 @@ def test_kept_context_checks_stream_count_and_is_replaced(built_contexts):
 
 
 def test_monitors_sharing_a_context_step_from_threads():
-    # Four monitors over one context step their own runs, one sample each
-    # per barrier round, from four threads that switch as often as the
-    # interpreter allows. Each V trace must be, bit for bit, the one its
-    # monitor gives alone: the context holds no per-sample buffer.
+    # Four monitors over one kept context, found through the same plain
+    # references, step their own runs, one sample each per barrier round,
+    # from four threads that switch as often as the interpreter allows.
+    # Each V trace must be, bit for bit, the one its monitor gives alone:
+    # the context holds no per-sample buffer.
     rng = np.random.default_rng(21)
     p, workers = 6, 4
-    context = detector._References([rng.normal(size=50) for _ in range(p)], p)
+    refs = [rng.normal(size=50) for _ in range(p)]
     config = detector.MonitorConfig(0.3, 3, p)
     data = [rng.normal(size=(400, p)) * (1.0 + w) for w in range(workers)]
-    alone = [detector.Monitor(context, config).run(run).global_stats for run in data]
+    alone = [detector.Monitor(refs, config).run(run).global_stats for run in data]
+    monitors = [detector.Monitor(refs, config) for _ in range(workers)]
+    assert all(monitor._index is monitors[0]._index for monitor in monitors)
     barrier = threading.Barrier(workers, timeout=60)
     traces = [[] for _ in range(workers)]
 
     def step(which):
-        monitor = detector.Monitor(context, config)
         for row in data[which]:
             barrier.wait()
-            traces[which].append(monitor.step(row).global_stat)
+            traces[which].append(monitors[which].step(row).global_stat)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -47,6 +47,19 @@ def test_offline_train_is_deterministic(small_benchmark, small_config):
         assert pa[2].bias == pb[2].bias
 
 
+def test_train_evaluate_and_monitor_build_one_context(
+    built_contexts, small_benchmark, small_config
+):
+    # Training hands its sorted references to the bundle, so evaluating
+    # and monitoring over that bundle find the context training kept.
+    bundle = pipeline.offline_train(
+        small_benchmark.in_control, small_benchmark.train_runs, small_config
+    )
+    pipeline.evaluate(bundle, small_benchmark.test_runs[:2])
+    list(pipeline.online_monitor(bundle, small_benchmark.test_runs[0].data[:50]))
+    assert built_contexts[0] == 1
+
+
 def test_offline_train_validates_runs(small_benchmark, small_config):
     with pytest.raises(EmptyInputError):
         pipeline.offline_train(small_benchmark.in_control, [], small_config)
@@ -332,10 +345,9 @@ def test_fit_names_the_class_short_of_runs_and_only_its_dropped_runs(
         _fabricated("f1-kept-b", 1, 10, 60, range(20, 60), 20, rng),
         _fabricated("f2-dropped", 2, 10, 60, [], None, rng),
     ]
-    references = detector._References(
-        trained_bundle.references, trained_bundle.config.stream_count
+    setup = pipeline._Setup(
+        trained_bundle.stats, trained_bundle.references, trained_bundle.config, {}
     )
-    setup = pipeline._Setup(trained_bundle.stats, references, trained_bundle.config, {})
     with pytest.raises(NoAlarmInTrainingError) as excinfo:
         pipeline._fit(setup, detected, pipeline.TrainConfig(patience=5))
     assert excinfo.value.fault_id == 2
