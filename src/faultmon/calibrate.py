@@ -83,13 +83,17 @@ _H_BRACKET = (0.5, 32.0)
 # The in-control run length is near-geometric, so about e^-2, 13.5%, of
 # the runs outlast two ARLs and are resumed. Four ARLs draw every run
 # twice as far to spare the e^-4, 2%, that outlast them. One ARL draws
-# fewer rows but leaves e^-1, 37%, open, and so makes more draws, each
-# with a fixed cost (seeding the source's generators, ~1 ms for a draw
-# of the 20-stream process) that outweighs the rows saved: the seed-0
-# process search (ARL0 200, 400 replications) draws 165,800 rows in 753
-# draws from one ARL, 184,400 rows in 459 draws from two, and 321,600
-# rows in 402 draws from four; from one it took 1.42-1.48 CPU-s, from two
-# 1.20-1.21 (one pinned CPU, ``OPENBLAS_NUM_THREADS=1``).
+# fewer rows but leaves e^-1, 37%, open, and so makes more draws and
+# extension rounds, whose fixed costs outweigh the rows saved. A draw of
+# the 20-stream process costs ~0.15 ms before its first row (the stream
+# keys, a re-keyed Philox per stream, 20 quantile transforms) and ~1.4 us
+# a row after it. The seed-0 process search (ARL0 200, 400 replications)
+# draws 165,800 rows in 753 draws from one ARL, 184,400 rows in 459 draws
+# from two, and 321,600 rows in 402 draws from four; seed 1 draws 172,800
+# rows in 768 draws from one and 190,400 in 473 from two. perfbench
+# ``calibrate`` ``main_s`` read 7.4% (seed 0) and 6.5% (seed 1) higher
+# from one ARL than from two, in 6 of 6 untraced pairs each (one pinned
+# CPU, ``OPENBLAS_NUM_THREADS=1``), though one ARL peaks ~12 MB lower.
 _PREFIX_ARLS = 2
 
 

@@ -7,6 +7,14 @@ sample window addressable: ``generate`` and the calibration sources can
 materialize samples t0..t1 of any run without generating what came before,
 and two runs never share randomness.
 
+A keystream is the one NumPy's ``Philox`` draws when seeded with
+``SeedSequence(entropy=seed, spawn_key=(run, stream))``: a Philox stream
+is its 128-bit key plus a counter (Salmon et al. 2011). The keys are
+derived in bulk, all streams of a run in one pass, by ``_philox_keys``,
+which computes SeedSequence's hash without building one; NumPy keeps that
+algorithm fixed so that seeded streams reproduce across releases. A draw
+then re-keys one Philox per stream instead of seeding a new one.
+
 Faults perturb the raw-scale samples from a 0-based onset index onward;
 labels are 0 while in control and the fault id from the onset on.
 
@@ -16,7 +24,9 @@ Runs are stored as headed CSV files. ``_read_csv`` loads them, their
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -28,6 +38,7 @@ from scipy import special
 from .errors import (
     BadSpecError,
     DimensionMismatchError,
+    DomainError,
     EmptyInputError,
     FaultMonError,
     LabelMismatchError,
@@ -261,28 +272,188 @@ class FaultSpec:
             raise BadSpecError(f"bad fault spec: {exc}") from exc
 
 
-def _uniforms(seed: int, spawn_key: tuple, start: int, count: int) -> np.ndarray:
-    """Draws ``start .. start + count - 1`` of the uniform keystream ``spawn_key``."""
-    bit_gen = np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
+# NumPy's SeedSequence hash (``numpy.random.SeedSequence``), which NumPy
+# keeps fixed so that seeded streams reproduce across releases: its
+# constants, its 32-bit words and its pool of 4 words.
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_POOL_SIZE = 4
+
+
+def _words(value: int) -> list[int]:
+    """SeedSequence's 32-bit words of a non-negative integer, low word first."""
+    value = operator.index(value)
+    if value < 0:
+        raise DomainError(f"seeds and run indices must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_steps(hash_const: int, mult: int):
+    """SeedSequence's hash constants from ``hash_const`` on, each with the
+    next: the constant is multiplied by ``mult`` at every hash."""
+    while True:
+        after = hash_const * mult & _MASK32
+        yield hash_const, after
+        hash_const = after
+
+
+# SeedSequence's hashmix and mix, on Python ints and on uint64 arrays alike:
+# every product of two 32-bit words fits in 64 bits, and a uint64 array
+# wraps modulo 2**64, which the 32-bit mask makes modulo 2**32.
+def _hashmix(value, hash_const, after):
+    """``value`` hashed with ``hash_const``, whose next constant is ``after``."""
+    value = (value ^ hash_const) * after & _MASK32
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+def _mix_words(pool: list, steps, words) -> None:
+    """Mixes each word into every pool word in place, as SeedSequence mixes
+    the entropy words past the pool size, with the constants of ``steps``."""
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, *next(steps)))
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """SeedSequence's pool after the words of ``seed``, and the next hash
+    constant. With a spawn key, SeedSequence pads the seed's words to the
+    pool size, hashes one into each pool word, mixes every pool word into
+    every other and then mixes in the words past the pool size."""
+    words = _words(seed)
+    words += [0] * (_POOL_SIZE - len(words))
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, *next(steps)) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
+    _mix_words(pool, steps, words[_POOL_SIZE:])
+    return pool, next(steps)[0]
+
+
+# generate_state(2, np.uint64) hashes each of the 4 pool words once, with
+# these constants and their successors.
+_STATE_STEPS = np.array(
+    list(itertools.islice(_hash_steps(_INIT_B, _MULT_B), _POOL_SIZE)), dtype=np.uint64
+).T[:, :, np.newaxis]
+
+
+def _philox_keys(seed: int, prefix, last) -> np.ndarray:
+    """The Philox keys of the spawn keys ``(*prefix, i)`` for each ``i`` in ``last``.
+
+    Row j is ``SeedSequence(entropy=seed, spawn_key=(*prefix, last[j]))
+    .generate_state(2, np.uint64)``, the key ``Philox`` takes from that
+    seed sequence, in a ``(len(last), 2)`` uint64 array. The seed and
+    prefix words are mixed once, as Python ints; only the last spawn word
+    differs between keys, so it alone is mixed per key, vectorised. Each
+    ``i`` must be one word, below 2**32.
+    """
+    last = list(last)
+    if not all(0 <= i <= _MASK32 for i in last):
+        raise DomainError("a last spawn word must lie in [0, 2**32)")
+    pool, hash_const = _seed_pool(seed)
+    steps = _hash_steps(hash_const, _MULT_A)
+    _mix_words(pool, steps, [word for value in prefix for word in _words(value)])
+    # The last word is hashed once per pool word, with its own constants.
+    before, after = np.array(
+        [next(steps) for _ in range(_POOL_SIZE)], dtype=np.uint64
+    ).T[:, :, np.newaxis]
+    pool = _mix(
+        np.array(pool, dtype=np.uint64)[:, np.newaxis],
+        _hashmix(np.array(last, dtype=np.uint64), before, after),
     )
-    # Philox advances one 256-bit block per counter tick, i.e. 4 doubles,
-    # so positioning inside a block discards the leading draws. A fresh
-    # generator already stands at block 0, so a draw from there skips the
-    # call.
-    if start >= 4:
-        bit_gen.advance(start // 4)
-    discard = start % 4
+    state = _hashmix(pool, *_STATE_STEPS)
+    # The 4 state words of each key, read little-endian as two 64-bit words.
+    return (state[1::2] << 32 | state[0::2]).T
+
+
+def _keystreams(keys: np.ndarray, start: int, count: int):
+    """Draws ``start .. start + count - 1`` of each key's Philox keystream.
+
+    Returns an iterator of one float64 array per row of ``keys``, as
+    ``Generator(Philox(key=key)).random`` would draw them. One Philox
+    serves the keys in turn, re-keyed through its ``state`` setter.
+    Philox fills its buffer with 4 doubles per counter tick, so the state
+    ``advance(start // 4)`` leaves a fresh generator in, counter ``start
+    // 4`` and an empty buffer, reads from draw ``start - start % 4`` on;
+    the leading ``start % 4`` draws are discarded.
+
+    Raises:
+        DomainError: ``start`` or ``count`` is negative.
+    """
+    if start < 0 or count < 0:
+        raise DomainError(
+            f"a sample window needs start >= 0 and count >= 0, "
+            f"got start {start} and count {count}"
+        )
+    block, discard = divmod(start, 4)
+    bit_gen = np.random.Philox(key=0)
     rng = np.random.Generator(bit_gen)
-    return rng.random(discard + count)[discard:]
+    key_state = {
+        "counter": [block >> shift & _MASK64 for shift in (0, 64, 128, 192)],
+        "key": None,
+    }
+    state = {
+        "bit_generator": "Philox",
+        "state": key_state,
+        "buffer": [0] * 4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+    def read(key):
+        key_state["key"] = key
+        bit_gen.state = state
+        return rng.random(discard + count)[discard:]
+
+    return map(read, keys.tolist())
+
+
+def _uniforms(seed: int, spawn_key: tuple, start: int, count: int) -> np.ndarray:
+    """Draws ``start .. start + count - 1`` of the uniform keystream ``spawn_key``.
+
+    They equal draws ``start ..`` of ``Generator(Philox(SeedSequence(
+    entropy=seed, spawn_key=spawn_key))).random``: ``_philox_keys``
+    derives that key with SeedSequence's fixed hash, and ``_keystreams``
+    reads the window from a re-keyed Philox.
+
+    Raises:
+        DomainError: ``start`` or ``count`` is negative, or ``seed`` or a
+            spawn-key entry is.
+    """
+    *prefix, last = spawn_key
+    # SeedSequence reads a spawn key as the concatenated words of its
+    # entries, so a last entry of several words spawns as those words.
+    *head, word = _words(last)
+    (draws,) = _keystreams(_philox_keys(seed, (*prefix, *head), [word]), start, count)
+    return draws
 
 
 def _raw_samples(spec: ProcessSpec, run: int, start: int, count: int) -> np.ndarray:
-    columns = [
-        stream.transform(_uniforms(spec.seed, (run, i), start, count))
-        for i, stream in enumerate(spec.streams)
-    ]
-    return np.column_stack(columns)
+    columns = _keystreams(
+        _philox_keys(spec.seed, (run,), range(spec.stream_count)), start, count
+    )
+    out = np.empty((count, spec.stream_count))
+    for i, (stream, draws) in enumerate(zip(spec.streams, columns)):
+        out[:, i] = stream.transform(draws)
+    return out
 
 
 def _inject(out: np.ndarray, spec: ProcessSpec, fault: FaultSpec) -> None:

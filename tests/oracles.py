@@ -10,6 +10,28 @@ from faultmon import calibrate, detector, svm
 from faultmon.errors import BracketError
 
 
+def seeded_uniforms(seed, spawn_key, start, count):
+    """Draws ``start .. start + count - 1`` of one keystream, seeded afresh.
+
+    The keystream of ``spawn_key`` is read from a new ``SeedSequence ->
+    Philox -> Generator`` chain, its counter advanced by whole 4-double
+    blocks and the leading draws of the block discarded.
+    """
+    bit_gen = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
+    bit_gen.advance(start // 4)
+    discard = start % 4
+    return np.random.Generator(bit_gen).random(discard + count)[discard:]
+
+
+def raw_samples(spec, run, start, count):
+    """``simulate._raw_samples`` with every stream seeded on its own."""
+    columns = [
+        stream.transform(seeded_uniforms(spec.seed, (run, i), start, count))
+        for i, stream in enumerate(spec.streams)
+    ]
+    return np.column_stack(columns)
+
+
 def rbf_kernel(x, y, gamma):
     """Gaussian kernel ``exp(-gamma * ||x - y||^2)`` for two vectors."""
     diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)

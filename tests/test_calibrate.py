@@ -202,6 +202,18 @@ def test_bootstrap_source_addressable_and_deterministic():
     assert all(tuple(row) in pool_rows for row in whole)
 
 
+@pytest.mark.parametrize("start,count", [(-1, 5), (2, -1)])
+def test_bootstrap_source_rejects_a_negative_window(start, count):
+    source = calibrate.bootstrap_source(np.ones((4, 2)), seed=1)
+    with pytest.raises(DomainError, match="start >= 0 and count >= 0"):
+        source(0, start, count)
+
+
+def test_bootstrap_source_gives_no_rows_for_a_zero_count():
+    source = calibrate.bootstrap_source(np.ones((4, 2)), seed=1)
+    assert source(3, 9, 0).shape == (0, 2)
+
+
 def test_bootstrap_source_rejects_empty_pool():
     with pytest.raises(EmptyInputError):
         calibrate.bootstrap_source(np.empty((0, 2)), seed=0)

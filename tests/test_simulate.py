@@ -3,15 +3,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from faultmon import simulate
 from faultmon.errors import (
     BadSpecError,
+    DomainError,
     EmptyInputError,
     FaultMonError,
     LabelMismatchError,
 )
+from tests import oracles
 
 # Onset is a 0-based index; post-onset means samples onset, onset+1, ...
 ONSET = 120
@@ -129,6 +133,75 @@ def test_uniforms_read_the_philox_keystream(start):
     ).random(start + 9)[start:]
     got = simulate._uniforms(11, (4, 2), start, 9)
     np.testing.assert_array_equal(got.view(np.int64), reference.view(np.int64))
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**160 - 1),
+    prefix=st.lists(st.integers(min_value=0, max_value=2**70), max_size=3),
+    last=st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_philox_keys_equal_seed_sequence_state(seed, prefix, last):
+    # Seeds past 4 words, prefix entries of several words, 1-40 keys.
+    expected = np.array([
+        np.random.SeedSequence(entropy=seed, spawn_key=(*prefix, i))
+        .generate_state(2, np.uint64)
+        for i in last
+    ])
+    got = simulate._philox_keys(seed, tuple(prefix), last)
+    assert got.dtype == np.uint64
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_philox_keys_reject_a_last_word_past_32_bits():
+    with pytest.raises(DomainError):
+        simulate._philox_keys(0, (1,), [2**32])
+
+
+@pytest.mark.parametrize("spawn_key", [(7,), (4, 2), (2**40 + 9,), (0, 2**64 + 3)])
+def test_uniforms_spawn_like_seed_sequence(spawn_key):
+    # A last spawn-key entry of several words is read as those words.
+    np.testing.assert_array_equal(
+        simulate._uniforms(5, spawn_key, 6, 11),
+        oracles.seeded_uniforms(5, spawn_key, 6, 11),
+    )
+
+
+def test_uniforms_far_past_the_first_counter_word():
+    # A start whose block index needs two 64-bit counter words.
+    start = 4 * (2**66 + 5) + 2
+    np.testing.assert_array_equal(
+        simulate._uniforms(3, (1,), start, 7), oracles.seeded_uniforms(3, (1,), start, 7)
+    )
+
+
+@pytest.mark.parametrize("count", [0, 1, 400])
+@pytest.mark.parametrize("start", [*range(10), 10**6 + 3])
+def test_raw_samples_equal_per_stream_seeding(start, count):
+    spec = simulate.default_process_spec(2)
+    got = simulate._raw_samples(spec, 100_007, start, count)
+    expected = oracles.raw_samples(spec, 100_007, start, count)
+    assert got.shape == (count, spec.stream_count)
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("start,count", [(-1, 5), (2, -1), (-4, 0)])
+def test_source_rejects_a_negative_window(start, count):
+    source = simulate.in_control_source(simulate.default_process_spec(0))
+    with pytest.raises(DomainError, match="start >= 0 and count >= 0"):
+        source(0, start, count)
+
+
+def test_source_gives_no_rows_for_a_zero_count():
+    source = simulate.in_control_source(simulate.default_process_spec(0))
+    assert source(0, 7, 0).shape == (0, 20)
+
+
+def test_seeds_and_runs_must_be_non_negative():
+    with pytest.raises(DomainError):
+        simulate.generate_in_control(simulate.default_process_spec(-1), 5)
+    with pytest.raises(DomainError):
+        simulate.generate_in_control(simulate.default_process_spec(0), 5, run=-1)
 
 
 def _fault_pair(kind, **kwargs):
